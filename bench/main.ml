@@ -21,7 +21,6 @@ open Ppj_core
 module W = Ppj_relation.Workload
 module P = Ppj_relation.Predicate
 module Rng = Ppj_crypto.Rng
-module Par = Ppj_parallel.Parallel
 module Shard = Ppj_shard
 module Obs = Ppj_obs
 
@@ -301,13 +300,6 @@ let measured () =
   header "Formula vs measured transfer counts (L = 2400 scaled setting)";
   row "%-14s %12s %14s %9s %6s\n" "algorithm" "measured" "formula" "ratio" "band";
   let n = 3 in
-  let alg7_formula =
-    let total = 100. in
-    let lg = log total /. log 2. in
-    (total *. lg *. lg) +. (3. *. total)
-    +. Ppj_oblivious.Filter.transfers ~omega:100 ~mu:24
-         ~delta:(Ppj_oblivious.Filter.optimal_delta ~mu:24)
-  in
   let runs =
     [ ( "alg1", "Algorithm 1", padded_band,
         fun () ->
@@ -338,12 +330,13 @@ let measured () =
           let i = measured_instance () in
           let r, st = Algorithm6.run i ~eps:1e-9 () in
           (i, r, Cost.alg6_given ~l:2400 ~s:24 ~m:4 ~n_star:st.Algorithm6.n_star) );
-      ( "alg7", "Algorithm 7*", padded_band,
+      ( "alg7", "Algorithm 7*", exact_band,
         fun () ->
           let i = measured_instance () in
-          (i, fst (Algorithm7.run i ~attr_a:"key" ~attr_b:"key"), alg7_formula) )
+          (i, fst (Algorithm7.run i ~attr_a:"key" ~attr_b:"key"), Cost.alg7 ~a:40 ~b:60 ~s:24) )
     ]
   in
+  let misses = ref [] in
   List.iter
     (fun (tag, name, (lo, hi), run) ->
       let inst, r, formula = run () in
@@ -358,14 +351,17 @@ let measured () =
       Obs.Registry.set_gauge ~labels registry "bench.ratio" ratio;
       Obs.Registry.set_gauge ~labels registry "bench.within_tolerance" (if ok then 1. else 0.);
       row "%-14s %12d %14.0f %9.2fx %6s\n" name r.Report.transfers formula ratio
-        (if ok then "ok" else "FAIL"))
+        (if ok then "ok" else "FAIL");
+      if not ok then misses := name :: !misses)
     runs;
   row "(* Algorithm 7 is this repo's sort-based PK-FK equijoin extension)\n";
   row "\nRatios near 1 validate the closed forms; Algorithms 1/4/6 run\n";
   row "power-of-two-padded sorting networks, so their measured counts sit\n";
   row "above the paper's big-O-style approximations by a bounded factor\n";
   row "(band: exact formulas %.2g-%.2g, padded networks %.2g-%.2g).\n" (fst exact_band)
-    (snd exact_band) (fst padded_band) (snd padded_band)
+    (snd exact_band) (fst padded_band) (snd padded_band);
+  if !misses <> [] then
+    failwith ("measured: outside the band: " ^ String.concat ", " (List.rev !misses))
 
 (* --- Parallelism --- *)
 
@@ -377,20 +373,31 @@ let parallel () =
   List.iter (fun p -> row " %10d" p) [ 1; 2; 4; 8 ];
   row "\n";
   List.iter
-    (fun (tag, name, run) ->
+    (fun (tag, name, inner) ->
       row "%-12s" name;
       List.iter
         (fun p ->
-          let o = run ~p in
-          Par.observe ~labels:[ ("alg", tag); ("p", string_of_int p) ] o registry;
-          row " %10.2f" o.Par.speedup)
+          let config =
+            { Shard.Coordinator.p; m = 4; seed = 5; inner; strategy = Shard.Partitioner.Replicate }
+          in
+          match
+            Shard.Coordinator.run_local ~backend:Shard.Coordinator.Sequential config
+              ~predicate:pred [ a; b ]
+          with
+          | Error e -> failwith ("parallel bench: " ^ e)
+          | Ok o ->
+              Obs.Registry.set_gauge
+                ~labels:[ ("alg", tag); ("p", string_of_int p) ]
+                registry "bench.parallel.speedup" o.Shard.Coordinator.speedup;
+              row " %10.2f" o.Shard.Coordinator.speedup)
         [ 1; 2; 4; 8 ];
       row "\n")
-    [ ("alg4", "Algorithm 4", fun ~p -> Par.alg4 ~p ~m:4 ~seed:5 ~predicate:pred [ a; b ]);
-      ("alg5", "Algorithm 5", fun ~p -> Par.alg5 ~p ~m:4 ~seed:5 ~predicate:pred [ a; b ]);
-      ("alg6", "Algorithm 6", fun ~p -> Par.alg6 ~p ~m:4 ~seed:5 ~eps:1e-9 ~predicate:pred [ a; b ])
+    [ ("alg4", "Algorithm 4", Service.Alg4);
+      ("alg5", "Algorithm 5", Service.Alg5);
+      ("alg6", "Algorithm 6", Service.Alg6 { eps = 1e-9 })
     ];
-  row "(speedup = total transfers / slowest coprocessor's transfers)\n"
+  row "(speedup = total transfers / slowest coprocessor's transfers;\n";
+  row " Shard.Coordinator.run_local, sequential backend, S learned untraced)\n"
 
 (* --- Sharded coordinator --- *)
 
@@ -398,7 +405,7 @@ let parallel () =
    over p in-process shards executing Algorithm 4 slices, pad-to-max
    oblivious merge.  The gateable number is the transfer-model speedup
    (total transfers / slowest shard) — deterministic and
-   hardware-independent, matching the Parallel convention; wall-clock
+   hardware-independent, as in the parallel experiment; wall-clock
    seconds per p are recorded informationally (a single-core CI runner
    cannot show real Domains parallelism). *)
 let shard () =
@@ -662,42 +669,15 @@ let netjoin () =
 
 let chaos () =
   header "Chaos soak: seeded fault plans against the client/server stack";
-  let module Net = Ppj_net in
-  let runs = 60 in
+  let module Chaos = Ppj_net.Chaos in
   (* The chaos.* counters land in the shared registry, so a --json export
      of this experiment is the machine-readable soak verdict. *)
   let results =
     Obs.Registry.span ~labels:[ ("phase", "chaos") ] registry "bench.chaos.seconds" (fun () ->
-        Net.Chaos.soak ~registry ~recorder ~seed0:1 ~runs ())
+        Chaos.soak ~registry ~seed0:1 ~runs:60 (Chaos.printing (Chaos.wire ~recorder)))
   in
-  let tally p = List.length (List.filter p results) in
-  let correct = tally (fun r -> r.Net.Chaos.outcome = Net.Chaos.Correct) in
-  let resumed = tally (fun r -> r.Net.Chaos.outcome = Net.Chaos.Correct && r.Net.Chaos.crashes > 0) in
-  let tamper =
-    tally (fun r -> match r.Net.Chaos.outcome with Net.Chaos.Tamper _ -> true | _ -> false)
-  in
-  let refused =
-    tally (fun r -> match r.Net.Chaos.outcome with Net.Chaos.Refused _ -> true | _ -> false)
-  in
-  let wrong = tally (fun r -> not (Net.Chaos.safe r)) in
-  let injected = List.fold_left (fun n r -> n + r.Net.Chaos.injected) 0 results in
-  row "runs                    : %d (seeds 1..%d, one random plan each)\n" runs runs;
-  row "correct deliveries      : %d (%d of them resumed after a coprocessor crash)\n" correct
-    resumed;
-  row "tamper detected         : %d (refused, as the paper's T must)\n" tamper;
-  row "typed refusals          : %d (retries exhausted, auth failures, ...)\n" refused;
-  row "wrong answers           : %d\n" wrong;
-  row "fault events fired      : %d\n" injected;
-  if wrong > 0 then begin
-    List.iter
-      (fun r ->
-        if not (Net.Chaos.safe r) then
-          row "  seed %d  %s  %s\n" r.Net.Chaos.seed
-            (Ppj_fault.Plan.to_string r.Net.Chaos.plan)
-            (Net.Chaos.outcome_to_string r.Net.Chaos.outcome))
-      results;
-    failwith "chaos soak produced a wrong answer"
-  end
+  Chaos.pp_report ~name:"chaos" Format.std_formatter results;
+  if (Chaos.tally results).Chaos.wrong > 0 then failwith "chaos soak produced a wrong answer"
 
 (* --- loadtest: open-loop SLO harness over a real Unix socket --------- *)
 
@@ -1030,16 +1010,8 @@ let recovery () =
     let rng = Rng.create seed in
     let a, b = W.equijoin_pair rng ~na:12 ~nb:18 ~matches:14 ~max_multiplicity:3 in
     let oracle =
-      let party id c = Ch.party ~id ~secret:(String.make 16 c) in
-      let pa = party "alice" 'a' and pb = party "bob" 'b' and pc = party "carol" 'c' in
-      match
-        Service.run config ~contract
-          ~submissions:
-            [ (pa, schema, Ch.submit pa contract a); (pb, schema, Ch.submit pb contract b) ]
-          ~recipient:pc
-          ~predicate:(P.equijoin2 "key" "key")
-      with
-      | Ok o -> List.sort compare (List.map Ppj_relation.Tuple.encode o.Service.delivered)
+      match Net.Chaos.oracle config ~contract [ (schema, a); (schema, b) ] with
+      | Ok o -> o
       | Error e -> failwith e
     in
     let store1 =
@@ -1090,19 +1062,17 @@ let recovery () =
           let server2 = Net.Server.create ~mac_key ~seed:6 ~store:store2 () in
           let c2 = Net.Client.create ~config:no_sleep (Net.Transport.loopback server2) in
           let out =
-            match
-              Net.Client.fetch_result c2 ~rng:(Rng.create 100) ~id:"carol" ~mac_key ~contract
-                config
-            with
-            | Ok (_, tuples) ->
-                List.sort compare (List.map Ppj_relation.Tuple.encode tuples)
-            | Error e -> failwith e
+            Net.Client.fetch_result c2 ~rng:(Rng.create 100) ~id:"carol" ~mac_key ~contract
+              config
           in
           Net.Client.close c2;
           Store.close store2;
           out)
     in
-    if delivered = oracle then incr correct else incr wrong;
+    (match Net.Chaos.judge ~expected:oracle (Result.map snd delivered) with
+    | Net.Chaos.Correct -> incr correct
+    | Net.Chaos.Wrong _ -> incr wrong
+    | v -> failwith (Net.Chaos.outcome_to_string v));
     rm_rf dir
   done;
   Obs.Registry.set_gauge registry "store.bench.recovery.correct" (float_of_int !correct);

@@ -74,7 +74,6 @@ let mult_arg = Arg.(value & opt int 3 & info [ "mult" ] ~doc:"Maximum match mult
 let m_arg = Arg.(value & opt int 4 & info [ "m" ] ~doc:"Coprocessor free memory in tuples.")
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed.")
 let eps_arg = Arg.(value & opt float 1e-9 & info [ "eps" ] ~doc:"Algorithm 6 privacy parameter.")
-let p_arg = Arg.(value & opt int 1 & info [ "p" ] ~doc:"Number of coprocessors.")
 
 let metrics_arg =
   Arg.(
@@ -307,25 +306,6 @@ let csv_join_cmd =
     (Cmd.info "csv-join"
        ~doc:"Equijoin two CSV files through the privacy preserving service (schemas inferred).")
     Term.(const run $ path_a $ path_b $ attr_a $ attr_b $ algorithm_arg $ m_arg $ seed_arg $ eps_arg $ out)
-
-let parallel_cmd =
-  let run na nb matches mult m seed p metrics =
-    let rng = Rng.create seed in
-    let a, b = W.equijoin_pair rng ~na ~nb ~matches ~max_multiplicity:mult in
-    let pred = P.equijoin2 "key" "key" in
-    let o = Ppj_parallel.Parallel.alg5 ~p ~m ~seed ~predicate:pred [ a; b ] in
-    Format.printf "results: %d  speedup at P=%d: %.2f  per-coprocessor transfers:"
-      (List.length o.Ppj_parallel.Parallel.results) p o.Ppj_parallel.Parallel.speedup;
-    Array.iter (fun t -> Format.printf " %d" t) o.Ppj_parallel.Parallel.per_co_transfers;
-    Format.printf "@.";
-    if metrics then begin
-      let reg = Ppj_obs.Registry.create () in
-      Ppj_parallel.Parallel.observe o reg;
-      print_metrics (Ppj_obs.Registry.snapshot reg)
-    end
-  in
-  Cmd.v (Cmd.info "parallel" ~doc:"Run Algorithm 5 across P simulated coprocessors.")
-    Term.(const run $ na_arg $ nb_arg $ matches_arg $ mult_arg $ m_arg $ seed_arg $ p_arg $ metrics_arg)
 
 (* --- networked deployment: serve / submit / fetch / gen -------------- *)
 
@@ -734,33 +714,13 @@ let chaos_cmd =
   let run runs seed0 verbose trace_out =
     let reg = Ppj_obs.Registry.create () in
     let recorder = make_recorder ~name:"chaos" trace_out in
-    let results = Net.Chaos.soak ~registry:reg ?recorder ~seed0 ~runs () in
-    let tally p = List.length (List.filter p results) in
-    let correct = tally (fun r -> r.Net.Chaos.outcome = Net.Chaos.Correct) in
-    let resumed =
-      tally (fun r -> r.Net.Chaos.outcome = Net.Chaos.Correct && r.Net.Chaos.crashes > 0)
+    let results =
+      Net.Chaos.soak ~registry:reg ~seed0 ~runs
+        (Net.Chaos.printing ~verbose (Net.Chaos.wire ?recorder))
     in
-    let tamper =
-      tally (fun r -> match r.Net.Chaos.outcome with Net.Chaos.Tamper _ -> true | _ -> false)
-    in
-    let refused =
-      tally (fun r -> match r.Net.Chaos.outcome with Net.Chaos.Refused _ -> true | _ -> false)
-    in
-    let wrong = List.filter (fun r -> not (Net.Chaos.safe r)) results in
-    let injected = List.fold_left (fun n r -> n + r.Net.Chaos.injected) 0 results in
-    List.iter
-      (fun r ->
-        if verbose || not (Net.Chaos.safe r) then
-          Format.printf "seed %-4d  %-48s  %s@." r.Net.Chaos.seed
-            (Ppj_fault.Plan.to_string r.Net.Chaos.plan)
-            (Net.Chaos.outcome_to_string r.Net.Chaos.outcome))
-      results;
-    Format.printf
-      "chaos: %d runs — %d correct (%d after crash-resume), %d tamper-detected, %d refused, %d \
-       wrong; %d fault event(s) fired@."
-      runs correct resumed tamper refused (List.length wrong) injected;
+    Format.printf "%a" (Net.Chaos.pp_report ~name:"chaos") results;
     write_trace trace_out recorder;
-    if wrong <> [] then exit 1
+    if (Net.Chaos.tally results).Net.Chaos.wrong > 0 then exit 1
   in
   let runs_arg = Arg.(value & opt int 50 & info [ "runs" ] ~doc:"Seeded fault plans to soak.") in
   let seed0_arg = Arg.(value & opt int 1 & info [ "seed0" ] ~doc:"First seed of the soak.") in
@@ -908,7 +868,7 @@ let restart_chaos_cmd =
      the same state directory and require the oracle's answer — or a
      typed refusal — from the recovered process.  Never a wrong answer,
      never a corrupted store. *)
-  let run_one ~verbose ~checkpoint_every ~mac_key seed =
+  let run_one ~checkpoint_every ~mac_key seed =
     let tmp = Filename.get_temp_dir_name () in
     let tag = Printf.sprintf "ppj-restart-%d-%d" (Unix.getpid ()) seed in
     let state_dir = Filename.concat tmp tag in
@@ -926,19 +886,9 @@ let restart_chaos_cmd =
     in
     let config = { Service.m = 4; seed = seed + 7; algorithm = Service.Alg5 } in
     let oracle =
-      let party id c = Channel.party ~id ~secret:(String.make 16 c) in
-      let pa = party "alice" 'a' and pb = party "bob" 'b' and pc = party "carol" 'c' in
-      match
-        Service.run config ~contract
-          ~submissions:
-            [ (pa, schema, Channel.submit pa contract a);
-              (pb, schema, Channel.submit pb contract b)
-            ]
-          ~recipient:pc
-          ~predicate:(P.equijoin2 "key" "key")
-      with
-      | Ok o -> List.sort compare (List.map T.encode o.Service.delivered)
-      | Error e -> die "restart-chaos oracle failed: %s" e
+      match Net.Chaos.oracle config ~contract [ (schema, a); (schema, b) ] with
+      | Ok o -> o
+      | Error e -> die "restart-chaos %s" e
     in
     let with_client k =
       match connect_with_retry ~wait:10. socket with
@@ -989,32 +939,24 @@ let restart_chaos_cmd =
     let report = Store.check ~mac_key state_dir in
     let outcome =
       if not report.Store.r_ok then
-        `Wrong
+        Net.Chaos.Wrong
           (Printf.sprintf "store refused after run: %s"
              (Option.value ~default:"?" report.Store.r_error))
-      else
-        match second with
-        | Error e -> `Refused e
-        | Ok (_, tuples) ->
-            let got = List.sort compare (List.map T.encode tuples) in
-            if got = oracle then `Correct
-            else
-              `Wrong
-                (Printf.sprintf "oracle %d tuples, recovered server delivered %d"
-                   (List.length oracle) (List.length got))
+      else Net.Chaos.judge ~expected:oracle (Result.map snd second)
     in
     (match outcome with
-    | `Wrong _ -> ()  (* keep the state dir for post-mortem *)
-    | `Correct | `Refused _ -> rm_rf state_dir);
+    | Net.Chaos.Wrong _ -> ()  (* keep the state dir for post-mortem *)
+    | _ -> rm_rf state_dir);
     (try Sys.remove socket with Sys_error _ -> ());
-    if verbose || match outcome with `Wrong _ -> true | _ -> false then
-      Format.printf "seed %-4d  kill9@@t=%-3d %-12s  %s@." seed kill_at
-        (if mid_execute_kill then "mid-execute" else "post-result")
-        (match outcome with
-        | `Correct -> "correct"
-        | `Refused e -> "refused: " ^ e
-        | `Wrong e -> "WRONG: " ^ e);
-    (outcome, mid_execute_kill)
+    let killed = if mid_execute_kill then 1 else 0 in
+    { Net.Chaos.seed;
+      plan =
+        Printf.sprintf "kill9@t=%d %s" kill_at
+          (if mid_execute_kill then "mid-execute" else "post-result");
+      outcome;
+      crashes = killed;
+      injected = killed;
+    }
   in
   (* Doctored-state legs: every tampered directory must be detected —
      quarantined (recover-to-prefix) or refused outright — never read as
@@ -1080,19 +1022,13 @@ let restart_chaos_cmd =
   in
   let run runs seed0 checkpoint_every mac_key verbose =
     let results =
-      List.init runs (fun i -> run_one ~verbose ~checkpoint_every ~mac_key (seed0 + i))
+      Net.Chaos.soak ~seed0 ~runs
+        (Net.Chaos.printing ~verbose (run_one ~checkpoint_every ~mac_key))
     in
-    let count p = List.length (List.filter p results) in
-    let correct = count (fun (o, _) -> o = `Correct) in
-    let resumed = count (fun (o, mid) -> o = `Correct && mid) in
-    let refused = count (fun (o, _) -> match o with `Refused _ -> true | _ -> false) in
-    let wrong = count (fun (o, _) -> match o with `Wrong _ -> true | _ -> false) in
     detection_legs ~mac_key;
-    Format.printf
-      "restart-chaos: %d run(s) — %d correct (%d recovered from a mid-execute kill -9), %d \
-       refused, %d wrong@."
-      runs correct resumed refused wrong;
-    if wrong > 0 || correct = 0 then exit 1
+    Format.printf "%a" (Net.Chaos.pp_report ~name:"restart-chaos") results;
+    let t = Net.Chaos.tally results in
+    if t.Net.Chaos.wrong > 0 || t.Net.Chaos.correct = 0 then exit 1
   in
   let runs_arg =
     Arg.(value & opt int 5 & info [ "runs" ] ~doc:"Seeded kill -9 restart runs to soak.")
@@ -1215,23 +1151,14 @@ let shardtest_cmd =
       List.iter (fun s -> try Sys.remove s with Sys_error _ -> ()) sockets
     in
     let oracle =
-      let party id c = Channel.party ~id ~secret:(String.make 16 c) in
-      let pa = party "alice" 'a' and pb = party "bob" 'b' and pc = party "carol" 'c' in
       match
-        Service.run
-          { Service.m; seed; algorithm = inner }
-          ~contract
-          ~submissions:
-            [ (pa, schema, Channel.submit pa contract a);
-              (pb, schema, Channel.submit pb contract b)
-            ]
-          ~recipient:pc
-          ~predicate:(P.equijoin2 "key" "key")
+        Net.Chaos.oracle { Service.m; seed; algorithm = inner } ~contract
+          [ (schema, a); (schema, b) ]
       with
-      | Ok o -> List.map T.encode o.Service.delivered
+      | Ok o -> o
       | Error e ->
           cleanup ();
-          die "oracle failed: %s" e
+          die "%s" e
     in
     let shards =
       let arr = Array.of_list sockets in
@@ -1249,15 +1176,13 @@ let shardtest_cmd =
     match result with
     | Error e -> die "sharded join failed: %s" e
     | Ok o ->
-        let got = List.map T.encode o.Shard.Coordinator.tuples in
-        if List.sort compare got <> List.sort compare oracle then (
-          Format.eprintf "shardtest: MISMATCH — oracle %d tuples, sharded %d@."
-            (List.length oracle) (List.length got);
-          exit 1);
+        (match Net.Chaos.judge ~expected:oracle (Ok o.Shard.Coordinator.tuples) with
+        | Net.Chaos.Correct -> ()
+        | v -> die "shardtest: %s" (Net.Chaos.outcome_to_string v));
         Format.printf
           "shardtest: %d-shard join over %d process(es) matches the oracle (%d tuples); \
            per-shard transfers [%s], merge %d slots / %d comparators@."
-          p p (List.length got)
+          p p (List.length oracle)
           (String.concat "; "
              (Array.to_list (Array.map string_of_int o.Shard.Coordinator.wire_per_shard_transfers)))
           o.Shard.Coordinator.wire_merge.Shard.Merge.slots
@@ -1571,7 +1496,7 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "ppj" ~version:Ppj_obs.Buildinfo.semver ~doc)
-          [ run_cmd; trace_cmd; privacy_cmd; cost_cmd; nstar_cmd; parallel_cmd; csv_join_cmd;
+          [ run_cmd; trace_cmd; privacy_cmd; cost_cmd; nstar_cmd; csv_join_cmd;
             serve_cmd; submit_cmd; fetch_cmd; gen_cmd; chaos_cmd; loadtest_cmd;
             store_check_cmd; restart_chaos_cmd;
             shard_serve_cmd; shardtest_cmd; trace_check_cmd;

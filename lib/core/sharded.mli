@@ -1,11 +1,11 @@
 (** Per-shard slice runners for the multi-coprocessor partitioning of
     Algorithms 4/5/6 (§4.4.4, §5.3.5).
 
-    The partition logic used to live inside [lib/parallel]'s round-robin
-    simulator; it is promoted here so that one implementation serves
-    both deployments: the in-process simulator ([Ppj_parallel.Parallel])
-    and a real shard server hosting a {!Service} whose config names a
-    [Sharded { k; p; inner }] algorithm.  A slice runner executes shard
+    One implementation serves both deployments of the shard
+    coordinator ([Ppj_shard.Coordinator]): its in-process backend, which
+    runs each slice on its own {!Instance}, and a real shard server
+    hosting a {!Service} whose config names a [Sharded { k; p; inner }]
+    algorithm.  A slice runner executes shard
     [k] of [p] against an {!Instance} that holds the {e full} relations
     — range ("replicate") partitioning: data placement is
     input-independent, so slices inherit the sequential algorithms'

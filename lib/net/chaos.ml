@@ -5,6 +5,7 @@ module Tuple = Ppj_relation.Tuple
 module Rng = Ppj_crypto.Rng
 module Service = Ppj_core.Service
 module Registry = Ppj_obs.Registry
+module Counter = Ppj_obs.Counter
 module Plan = Ppj_fault.Plan
 module Injector = Ppj_fault.Injector
 
@@ -12,11 +13,11 @@ type outcome =
   | Correct
   | Tamper of string
   | Refused of string
-  | Wrong of { expected : int; delivered : int }
+  | Wrong of string
 
 type run = {
   seed : int;
-  plan : Plan.t;
+  plan : string;
   outcome : outcome;
   crashes : int;
   injected : int;
@@ -28,13 +29,99 @@ let outcome_to_string = function
   | Correct -> "correct"
   | Tamper m -> "tamper-detected: " ^ m
   | Refused m -> "refused: " ^ m
-  | Wrong { expected; delivered } ->
-      Printf.sprintf "WRONG ANSWER: expected %d tuples, delivered %d" expected delivered
+  | Wrong m -> "WRONG ANSWER: " ^ m
+
+let ( let* ) = Result.bind
+
+let oracle config ~contract rels =
+  (* In-process parties carry throwaway secrets: the delivered plaintext
+     does not depend on them. *)
+  let party id = Ch.party ~id ~secret:(String.make 16 id.[0]) in
+  let run =
+    let* predicate = P.parse contract.Ch.predicate in
+    let submissions =
+      List.map2
+        (fun id (schema, rel) ->
+          let p = party id in
+          (p, schema, Ch.submit p contract rel))
+        contract.Ch.providers rels
+    in
+    Service.run config ~contract ~submissions ~recipient:(party contract.Ch.recipient) ~predicate
+  in
+  match run with
+  | Ok o -> Ok (List.sort compare (List.map Tuple.encode o.Service.delivered))
+  | Error e -> Error ("oracle failed: " ^ e)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.equal (String.sub s i n) sub || go (i + 1)) in
   n = 0 || go 0
+
+let judge ~expected = function
+  | Error e -> if contains ~sub:"tamper" e then Tamper e else Refused e
+  | Ok tuples ->
+      let got = List.sort compare (List.map Tuple.encode tuples) in
+      if got = expected then Correct
+      else
+        Wrong
+          (Printf.sprintf "expected %d tuples, delivered %d" (List.length expected)
+             (List.length got))
+
+let record reg r =
+  let count ?by s = Counter.incr ?by (Registry.counter reg ("chaos." ^ s)) in
+  (* create every headline counter, so exports carry it even at zero *)
+  List.iter (count ~by:0) [ "correct"; "tamper"; "refused"; "wrong" ];
+  count "runs";
+  count
+    (match r.outcome with
+    | Correct -> "correct"
+    | Tamper _ -> "tamper"
+    | Refused _ -> "refused"
+    | Wrong _ -> "wrong");
+  count ~by:r.injected "faults.injected";
+  count ~by:r.crashes "crashes"
+
+let soak ?registry ?(seed0 = 1) ~runs trial =
+  List.init runs (fun i ->
+      let r = trial (seed0 + i) in
+      Option.iter (fun reg -> record reg r) registry;
+      r)
+
+type tally = {
+  runs : int;
+  correct : int;
+  resumed : int;
+  tamper : int;
+  refused : int;
+  wrong : int;
+  faults : int;
+}
+
+let tally rs =
+  let count p = List.length (List.filter p rs) in
+  { runs = List.length rs;
+    correct = count (fun r -> r.outcome = Correct);
+    resumed = count (fun r -> r.outcome = Correct && r.crashes > 0);
+    tamper = count (fun r -> match r.outcome with Tamper _ -> true | _ -> false);
+    refused = count (fun r -> match r.outcome with Refused _ -> true | _ -> false);
+    wrong = count (fun r -> not (safe r));
+    faults = List.fold_left (fun n r -> n + r.injected) 0 rs;
+  }
+
+let printing ?(verbose = false) trial seed =
+  let r = trial seed in
+  if verbose || not (safe r) then
+    Format.printf "seed %-4d  %-48s  %s@." r.seed r.plan (outcome_to_string r.outcome);
+  r
+
+let pp_report ~name ppf rs =
+  let t = tally rs in
+  Format.fprintf ppf
+    "%s: %d runs — %d correct (%d after crash-resume), %d tamper-detected, %d refused, %d \
+     wrong; %d fault event(s) fired@."
+    name t.runs t.correct t.resumed t.tamper t.refused t.wrong t.faults
+
+(* --- the networked trial --------------------------------------------- *)
 
 let mac_key = "chaos-soak-mac-key"
 let schema = W.keyed_schema ()
@@ -56,29 +143,12 @@ let workload seed =
 
 let config = { Service.m = 4; seed = 7; algorithm = Service.Alg5 }
 
-(* What the recipient must decode when nothing interferes. *)
-let oracle seed =
-  let pa = Ch.party ~id:"alice" ~secret:(String.make 16 'a') in
-  let pb = Ch.party ~id:"bob" ~secret:(String.make 16 'b') in
-  let pc = Ch.party ~id:"carol" ~secret:(String.make 16 'c') in
-  let a, b = workload seed in
-  match
-    Service.run config ~contract
-      ~submissions:
-        [ (pa, schema, Ch.submit pa contract a); (pb, schema, Ch.submit pb contract b) ]
-      ~recipient:pc ~predicate:(P.equijoin2 "key" "key")
-  with
-  | Ok o -> List.map Tuple.encode o.Service.delivered
-  | Error e -> invalid_arg ("chaos oracle failed: " ^ e)
-
 (* Nothing in this stack sleeps: the loopback transport answers (or
    stays silent) synchronously, receive timeouts resolve on the first
    poll, and the backoff sleeps are ignored — a chaos run cannot hang,
    only finish. *)
 let client_config =
   { Client.default_config with recv_timeout = 0.01; max_retries = 6; sleep = ignore }
-
-let ( let* ) = Result.bind
 
 let play ?recorder ~client_registry ~faults ~use_reactor server seed =
   let a, b = workload seed in
@@ -108,8 +178,7 @@ let play ?recorder ~client_registry ~faults ~use_reactor server seed =
         ~rng:(Rng.create (seed + 99))
         ~id:"carol" ~mac_key ~contract config)
 
-let run_one ?registry ?recorder ?(reactor = false) ~seed () =
-  let reg = match registry with Some r -> r | None -> Registry.create () in
+let wire ?recorder ?(reactor = false) seed =
   let plan = Plan.random ~seed in
   let faults = Injector.create plan in
   (* A soak is thousands of joins: reservoir-cap the per-run latency
@@ -117,31 +186,18 @@ let run_one ?registry ?recorder ?(reactor = false) ~seed () =
   let server_registry = Registry.create ~histogram_cap:512 () in
   let client_registry = Registry.create ~histogram_cap:512 () in
   let server = Server.create ~registry:server_registry ?recorder ~mac_key ~seed:5 ~faults () in
-  let expected = oracle seed in
-  let outcome =
-    match play ?recorder ~client_registry ~faults ~use_reactor:reactor server seed with
-    | Error e -> if contains ~sub:"tamper" e then Tamper e else Refused e
-    | Ok (_schema, tuples) ->
-        let got = List.map Tuple.encode tuples in
-        if List.sort compare got = List.sort compare expected then Correct
-        else Wrong { expected = List.length expected; delivered = List.length got }
+  let expected =
+    let a, b = workload seed in
+    match oracle config ~contract [ (schema, a); (schema, b) ] with
+    | Ok e -> e
+    | Error e -> invalid_arg ("chaos " ^ e)
   in
-  let crashes =
-    Ppj_obs.Counter.value (Registry.counter (Server.registry server) "net.server.joins.crashed")
+  let delivered =
+    play ?recorder ~client_registry ~faults ~use_reactor:reactor server seed |> Result.map snd
   in
-  let count ?by name = Ppj_obs.Counter.incr ?by (Registry.counter reg name) in
-  (* make the headline counters present in exports even at zero *)
-  List.iter
-    (fun n -> ignore (Registry.counter reg n))
-    [ "chaos.correct"; "chaos.tamper"; "chaos.refused"; "chaos.wrong" ];
-  count "chaos.runs";
-  count ~by:(Injector.injected faults) "chaos.faults.injected";
-  (match outcome with
-  | Correct -> count "chaos.correct"
-  | Tamper _ -> count "chaos.tamper"
-  | Refused _ -> count "chaos.refused"
-  | Wrong _ -> count "chaos.wrong");
-  { seed; plan; outcome; crashes; injected = Injector.injected faults }
-
-let soak ?registry ?recorder ?(seed0 = 1) ?reactor ~runs () =
-  List.init runs (fun i -> run_one ?registry ?recorder ?reactor ~seed:(seed0 + i) ())
+  { seed;
+    plan = Plan.to_string plan;
+    outcome = judge ~expected delivered;
+    crashes = Counter.value (Registry.counter server_registry "net.server.joins.crashed");
+    injected = Injector.injected faults;
+  }

@@ -1,20 +1,19 @@
-(** Seeded chaos soaks of the networked join service.
+(** Seeded chaos soaks, and the fault-free oracle they judge against.
 
-    Each run draws a random-but-deterministic fault plan
-    ({!Ppj_fault.Plan.random}), arms one injector with it, and threads
-    that injector through {e every} layer at once: the server's
-    coprocessor (crash / ciphertext corruption / replay), the loopback
-    wire in both directions (drop / duplicate / delay / payload
-    corruption), and the client's receive path (injected timeouts).
-    Then it plays the full three-party exchange — two providers upload,
-    the recipient executes and fetches — and judges the result against
-    the fault-free in-process oracle.
+    A soak plays one trial per consecutive seed.  What a trial does is
+    the caller's per-seed run function: {!wire} threads one random
+    {!Ppj_fault.Plan} through every layer of the networked service; the
+    shard tests kill one shard of a coordinator; [ppj restart-chaos]
+    SIGKILLs a real server process mid-join.  Every trial ends in the
+    same {!outcome}, produced by the same {!judge}, and every soak
+    shares the counters, the per-run lines of {!printing} and the
+    {!pp_report} summary.
 
     The safety claim under test is the paper's: whatever the adversary
-    does to the wire or the host, the recipient either gets exactly the
-    right answer (possibly after checkpoint resume) or a typed refusal —
-    never a wrong answer, and, because nothing in the loopback stack
-    sleeps or blocks, never a hang. *)
+    does to the wire, the host or the process, the recipient either gets
+    exactly the right answer (possibly after checkpoint resume) or a
+    typed refusal — never a wrong answer, and, because nothing in the
+    in-process stacks sleeps or blocks, never a hang. *)
 
 type outcome =
   | Correct  (** delivery matches the fault-free oracle, byte for byte *)
@@ -22,15 +21,14 @@ type outcome =
       (** the coprocessor detected tampering and refused — safe *)
   | Refused of string
       (** a typed failure (retries exhausted, auth failure, protocol
-          error...) — safe *)
-  | Wrong of { expected : int; delivered : int }
-      (** the one outcome that must never happen *)
+          error, shard unavailable...) — safe *)
+  | Wrong of string  (** the one outcome that must never happen *)
 
 type run = {
   seed : int;
-  plan : Ppj_fault.Plan.t;
+  plan : string;  (** what the seed armed, printable *)
   outcome : outcome;
-  crashes : int;  (** coprocessor crashes the server answered with retryable errors *)
+  crashes : int;  (** coprocessor or process crashes the trial survived or died of *)
   injected : int;  (** plan events that actually fired *)
 }
 
@@ -39,32 +37,62 @@ val safe : run -> bool
 
 val outcome_to_string : outcome -> string
 
-val run_one :
-  ?registry:Ppj_obs.Registry.t ->
-  ?recorder:Ppj_obs.Recorder.t ->
-  ?reactor:bool ->
-  seed:int ->
-  unit ->
-  run
-(** One seeded trial.  Deterministic: the same [seed] reproduces the
-    same plan, the same fault firings, and the same outcome.  Counters
-    [chaos.runs], [chaos.correct], [chaos.tamper], [chaos.refused],
-    [chaos.wrong] and [chaos.faults.injected] accumulate in
-    [registry].  [recorder] is handed to both the client and the server
-    side, so a soak can export one flight-recorder trace showing every
-    crash, resume and retry; the per-run latency registries are
-    reservoir-capped so a long soak's memory stays bounded. *)
+val oracle :
+  Ppj_core.Service.config ->
+  contract:Ppj_scpu.Channel.contract ->
+  (Ppj_relation.Schema.t * Ppj_relation.Relation.t) list ->
+  (string list, string) result
+(** The fault-free three-party answer: {!Ppj_core.Service.run} in
+    process, one submission per provider of [contract] (in order), the
+    contract's own predicate, delivered to its recipient.  Returns the
+    sorted tuple encodings {!judge} compares against. *)
 
-val soak :
-  ?registry:Ppj_obs.Registry.t ->
-  ?recorder:Ppj_obs.Recorder.t ->
-  ?seed0:int ->
-  ?reactor:bool ->
-  runs:int ->
-  unit ->
-  run list
-(** [runs] trials on consecutive seeds starting at [seed0] (default 1).
-    [reactor] (default false) routes every session through
-    {!Transport.via_reactor} instead of the direct loopback, proving the
-    reactor's connection machinery preserves the safety claim under the
-    same fault plans. *)
+val judge : expected:string list -> (Ppj_relation.Tuple.t list, string) result -> outcome
+(** An error is [Tamper] when it names tampering, else [Refused]; a
+    delivery is [Correct] iff its sorted encodings equal [expected]. *)
+
+val soak : ?registry:Ppj_obs.Registry.t -> ?seed0:int -> runs:int -> (int -> run) -> run list
+(** [runs] trials of the per-seed run function on consecutive seeds
+    from [seed0] (default 1).  Each run is counted in [registry]:
+    [chaos.runs], one of [chaos.correct|tamper|refused|wrong], and
+    [chaos.faults.injected] and [chaos.crashes] by the run's figures —
+    all present in exports even at zero. *)
+
+type tally = {
+  runs : int;
+  correct : int;
+  resumed : int;  (** correct runs that survived at least one crash *)
+  tamper : int;
+  refused : int;
+  wrong : int;
+  faults : int;  (** plan events fired, summed *)
+}
+
+val tally : run list -> tally
+
+val printing : ?verbose:bool -> (int -> run) -> int -> run
+(** [printing trial] is [trial], printing each run's line to stdout as
+    soon as the run ends: every run under [verbose], else only unsafe
+    ones.  So the lines of finished runs survive a later run that exits
+    the process. *)
+
+val pp_report : name:string -> Format.formatter -> run list -> unit
+(** The summary line [name: N runs — ...]. *)
+
+val wire :
+  ?recorder:Ppj_obs.Recorder.t -> ?reactor:bool -> int -> run
+(** The networked trial for one seed: draw [Plan.random ~seed], arm one
+    injector with it and thread it through the server's coprocessor
+    (crash / ciphertext corruption / replay), the loopback wire in both
+    directions (drop / duplicate / delay / payload corruption) and the
+    client's receive path (injected timeouts); then two providers
+    upload, the recipient executes and fetches, and {!judge} compares
+    the delivery with {!oracle}.  [reactor] (default false) routes every
+    session through {!Transport.via_reactor} instead of the direct
+    loopback.  Deterministic per seed without a [recorder]; with one,
+    the recorder's clock-derived trace id travels in the attest request,
+    where a frame-corruption event can land on it.
+    [recorder] is handed to both client and server, so a soak exports
+    one flight-recorder trace of every crash, resume and retry; the
+    per-run latency registries are reservoir-capped so a long soak's
+    memory stays bounded. *)

@@ -1,7 +1,5 @@
 module Ch = Ppj_scpu.Channel
 module W = Ppj_relation.Workload
-module P = Ppj_relation.Predicate
-module Tuple = Ppj_relation.Tuple
 module Rng = Ppj_crypto.Rng
 module Service = Ppj_core.Service
 module Registry = Ppj_obs.Registry
@@ -62,21 +60,6 @@ let workload seed =
 
 let config = { Service.m = 4; seed = 7; algorithm = Service.Alg5 }
 
-(* What every recipient session must decode, fault-free. *)
-let oracle seed =
-  let pa = Ch.party ~id:"alice" ~secret:(String.make 16 'a') in
-  let pb = Ch.party ~id:"bob" ~secret:(String.make 16 'b') in
-  let pc = Ch.party ~id:"carol" ~secret:(String.make 16 'c') in
-  let a, b = workload seed in
-  match
-    Service.run config ~contract
-      ~submissions:
-        [ (pa, schema, Ch.submit pa contract a); (pb, schema, Ch.submit pb contract b) ]
-      ~recipient:pc ~predicate:(P.equijoin2 "key" "key")
-  with
-  | Ok o -> Ok (List.sort compare (List.map Tuple.encode o.Service.delivered))
-  | Error e -> Error ("loadgen oracle failed: " ^ e)
-
 (* Blocking provider uploads, with a connect-retry window so the run
    can start while the server process is still binding its socket. *)
 let setup ~path ~seed =
@@ -117,7 +100,10 @@ let ( let* ) = Result.bind
 
 let run ?registry ?(spec = default_spec) ~path () =
   let reg = match registry with Some r -> r | None -> Registry.create () in
-  let* expected = oracle spec.seed in
+  let* expected =
+    let a, b = workload spec.seed in
+    Chaos.oracle config ~contract [ (schema, a); (schema, b) ]
+  in
   let* () = setup ~path ~seed:spec.seed in
   let poller = Poller.create () in
   let t0 = Unix.gettimeofday () in

@@ -12,7 +12,7 @@
     Two provider uploads (the fixture relations) run first over the
     blocking {!Client}; every recipient session then executes the same
     contract and its delivered tuples are compared byte-for-byte against
-    the in-process {!Ppj_core.Service.run} oracle.  The verdict per
+    the fault-free {!Chaos.oracle}.  The verdict per
     session is exactly one of: correct delivery, typed refusal, wrong
     answer, or hung (no conclusion within [session_deadline]) — and the
     SLO claim of the loadtest bench is wrong = hung = 0.

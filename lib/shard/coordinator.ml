@@ -63,6 +63,14 @@ let validate config =
              "coordinator: hash partitioning cannot keep %s oblivious; use replicate" name)
     | _, _ -> Error "coordinator: inner algorithm must be Alg4, Alg5, Alg6 or Alg8"
 
+(* The model speedup both backends report: total transfers over the
+   slowest shard's.  A fleet where no shard moved a tuple (S = 0 under
+   Algorithm 5 or 6) ran no faster than one coprocessor: 1.0, not 0. *)
+let speedup per_shard =
+  let slowest = Array.fold_left max 0 per_shard in
+  if slowest = 0 then 1.0
+  else float_of_int (Array.fold_left ( + ) 0 per_shard) /. float_of_int slowest
+
 (* --- in-process backend --------------------------------------------- *)
 
 let run_slice config ~shard ~s inst =
@@ -135,9 +143,7 @@ let run_local ?metrics ?backend config ~predicate rels =
       streams
   in
   let results = List.map (Instance.decode_result probe) merged in
-  let total = Array.fold_left ( + ) 0 per_shard_transfers in
-  let slowest = Array.fold_left max 1 per_shard_transfers in
-  let speedup = float_of_int total /. float_of_int slowest in
+  let speedup = speedup per_shard_transfers in
   let backend = if use_domains then "domains" else "sequential" in
   let padded = Array.fold_left (fun a i -> a + i.Partitioner.padded) 0 inputs in
   Option.iter
@@ -262,11 +268,7 @@ let fetch_wire ?metrics ?(client_config = Client.default_config)
         let wire_per_shard_transfers =
           Array.of_list (List.map (fun (t, _, _) -> t) per_shard)
         in
-        let speedup =
-          let total = Array.fold_left ( + ) 0 wire_per_shard_transfers in
-          let slowest = Array.fold_left max 1 wire_per_shard_transfers in
-          float_of_int total /. float_of_int slowest
-        in
+        let speedup = speedup wire_per_shard_transfers in
         Option.iter
           (fun m ->
             Metrics.observe_outcome m ~p:config.p ~backend:"wire"

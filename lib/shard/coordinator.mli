@@ -6,7 +6,11 @@
     - {!run_local} — in-process: p {!Ppj_core.Instance}s, each executing
       its {!Ppj_core.Sharded} slice; on OCaml 5 the slices run on
       [Domain]s (true parallelism; metrics flow through the
-      Mutex-guarded {!Metrics} sink), on 4.x sequentially.
+      Mutex-guarded {!Metrics} sink), on 4.x sequentially.  With
+      [~backend:Sequential] this is the paper's multi-coprocessor model
+      (§4.4.4, §5.3.5): the coordinator learns [S] untraced, so each
+      shard's transfer count is its slice's alone, exactly as
+      {!run_wire}'s shard servers report theirs.
     - {!run_wire} — distribution: each shard is a full Reactor-hosted
       server spoken to over the existing wire protocol; the coordinator
       submits every provider's relation to every shard (replicate
@@ -39,7 +43,9 @@ type backend = Sequential | Domains
 type outcome = {
   results : Tuple.t list;
   per_shard_transfers : int array;
-  speedup : float;  (** model speedup: total transfers / slowest shard *)
+  speedup : float;
+      (** model speedup: total transfers / slowest shard, 1.0 when no
+          shard did any work *)
   merge : Merge.stats;
   backend : string;  (** "domains" or "sequential" — what actually ran *)
   padded : int;  (** pad tuples the hash partitioner inserted *)

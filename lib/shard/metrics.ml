@@ -2,11 +2,12 @@ module Registry = Ppj_obs.Registry
 module Counter = Ppj_obs.Counter
 module Histogram = Ppj_obs.Histogram
 
-(* Ppj_obs.Registry is a plain Hashtbl underneath — fine for the
-   single-threaded simulator, not for shard jobs running on Domains.
-   Every observation goes through one mutex; shard jobs report through
-   {!shard_done} from inside their domain, the coordinator publishes the
-   aggregate picture once the jobs are joined. *)
+(* Ppj_obs.Registry guards its own table, but a Histogram is plain
+   mutable state: shard jobs on several domains observing shard.co.load
+   at once would race.  Every observation goes through one mutex; shard
+   jobs report through {!shard_done} from inside their domain, the
+   coordinator publishes the aggregate picture once the jobs are
+   joined. *)
 
 type t = { registry : Registry.t; lock : Mutex.t }
 

@@ -1,8 +1,9 @@
 (** Mutex-guarded metrics sink for shard jobs.
 
-    {!Ppj_obs.Registry} is not thread-safe; shard jobs running on
-    Domains funnel their observations through this wrapper's single
-    mutex instead.  Publishes [shard.co.load] (per-shard transfer
+    {!Ppj_obs.Registry} locks its own table and counters are atomic, but
+    {!Ppj_obs.Histogram.observe} is unsynchronised; shard jobs running
+    on Domains update [shard.co.load] together, so every observation
+    goes through this wrapper's single mutex.  Publishes [shard.co.load] (per-shard transfer
     histogram — p95/max expose partitioner skew), [shard.co.transfers]
     (labelled [co=k]), [shard.co.completed]/[shard.co.failed],
     [shard.p], [shard.speedup], [shard.transfers.total] and the

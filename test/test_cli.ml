@@ -15,7 +15,7 @@ let test_version () = check_exit "--version exits 0" 0 [ "--version" ]
 let test_help_renders () =
   List.iter
     (fun sub -> check_exit (sub ^ " --help") 0 [ sub; "--help" ])
-    [ "run"; "parallel"; "serve"; "submit"; "fetch"; "gen"; "csv-join"; "chaos" ]
+    [ "run"; "serve"; "submit"; "fetch"; "gen"; "csv-join"; "chaos" ]
 
 let test_run_ok () =
   check_exit "run alg4" 0
@@ -47,9 +47,6 @@ let test_run_bad_fault_plan_fails () =
 
 let test_chaos_ok () =
   check_exit "chaos --runs 6" 0 [ "chaos"; "--runs"; "6" ]
-
-let test_parallel_ok () =
-  check_exit "parallel p=2" 0 [ "parallel"; "-p"; "2"; "--na"; "8"; "--nb"; "8"; "--matches"; "6" ]
 
 let test_privacy_ok () =
   check_exit "privacy alg4" 0
@@ -94,7 +91,6 @@ let () =
             test_run_fault_plan_corrupt_detected;
           Alcotest.test_case "bad fault plan fails" `Quick test_run_bad_fault_plan_fails;
           Alcotest.test_case "chaos succeeds" `Quick test_chaos_ok;
-          Alcotest.test_case "parallel succeeds" `Quick test_parallel_ok;
           Alcotest.test_case "privacy succeeds" `Quick test_privacy_ok;
           Alcotest.test_case "bogus algorithm fails" `Quick test_bogus_algorithm_fails;
           Alcotest.test_case "bogus subcommand fails" `Quick test_bogus_subcommand_fails;

@@ -510,13 +510,12 @@ let test_chaos_soak_never_wrong () =
      wrong answer (and, structurally, never a hang: nothing in the
      loopback stack sleeps). *)
   let reg = Registry.create () in
-  let runs = Chaos.soak ~registry:reg ~seed0:1 ~runs:40 () in
+  let runs = Chaos.soak ~registry:reg ~seed0:1 ~runs:40 Chaos.wire in
   List.iter
     (fun r ->
       if not (Chaos.safe r) then
         Alcotest.fail
-          (Printf.sprintf "seed %d plan %S: %s" r.Chaos.seed
-             (Ppj_fault.Plan.to_string r.Chaos.plan)
+          (Printf.sprintf "seed %d plan %S: %s" r.Chaos.seed r.Chaos.plan
              (Chaos.outcome_to_string r.Chaos.outcome)))
     runs;
   Alcotest.(check int) "all runs counted" 40 (counter_value reg "chaos.runs");
@@ -529,14 +528,13 @@ let test_chaos_runs_are_reproducible () =
   (* The same seed must reproduce the same plan, the same firings and
      the same outcome — a chaos finding is a bug report, not an
      anecdote. *)
-  let once = Chaos.soak ~seed0:1 ~runs:10 () in
-  let again = Chaos.soak ~seed0:1 ~runs:10 () in
+  let once = Chaos.soak ~seed0:1 ~runs:10 Chaos.wire in
+  let again = Chaos.soak ~seed0:1 ~runs:10 Chaos.wire in
   List.iter2
     (fun r r' ->
       Alcotest.(check string)
         (Printf.sprintf "seed %d plan reproduces" r.Chaos.seed)
-        (Ppj_fault.Plan.to_string r.Chaos.plan)
-        (Ppj_fault.Plan.to_string r'.Chaos.plan);
+        r.Chaos.plan r'.Chaos.plan;
       Alcotest.(check string)
         (Printf.sprintf "seed %d outcome reproduces" r.Chaos.seed)
         (Chaos.outcome_to_string r.Chaos.outcome)
@@ -545,6 +543,34 @@ let test_chaos_runs_are_reproducible () =
         (Printf.sprintf "seed %d firings reproduce" r.Chaos.seed)
         r.Chaos.injected r'.Chaos.injected)
     once again
+
+let test_chaos_judge () =
+  (* The judge is every soak's negative control: the oracle's tuples in
+     any order are Correct, a delivery that drops, duplicates or
+     replaces a tuple is Wrong, and errors split into tamper detections
+     and typed refusals. *)
+  let server = Server.create ~mac_key ~seed:5 () in
+  let _, tuples = run_loopback server Service.Alg5 in
+  let a, b = workload () in
+  let expected =
+    match Chaos.oracle (service_config Service.Alg5) ~contract [ (schema, a); (schema, b) ] with
+    | Ok e -> e
+    | Error e -> Alcotest.fail e
+  in
+  let verdict got = Chaos.outcome_to_string (Chaos.judge ~expected got) in
+  Alcotest.(check string) "the delivery, reversed" "correct" (verdict (Ok (List.rev tuples)));
+  let wrong = function Chaos.Wrong _ -> true | _ -> false in
+  List.iter
+    (fun (name, got) ->
+      Alcotest.(check bool) name true (wrong (Chaos.judge ~expected (Ok got))))
+    [ ("dropped", List.tl tuples);
+      ("duplicated", List.hd tuples :: tuples);
+      ("same size, one tuple replaced", List.nth tuples 1 :: List.tl tuples)
+    ];
+  Alcotest.(check bool) "tamper" true
+    (Chaos.judge ~expected (Error "tamper detected: R D[3]") = Chaos.Tamper "tamper detected: R D[3]");
+  Alcotest.(check string) "refusal" "refused: shard-unavailable"
+    (verdict (Error "shard-unavailable"))
 
 (* --- protocol error paths -------------------------------------------- *)
 
@@ -812,6 +838,7 @@ let () =
             test_chaos_soak_never_wrong;
           Alcotest.test_case "runs are seed-reproducible" `Quick
             test_chaos_runs_are_reproducible;
+          Alcotest.test_case "judge catches wrong deliveries" `Quick test_chaos_judge;
         ] );
       ( "errors",
         [ Alcotest.test_case "version mismatch" `Quick test_version_mismatch;

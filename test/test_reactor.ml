@@ -438,7 +438,7 @@ let test_sim_idle_eviction_virtual_time () =
 (* --- chaos soak over the reactor path -------------------------------- *)
 
 let test_chaos_soak_on_reactor () =
-  let runs = Chaos.soak ~reactor:true ~runs:25 () in
+  let runs = Chaos.soak ~runs:25 (Chaos.wire ~reactor:true) in
   List.iter
     (fun r ->
       if not (Chaos.safe r) then
@@ -450,7 +450,7 @@ let test_chaos_soak_on_reactor () =
   Alcotest.(check bool) "faults actually fired" true (injected > 0)
 
 let test_chaos_reactor_reproducible () =
-  let one () = Chaos.run_one ~reactor:true ~seed:3 () in
+  let one () = Chaos.wire ~reactor:true 3 in
   let a = one () and b = one () in
   Alcotest.(check string) "same outcome" (Chaos.outcome_to_string a.Chaos.outcome)
     (Chaos.outcome_to_string b.Chaos.outcome);

@@ -1,7 +1,9 @@
 (* Sharded multi-coprocessor joins (lib/shard): the oblivious merge
    network, the replicate/hash partitioner, the coordinator over both
-   backends and over the wire, Definition 1/3 property tests for the
-   promoted slice runners, kill-one-shard chaos, and the load-imbalance
+   backends and over the wire, the multi-coprocessor model of §4.4.4 /
+   §5.3.5 (run_local on the sequential backend: correctness at awkward
+   p, speedup and transfer accounting), Definition 1/3 property tests
+   for the slice runners, kill-one-shard chaos, and the load-imbalance
    metrics. *)
 
 module Sharded = Ppj_core.Sharded
@@ -20,7 +22,6 @@ module Rng = Ppj_crypto.Rng
 module Registry = Ppj_obs.Registry
 module Counter = Ppj_obs.Counter
 module Histogram = Ppj_obs.Histogram
-module Par = Ppj_parallel.Parallel
 module Server = Ppj_net.Server
 module Transport = Ppj_net.Transport
 module Client = Ppj_net.Client
@@ -30,7 +31,7 @@ module Partitioner = Ppj_shard.Partitioner
 module Shards = Ppj_shard.Shards
 module Metrics = Ppj_shard.Metrics
 module Coordinator = Ppj_shard.Coordinator
-module Chaos = Ppj_shard.Chaos
+module Chaos = Ppj_net.Chaos
 module Domains_compat = Ppj_shard.Domains_compat
 
 let pred = P.equijoin2 "key" "key"
@@ -239,14 +240,17 @@ let concentrated () =
   let b_hi = mk "b" [ 3; 3; 3; 9 ] in
   (a, b_lo, b_hi)
 
-let leaky_traces ?(leaky = true) b_choice =
+(* The two shards' coprocessors after running their Algorithm 4 slices. *)
+let concentrated_shards ?(leaky = true) b_choice =
   let a, b_lo, b_hi = concentrated () in
   let b = if b_choice = 0 then b_lo else b_hi in
   let s = Instance.oracle_size (Instance.create ~m:3 ~seed:1234 ~predicate:pred [ a; b ]) in
   List.init 2 (fun k ->
       let inst = Instance.create ~m:3 ~seed:1234 ~predicate:pred [ a; b ] in
       Sharded.alg4 ~leaky inst ~k ~p:2 ~s;
-      Co.trace (Instance.co inst))
+      Instance.co inst)
+
+let leaky_traces ?leaky b_choice = List.map Co.trace (concentrated_shards ?leaky b_choice)
 
 let test_leaky_negative_control () =
   (* With mu = local s_k the shard-0 trace sees 3 matches vs 0: the
@@ -280,22 +284,29 @@ let test_shard_count_mismatch_distinguishable () =
 let local_config ?(p = 2) ?(strategy = Partitioner.Replicate) inner =
   { Coordinator.p; m = 4; seed = 5; inner; strategy }
 
+(* The sequential in-process backend: also the multi-coprocessor model
+   of §4.4.4 / §5.3.5. *)
+let local ?(m = 4) ?strategy ~p inner rels =
+  match
+    Coordinator.run_local ~backend:Coordinator.Sequential
+      { (local_config ~p ?strategy inner) with Coordinator.m }
+      ~predicate:pred rels
+  with
+  | Ok o -> o
+  | Error e -> Alcotest.failf "p=%d: %s" p e
+
+let sum = Array.fold_left ( + ) 0
+let slowest = Array.fold_left max 0
+
 let check_local_correct name ?strategy inner ps () =
   let a, b = workload () in
   let want = tuple_set (oracle_of [ a; b ]) in
   List.iter
     (fun p ->
-      match
-        Coordinator.run_local ~backend:Coordinator.Sequential
-          (local_config ~p ?strategy inner)
-          ~predicate:pred [ a; b ]
-      with
-      | Error e -> Alcotest.fail (Printf.sprintf "%s p=%d: %s" name p e)
-      | Ok o ->
-          Alcotest.(check (list string))
-            (Printf.sprintf "%s p=%d = oracle" name p)
-            want
-            (tuple_set o.Coordinator.results))
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s p=%d = oracle" name p)
+        want
+        (tuple_set (local ?strategy ~p inner [ a; b ]).Coordinator.results))
     ps
 
 let test_local_replicate_alg4 = check_local_correct "alg4" Service.Alg4 [ 1; 2; 3; 4; 8 ]
@@ -343,6 +354,14 @@ let test_alg8_hash_rejected () =
   with
   | Ok _ -> Alcotest.fail "Alg8 x Hash must be rejected"
   | Error e -> Alcotest.(check bool) "says replicate" true (contains ~sub:"replicate" e)
+
+let test_invalid_p_rejected () =
+  List.iter
+    (fun p ->
+      match Coordinator.validate (local_config ~p Service.Alg4) with
+      | Ok () -> Alcotest.failf "p=%d accepted" p
+      | Error e -> Alcotest.(check bool) "names p" true (contains ~sub:"p must be positive" e))
+    [ 0; -1 ]
 
 let test_bad_inner_rejected () =
   let a, b = workload () in
@@ -409,32 +428,142 @@ let test_parallel_registry_counters () =
 
 let test_local_speedup_accounting () =
   let a, b = workload () in
-  match
-    Coordinator.run_local ~backend:Coordinator.Sequential (local_config ~p:4 Service.Alg4)
-      ~predicate:pred [ a; b ]
-  with
-  | Error e -> Alcotest.fail e
-  | Ok o ->
-      let sum = Array.fold_left ( + ) 0 o.Coordinator.per_shard_transfers in
-      let mx = Array.fold_left max 1 o.Coordinator.per_shard_transfers in
-      Alcotest.(check (float 1e-6)) "sum = speedup * max" (float_of_int sum)
-        (o.Coordinator.speedup *. float_of_int mx);
-      Alcotest.(check bool) "p=4 speeds up" true (o.Coordinator.speedup > 1.5);
-      Alcotest.(check bool) "merge slots cover shards" true
-        (o.Coordinator.merge.Merge.slots > 0)
+  let o = local ~p:4 Service.Alg4 [ a; b ] in
+  let t = o.Coordinator.per_shard_transfers in
+  Alcotest.(check (float 1e-6)) "sum = speedup * max" (float_of_int (sum t))
+    (o.Coordinator.speedup *. float_of_int (slowest t));
+  Alcotest.(check bool) "p=4 speeds up" true (o.Coordinator.speedup > 1.5);
+  Alcotest.(check bool) "merge slots cover shards" true (o.Coordinator.merge.Merge.slots > 0)
 
 let test_hash_reports_padding () =
   let a, b = uniform_pair 5 in
-  match
-    Coordinator.run_local ~backend:Coordinator.Sequential
-      (local_config ~p:3 ~strategy:(Partitioner.Hash { key = "key"; slack = 2.5 }) Service.Alg4)
-      ~predicate:pred [ a; b ]
-  with
-  | Error e -> Alcotest.fail e
-  | Ok o ->
-      Alcotest.(check bool) "pads counted" true (o.Coordinator.padded > 0);
-      Alcotest.(check (list string)) "still the oracle" (tuple_set (oracle_of [ a; b ]))
-        (tuple_set o.Coordinator.results)
+  let o =
+    local ~p:3 ~strategy:(Partitioner.Hash { key = "key"; slack = 2.5 }) Service.Alg4 [ a; b ]
+  in
+  Alcotest.(check bool) "pads counted" true (o.Coordinator.padded > 0);
+  Alcotest.(check (list string)) "still the oracle" (tuple_set (oracle_of [ a; b ]))
+    (tuple_set o.Coordinator.results)
+
+(* --- the multi-coprocessor model (§4.4.4, §5.3.5) ----------------------- *)
+
+let slice_algorithms =
+  [ ("alg4", Service.Alg4); ("alg5", Service.Alg5); ("alg6", Service.Alg6 { eps = 1e-9 }) ]
+
+(* Every p from 1 to 8, so the uneven slicings (p = 5, 6, 7) are
+   covered too. *)
+let one_to_eight = List.init 8 succ
+let test_correct_alg4 = check_local_correct "alg4" Service.Alg4 one_to_eight
+let test_correct_alg5 = check_local_correct "alg5" Service.Alg5 one_to_eight
+let test_correct_alg6 = check_local_correct "alg6" (Service.Alg6 { eps = 1e-9 }) one_to_eight
+
+let test_balance () =
+  (* Replicate slicing splits L evenly, so Algorithm 4's shards do
+     near-equal work. *)
+  let a, b = workload () in
+  let t = (local ~p:4 Service.Alg4 [ a; b ]).Coordinator.per_shard_transfers in
+  Alcotest.(check int) "four shards" 4 (Array.length t);
+  Alcotest.(check bool) "balanced within 3x" true
+    (slowest t < 3 * Array.fold_left min max_int t)
+
+let test_more_shards_than_results () =
+  (* P larger than S: some shards own an empty result-rank range. *)
+  let rng = Rng.create 13 in
+  let a, b = W.equijoin_pair rng ~na:4 ~nb:6 ~matches:3 ~max_multiplicity:1 in
+  let o = local ~p:8 Service.Alg5 [ a; b ] in
+  Alcotest.(check (list string)) "still the oracle" (tuple_set (oracle_of [ a; b ]))
+    (tuple_set o.Coordinator.results)
+
+let test_alg4_more_shards_than_tuples () =
+  (* p > L = |A|x|B|: some shards get an empty index range.  They must
+     behave exactly like absent workers — zero transfers, no phantom
+     Output slot — while the join result and the accounting invariant
+     (sum = speedup * max) stay intact. *)
+  let rng = Rng.create 23 in
+  let a, b = W.equijoin_pair rng ~na:2 ~nb:3 ~matches:2 ~max_multiplicity:1 in
+  let l = Instance.l (Instance.create ~m:4 ~seed:1 ~predicate:pred [ a; b ]) in
+  let p = l + 5 in
+  let o = local ~p Service.Alg4 [ a; b ] in
+  let t = o.Coordinator.per_shard_transfers in
+  Alcotest.(check (list string)) "correct with p > L" (tuple_set (oracle_of [ a; b ]))
+    (tuple_set o.Coordinator.results);
+  Alcotest.(check int) "one slot per shard" p (Array.length t);
+  let empties = Array.fold_left (fun n x -> if x = 0 then n + 1 else n) 0 t in
+  Alcotest.(check bool) "empty shards exist and do zero transfers" true (empties >= p - l);
+  Alcotest.(check (float 1e-6)) "sum = speedup * max" (float_of_int (sum t))
+    (o.Coordinator.speedup *. float_of_int (slowest t))
+
+let test_empty_join () =
+  (* S = 0: Algorithms 5 and 6 leave every shard idle, and a fleet that
+     did no work ran no faster than one coprocessor — speedup 1.0, not
+     0.0.  Algorithm 4 still scans its slices, so only its p = 1 run is
+     1.0. *)
+  let rng = Rng.create 17 in
+  let a, b = W.equijoin_pair rng ~na:5 ~nb:5 ~matches:0 ~max_multiplicity:1 in
+  List.iter
+    (fun (name, inner) ->
+      List.iter
+        (fun p ->
+          let o = local ~p inner [ a; b ] in
+          let label = Printf.sprintf "%s p=%d" name p in
+          Alcotest.(check int) (label ^ " empty") 0 (List.length o.Coordinator.results);
+          if inner <> Service.Alg4 then
+            Alcotest.(check int) (label ^ " idle") 0 (slowest o.Coordinator.per_shard_transfers);
+          if p = 1 || inner <> Service.Alg4 then
+            Alcotest.(check (float 0.)) (label ^ " speedup") 1. o.Coordinator.speedup)
+        [ 1; 3 ])
+    slice_algorithms
+
+let test_speedups_grow () =
+  let a, b = workload () in
+  List.iter
+    (fun (name, inner) ->
+      Alcotest.(check (float 1e-9)) (name ^ " p=1 baseline") 1.
+        (local ~p:1 inner [ a; b ]).Coordinator.speedup;
+      Alcotest.(check bool) (name ^ " p=4 speeds up") true
+        ((local ~p:4 inner [ a; b ]).Coordinator.speedup > 1.5))
+    slice_algorithms
+
+let test_alg5_near_linear () =
+  (* §5.3.5: "Algorithm 5 enjoys a linear speed up" — the dominant
+     ceil(blk/M) L read term divides by P. *)
+  let a, b = workload () in
+  Alcotest.(check bool) "at least 3x at p=7" true
+    ((local ~m:2 ~p:7 Service.Alg5 [ a; b ]).Coordinator.speedup >= 3.)
+
+let test_transfer_accounting () =
+  (* The reported speedup is total work over the slowest shard:
+     sum = speedup * max must hold exactly, and partitioned work can
+     never beat the slowest straggler, so speedup >= 1. *)
+  let a, b = workload () in
+  List.iter
+    (fun (name, inner) ->
+      List.iter
+        (fun p ->
+          let o = local ~p inner [ a; b ] in
+          let t = o.Coordinator.per_shard_transfers in
+          let label = Printf.sprintf "%s p=%d" name p in
+          Alcotest.(check int) (label ^ " arity") p (Array.length t);
+          Alcotest.(check (float 1e-6)) (label ^ " sum = speedup * max") (float_of_int (sum t))
+            (o.Coordinator.speedup *. float_of_int (slowest t));
+          Alcotest.(check bool) (label ^ " speedup >= 1") true (o.Coordinator.speedup >= 1.))
+        [ 1; 2; 3; 5; 8 ])
+    slice_algorithms
+
+let test_p1_matches_sequential_trace () =
+  (* One shard is just the sequential algorithm.  The coordinator learns
+     S untraced, so shard 0's transfers equal the single-instance run's
+     exactly, with no screening term. *)
+  let a, b = workload () in
+  let sequential run =
+    (run (Instance.create ~m:4 ~seed:5 ~predicate:pred [ a; b ])).Ppj_core.Report.transfers
+  in
+  List.iter
+    (fun (name, inner, seq) ->
+      Alcotest.(check (array int)) (name ^ " p=1 = sequential trace") [| seq |]
+        (local ~p:1 inner [ a; b ]).Coordinator.per_shard_transfers)
+    [ ("alg4", Service.Alg4, sequential (fun i -> Ppj_core.Algorithm4.run i ()));
+      ("alg5", Service.Alg5, sequential Ppj_core.Algorithm5.run)
+    ]
 
 (* --- coordinator over the wire ---------------------------------------- *)
 
@@ -450,21 +579,22 @@ let contract =
 
 let no_sleep = { Client.default_config with sleep = ignore; recv_timeout = 0.01 }
 
-let wire_config inner = { Coordinator.p = 2; m = 4; seed = 7; inner; strategy = Partitioner.Replicate }
+let wire_config ?(p = 2) inner =
+  { Coordinator.p; m = 4; seed = 7; inner; strategy = Partitioner.Replicate }
 
-let wire_setup ?(connect_hook = fun _ t -> t) () =
-  let servers = Array.init 2 (fun _ -> Server.create ~mac_key ~seed:5 ()) in
+let wire_setup ?(p = 2) ?(connect_hook = fun _ t -> t) () =
+  let servers = Array.init p (fun _ -> Server.create ~mac_key ~seed:5 ()) in
   let shards =
-    Shards.create ~p:2 ~connect:(fun k -> Ok (connect_hook k (Transport.loopback servers.(k))))
+    Shards.create ~p ~connect:(fun k -> Ok (connect_hook k (Transport.loopback servers.(k))))
   in
   shards
 
-let run_wire ?(shard_attempts = 1) ?metrics shards inner =
+let run_wire ?(shard_attempts = 1) ?metrics ?p shards inner =
   let a, b = workload () in
   Coordinator.run_wire ?metrics ~client_config:no_sleep ~shard_attempts ~shards ~seed:23
     ~mac_key ~contract
     ~providers:[ ("alice", schema, a); ("bob", schema, b) ]
-    (wire_config inner)
+    (wire_config ?p inner)
 
 let test_wire_matches_oracle () =
   List.iter
@@ -550,6 +680,29 @@ let test_wire_retry_survives_kill () =
         (tuple_set o.Coordinator.tuples);
       Alcotest.(check bool) "a retry happened" true (o.Coordinator.shard_retries >= 1)
 
+let test_local_matches_wire_transfers () =
+  (* The in-process model and real shard servers charge each shard the
+     same work: both learn S outside the trace. *)
+  let a, b = workload () in
+  List.iter
+    (fun (name, inner) ->
+      List.iter
+        (fun p ->
+          match run_wire ~p (wire_setup ~p ()) inner with
+          | Error e -> Alcotest.fail e
+          | Ok w -> (
+              match
+                Coordinator.run_local ~backend:Coordinator.Sequential (wire_config ~p inner)
+                  ~predicate:pred [ a; b ]
+              with
+              | Error e -> Alcotest.fail e
+              | Ok o ->
+                  Alcotest.(check (array int))
+                    (Printf.sprintf "%s p=%d per-shard transfers" name p)
+                    o.Coordinator.per_shard_transfers w.Coordinator.wire_per_shard_transfers))
+        [ 1; 2; 4 ])
+    slice_algorithms
+
 (* --- wire codec for the sharded algorithm ----------------------------- *)
 
 let test_sharded_config_roundtrip () =
@@ -594,30 +747,97 @@ let test_sharded_algorithm_name () =
 
 (* --- chaos: kill one shard mid-join ----------------------------------- *)
 
+(* One seeded trial: a 2-shard coordinator over in-process shard servers,
+   where the victim shard either drops dead mid-session (a fused
+   transport for its first dials, so the coordinator's retry reaches the
+   "restarted" server) or runs under a random fault plan (coprocessor
+   crashes resumed from sealed checkpoints inside the per-shard client's
+   retries, frame faults, recv timeouts).  Nothing sleeps, so a trial
+   can only finish, never hang.  The coordinator's shard re-dials are
+   summed into [retries]. *)
+let chaos_mac_key = "shard-chaos-mac-key"
+
+let chaos_contract =
+  { Ch.contract_id = "shard-chaos-contract";
+    providers = [ "alice"; "bob" ];
+    recipient = "carol";
+    predicate = "eq(key,key)";
+  }
+
+let chaos_config =
+  { Coordinator.p = 2; m = 4; seed = 7; inner = Service.Alg5; strategy = Partitioner.Replicate }
+
+let kill_one_shard ~retries seed =
+  let victim = seed mod 2 in
+  let killed = seed mod 3 = 0 in
+  let fused_dials = 1 + (seed / 3 mod 2) in
+  let after_sends = 2 + (seed / 2 mod 24) in
+  let plan = if killed then None else Some (Ppj_fault.Plan.random ~seed) in
+  let faults = Option.map Ppj_fault.Injector.create plan in
+  let victim_faults k = if k = victim then faults else None in
+  let server_regs = Array.init 2 (fun _ -> Registry.create ~histogram_cap:512 ()) in
+  let servers =
+    Array.init 2 (fun k ->
+        Server.create ~registry:server_regs.(k) ~mac_key:chaos_mac_key ~seed:5
+          ?faults:(victim_faults k) ())
+  in
+  let dials = Array.make 2 0 in
+  let connect k =
+    dials.(k) <- dials.(k) + 1;
+    let t = Transport.loopback ?faults:(victim_faults k) servers.(k) in
+    if killed && k = victim && dials.(k) <= fused_dials then
+      Ok (fst (Transport.fused ~after_sends t))
+    else Ok t
+  in
+  let rng = Rng.create ((2 * seed) + 1) in
+  let a, b = W.equijoin_pair rng ~na:8 ~nb:12 ~matches:9 ~max_multiplicity:3 in
+  let expected =
+    Result.get_ok
+      (Chaos.oracle
+         { Service.m = chaos_config.Coordinator.m;
+           seed = chaos_config.Coordinator.seed;
+           algorithm = chaos_config.Coordinator.inner;
+         }
+         ~contract:chaos_contract
+         [ (schema, a); (schema, b) ])
+  in
+  let result =
+    Coordinator.run_wire
+      ~client_config:{ no_sleep with Client.max_retries = 6 }
+      ~shard_attempts:2 ~shards:(Shards.create ~p:2 ~connect) ~seed:(seed + 17)
+      ~mac_key:chaos_mac_key ~contract:chaos_contract
+      ~providers:[ ("alice", schema, a); ("bob", schema, b) ]
+      chaos_config
+  in
+  Result.iter (fun o -> retries := !retries + o.Coordinator.shard_retries) result;
+  { Chaos.seed;
+    plan =
+      (match plan with
+      | None -> Printf.sprintf "kill shard %d after %d sends, %d dial(s)" victim after_sends fused_dials
+      | Some plan -> Printf.sprintf "shard %d: %s" victim (Ppj_fault.Plan.to_string plan));
+    outcome = Chaos.judge ~expected (Result.map (fun o -> o.Coordinator.tuples) result);
+    crashes =
+      Array.fold_left
+        (fun n r -> n + Counter.value (Registry.counter r "net.server.joins.crashed"))
+        0 server_regs;
+    injected = (match faults with Some f -> Ppj_fault.Injector.injected f | None -> 0);
+  }
+
 let test_chaos_soak () =
   let registry = Registry.create () in
-  let runs = Chaos.soak ~registry ~seed0:1 ~runs:45 () in
-  List.iter
-    (fun (r : Chaos.run) ->
-      if not (Chaos.safe r) then
-        Alcotest.fail
-          (Printf.sprintf "seed %d (victim %d, killed %b): %s" r.Chaos.seed r.Chaos.victim
-             r.Chaos.killed
-             (Chaos.outcome_to_string r.Chaos.outcome)))
-    runs;
-  let count pred = List.length (List.filter pred runs) in
-  let correct = count (fun r -> r.Chaos.outcome = Chaos.Correct) in
-  let refused = count (fun r -> match r.Chaos.outcome with Chaos.Refused _ -> true | _ -> false) in
-  Alcotest.(check bool) "some runs survive" true (correct > 0);
-  Alcotest.(check bool) "some runs refuse (typed)" true (refused > 0);
+  let retries = ref 0 in
+  let runs = Chaos.soak ~registry ~runs:45 (Chaos.printing (kill_one_shard ~retries)) in
+  Format.printf "%a" (Chaos.pp_report ~name:"shard-chaos") runs;
+  let t = Chaos.tally runs in
+  Alcotest.(check int) "never a wrong answer" 0 t.Chaos.wrong;
+  Alcotest.(check bool) "some runs survive" true (t.Chaos.correct > 0);
+  Alcotest.(check bool) "some runs refuse (typed)" true (t.Chaos.refused > 0);
   (* the checkpoint/resume path: a coprocessor crashed on a shard server
      and the join still completed correctly *)
-  let resumed = count (fun r -> r.Chaos.crashes > 0 && r.Chaos.outcome = Chaos.Correct) in
-  Alcotest.(check bool) "crash-resume produced correct joins" true (resumed > 0);
-  let retried = count (fun r -> r.Chaos.retries > 0) in
-  Alcotest.(check bool) "coordinator retries exercised" true (retried > 0);
+  Alcotest.(check bool) "crash-resume produced correct joins" true (t.Chaos.resumed > 0);
+  Alcotest.(check bool) "coordinator retries exercised" true (!retries > 0);
   Alcotest.(check int) "registry counted every run" 45
-    (Counter.value (Registry.counter registry "shard.chaos.runs"))
+    (Counter.value (Registry.counter registry "chaos.runs"))
 
 (* --- load imbalance metrics (satellite) ------------------------------- *)
 
@@ -626,32 +846,16 @@ let summary_of registry name =
   | Some s -> s
   | None -> Alcotest.fail (name ^ " histogram is empty")
 
-let test_parallel_load_balanced_under_zipf () =
-  (* Replicate slicing is shape-driven: even a Zipf-skewed key
-     distribution must keep parallel.co.load flat. *)
-  let a, b = zipf_pair 9 in
-  let o = Par.alg4 ~p:4 ~m:4 ~seed:5 ~predicate:pred [ a; b ] in
-  let registry = Registry.create () in
-  Par.observe o registry;
-  let s = summary_of registry "parallel.co.load" in
-  Alcotest.(check int) "one sample per coprocessor" 4 s.Histogram.count;
-  Alcotest.(check bool) "p95 <= max" true (s.Histogram.p95 <= s.Histogram.max);
-  Alcotest.(check bool) "balanced: max < 3 * min" true (s.Histogram.max < 3. *. s.Histogram.min)
-
-let test_parallel_leaky_skew_is_visible () =
+let test_leaky_skew_is_visible () =
   (* Negative control: with the leaky mu = s_k budget, a workload whose
-     matches all sit in one slice shows up in the histogram spread. *)
-  let a, b_lo, _ = concentrated () in
-  let o = Par.alg4 ~leaky:true ~p:2 ~m:3 ~seed:5 ~predicate:pred [ a; b_lo ] in
-  let leaky_reg = Registry.create () in
-  Par.observe o leaky_reg;
-  let s = summary_of leaky_reg "parallel.co.load" in
-  Alcotest.(check bool) "skew visible: max > min" true (s.Histogram.max > s.Histogram.min);
-  let o = Par.alg4 ~p:2 ~m:3 ~seed:5 ~predicate:pred [ a; b_lo ] in
-  let public_reg = Registry.create () in
-  Par.observe o public_reg;
-  let s = summary_of public_reg "parallel.co.load" in
-  Alcotest.(check (float 1e-9)) "public budget flattens it" s.Histogram.min s.Histogram.max
+     matches all sit in one slice shows up as per-shard load skew; the
+     public budget flattens it. *)
+  (match List.map Co.transfers (concentrated_shards ~leaky:true 0) with
+  | [ t0; t1 ] -> Alcotest.(check bool) "skew visible" true (t0 <> t1)
+  | _ -> Alcotest.fail "two shards expected");
+  match List.map Co.transfers (concentrated_shards ~leaky:false 0) with
+  | [ t0; t1 ] -> Alcotest.(check int) "public budget flattens it" t0 t1
+  | _ -> Alcotest.fail "two shards expected"
 
 let test_shard_load_histogram () =
   let a, b = zipf_pair 9 in
@@ -672,6 +876,26 @@ let test_shard_load_histogram () =
         (Counter.value (Registry.counter registry "shard.transfers.total"));
       Alcotest.(check int) "all shards completed" 4
         (Counter.value (Registry.counter registry "shard.co.completed"))
+
+let test_parallel_load_balanced_under_zipf () =
+  (* Replicate slicing is shape-driven: on the Domains backend, where
+     the shards observe into the sink concurrently, a Zipf-skewed key
+     distribution still yields one flat shard.co.load sample per shard,
+     and the same loads as the sequential backend. *)
+  let a, b = zipf_pair 9 in
+  let loads backend =
+    let metrics = Metrics.create () in
+    match
+      Coordinator.run_local ~metrics ~backend (local_config ~p:4 Service.Alg4) ~predicate:pred
+        [ a; b ]
+    with
+    | Error e -> Alcotest.fail e
+    | Ok _ -> summary_of (Metrics.registry metrics) "shard.co.load"
+  in
+  let s = loads Coordinator.Domains in
+  Alcotest.(check int) "one sample per shard" 4 s.Histogram.count;
+  Alcotest.(check bool) "balanced: max < 3 * min" true (s.Histogram.max < 3. *. s.Histogram.min);
+  Alcotest.(check bool) "same loads as sequential" true (s = loads Coordinator.Sequential)
 
 let test_wire_metrics () =
   let shards = wire_setup () in
@@ -717,17 +941,38 @@ let () =
           Alcotest.test_case "hash alg6 = oracle" `Quick test_local_hash_alg6;
           Alcotest.test_case "alg5 x hash rejected" `Quick test_alg5_hash_rejected;
           Alcotest.test_case "alg8 x hash rejected" `Quick test_alg8_hash_rejected;
+          Alcotest.test_case "invalid p rejected" `Quick test_invalid_p_rejected;
           Alcotest.test_case "bad inner rejected" `Quick test_bad_inner_rejected;
           Alcotest.test_case "domains = sequential" `Quick test_domains_matches_sequential;
           Alcotest.test_case "speedup accounting" `Quick test_local_speedup_accounting;
           Alcotest.test_case "hash padding reported" `Quick test_hash_reports_padding
+        ] );
+      ( "correctness",
+        [ Alcotest.test_case "alg4 p=1..8" `Quick test_correct_alg4;
+          Alcotest.test_case "alg5 p=1..8" `Quick test_correct_alg5;
+          Alcotest.test_case "alg6 p=1..8" `Quick test_correct_alg6;
+          Alcotest.test_case "more cos than results" `Quick test_more_shards_than_results;
+          Alcotest.test_case "alg4 p > L empty shards" `Quick test_alg4_more_shards_than_tuples;
+          Alcotest.test_case "empty join" `Quick test_empty_join
+        ] );
+      ( "speedup",
+        [ Alcotest.test_case "speedups grow" `Quick test_speedups_grow;
+          Alcotest.test_case "alg5 near linear" `Quick test_alg5_near_linear;
+          Alcotest.test_case "balance" `Quick test_balance
+        ] );
+      ( "invariants",
+        [ Alcotest.test_case "transfer accounting" `Quick test_transfer_accounting;
+          Alcotest.test_case "p=1 matches sequential trace" `Quick
+            test_p1_matches_sequential_trace
         ] );
       ( "coordinator wire",
         [ Alcotest.test_case "2-shard join = oracle" `Quick test_wire_matches_oracle;
           Alcotest.test_case "p mismatch refused" `Quick test_wire_p_mismatch;
           Alcotest.test_case "hash refused over wire" `Quick test_wire_hash_rejected;
           Alcotest.test_case "kill -> typed refusal" `Quick test_wire_kill_is_typed_refusal;
-          Alcotest.test_case "retry survives kill" `Quick test_wire_retry_survives_kill
+          Alcotest.test_case "retry survives kill" `Quick test_wire_retry_survives_kill;
+          Alcotest.test_case "local = wire per-shard transfers" `Quick
+            test_local_matches_wire_transfers
         ] );
       ( "wire codec",
         [ Alcotest.test_case "sharded config roundtrip" `Quick test_sharded_config_roundtrip;
@@ -745,7 +990,7 @@ let () =
       ( "load",
         [ Alcotest.test_case "parallel balanced under zipf" `Quick
             test_parallel_load_balanced_under_zipf;
-          Alcotest.test_case "leaky skew visible" `Quick test_parallel_leaky_skew_is_visible;
+          Alcotest.test_case "leaky skew visible" `Quick test_leaky_skew_is_visible;
           Alcotest.test_case "shard.co.load histogram" `Quick test_shard_load_histogram;
           Alcotest.test_case "wire metrics" `Quick test_wire_metrics
         ] )
