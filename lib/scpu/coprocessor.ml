@@ -22,6 +22,10 @@ type saved = {
 
 type mode = Normal | Ghost of { until : int; target : saved }
 
+(* One region's slot epochs, indexed by slot (0 = never written), and
+   the region name its slot headers carry. *)
+type region_epochs = { name : string; mutable slots : int array }
+
 type t = {
   host : Host.t;
   trace : Trace.t;
@@ -50,12 +54,14 @@ type t = {
       (* monotonic checkpoint version in [T]'s battery-backed NVRAM (the
          4758 keeps such a counter across power loss): a host replaying
          an older sealed checkpoint is caught by version mismatch *)
-  epochs : (Trace.region * int, int) Hashtbl.t;
+  epochs : (Trace.region, region_epochs) Hashtbl.t;
       (* per-slot write epoch, [T]-private.  A stale-but-authentic
          ciphertext replayed into a slot carries an older epoch in its
          sealed header and is rejected.  Stands in for the Merkle tree a
          real deployment would use; not charged to the M-tuple ledger,
-         like the paper's own bookkeeping state. *)
+         like the paper's own bookkeeping state.  Epochs only grow:
+         redefining a host region keeps them, so a ciphertext from before
+         the redefinition stays stale. *)
   replay_stash : (Trace.region * int, string) Hashtbl.t;
       (* host-side memory of overwritten ciphertexts, kept only while the
          fault plan still owes a replay event *)
@@ -94,7 +100,7 @@ let make_t ?recorder ?(event_batch = 64) ?faults ?checkpoint_every ?on_checkpoin
     checkpoint_every;
     on_checkpoint;
     nvram = (match nvram with Some r -> r | None -> ref 0);
-    epochs = Hashtbl.create 64;
+    epochs = Hashtbl.create 8;
     replay_stash = Hashtbl.create 16;
     ops = 0;
     last_checkpoint = -1;
@@ -138,82 +144,117 @@ let event = emit
 
 let nonce_size = 16
 
-(* Seal/unseal run on every tuple transfer, so both build their result
-   in one exact-size buffer via the allocation-free OCB core instead of
-   concatenating / substringing intermediate strings. *)
-let seal_with_nonce t ~nonce plaintext =
-  let len = String.length plaintext in
-  let out = Bytes.create (nonce_size + len + Ocb.tag_length) in
-  Bytes.blit_string nonce 0 out 0 nonce_size;
-  Ocb.seal_into t.key ~nonce ~src:(Bytes.unsafe_of_string plaintext) ~src_pos:0 ~src_len:len
-    ~dst:out ~dst_pos:nonce_size;
+(* What a [Tamper_detected] message names: the failing read or a fixed
+   label.  Formatting a trace entry costs more than the transfer itself,
+   so the string is built only once a check has failed. *)
+type context = Slot of Trace.region * int | Label of string
+
+let tamper context what =
+  let where =
+    match context with
+    | Slot (region, index) ->
+        Format.asprintf "%a" Trace.pp_entry { Trace.op = Read; region; index }
+    | Label l -> l
+  in
+  raise (Tamper_detected (where ^ what))
+
+(* A sealed blob is [nonce | ciphertext | tag].  Sealing writes its
+   plaintext into the one exact-size output buffer at [nonce_size] and
+   encrypts it there in place; opening decrypts into one buffer the
+   caller parses where it lies.  Both run on every tuple transfer. *)
+let seal_buffer len = Bytes.create (nonce_size + len + Ocb.tag_length)
+
+let seal_in_place t ~nonce buf ~len =
+  Bytes.blit_string nonce 0 buf 0 nonce_size;
+  Ocb.seal_into t.key ~nonce ~src:buf ~src_pos:nonce_size ~src_len:len ~dst:buf
+    ~dst_pos:nonce_size;
   t.seal_ops <- t.seal_ops + 1;
   t.seal_bytes <- t.seal_bytes + len;
-  Bytes.unsafe_to_string out
-
-let seal t plaintext =
-  let nonce = Prf.nonce_at t.nonce_prf t.nonce_ctr in
-  t.nonce_ctr <- t.nonce_ctr + 1;
-  seal_with_nonce t ~nonce plaintext
+  Bytes.unsafe_to_string buf
 
 let open_sealed t ciphertext ~context =
-  if String.length ciphertext < nonce_size + Ocb.tag_length then
-    raise (Tamper_detected (context ^ ": truncated ciphertext"));
+  let len = String.length ciphertext in
+  if len < nonce_size + Ocb.tag_length then tamper context ": truncated ciphertext";
   let nonce = String.sub ciphertext 0 nonce_size in
-  let body_len = String.length ciphertext - nonce_size in
-  let out = Bytes.create (body_len - Ocb.tag_length) in
+  let out = Bytes.create (len - nonce_size - Ocb.tag_length) in
   if
-    Ocb.open_into t.key ~nonce
-      ~src:(Bytes.unsafe_of_string ciphertext)
-      ~src_pos:nonce_size ~src_len:body_len ~dst:out ~dst_pos:0
-  then begin
-    t.open_ops <- t.open_ops + 1;
-    t.open_bytes <- t.open_bytes + Bytes.length out;
-    Bytes.unsafe_to_string out
-  end
-  else raise (Tamper_detected context)
+    not
+      (Ocb.open_into t.key ~nonce
+         ~src:(Bytes.unsafe_of_string ciphertext)
+         ~src_pos:nonce_size ~src_len:(len - nonce_size) ~dst:out ~dst_pos:0)
+  then tamper context "";
+  t.open_ops <- t.open_ops + 1;
+  t.open_bytes <- t.open_bytes + Bytes.length out;
+  out
 
 (* --- slot headers ----------------------------------------------------
-   Every stored tuple is sealed together with (region, index, epoch), so
-   an authentic ciphertext cannot be moved to another slot or served
+   Every stored tuple is sealed behind a (region, index, epoch) header,
+   so an authentic ciphertext cannot be moved to another slot or served
    after it was overwritten: OCB authenticates the binding, the epoch
-   table supplies freshness. *)
+   arrays supply freshness.  The sealed plaintext is
 
-let slot_header region index epoch =
-  let name = Trace.region_name region in
-  let b = Buffer.create (String.length name + 9) in
-  Buffer.add_uint8 b (String.length name);
-  Buffer.add_string b name;
-  Buffer.add_int32_be b (Int32.of_int index);
-  Buffer.add_int32_be b (Int32.of_int epoch);
-  Buffer.contents b
+     len(name):u8 | name | index:i32be | epoch:i32be | tuple *)
 
-let split_header plaintext ~context =
-  let bad () = raise (Tamper_detected (context ^ ": malformed slot header")) in
-  let len = String.length plaintext in
-  if len < 1 then bad ();
-  let n = Char.code plaintext.[0] in
-  if len < 1 + n + 8 then bad ();
-  let name = String.sub plaintext 1 n in
-  let index = Int32.to_int (String.get_int32_be plaintext (1 + n)) in
-  let epoch = Int32.to_int (String.get_int32_be plaintext (1 + n + 4)) in
-  let body = String.sub plaintext (1 + n + 8) (len - 1 - n - 8) in
-  (name, index, epoch, body)
-
-let seal_slot t region index plaintext =
-  let key = (region, index) in
-  let epoch = (match Hashtbl.find_opt t.epochs key with Some e -> e | None -> 0) + 1 in
-  Hashtbl.replace t.epochs key epoch;
-  seal t (slot_header region index epoch ^ plaintext)
-
-let open_slot t region index ciphertext ~context =
-  let name, idx, epoch, body = split_header (open_sealed t ciphertext ~context) ~context in
-  let fresh =
-    String.equal name (Trace.region_name region)
-    && idx = index
-    && Hashtbl.find_opt t.epochs (region, index) = Some epoch
+let seal_slot t region index tuple =
+  let r =
+    match Hashtbl.find t.epochs region with
+    | r -> r
+    | exception Not_found ->
+        let r = { name = Trace.region_name region; slots = [||] } in
+        Hashtbl.add t.epochs region r;
+        r
   in
-  if not fresh then raise (Tamper_detected (context ^ ": stale or relocated ciphertext"));
+  if index >= Array.length r.slots then begin
+    let grown = Array.make (max (index + 1) (2 * Array.length r.slots)) 0 in
+    Array.blit r.slots 0 grown 0 (Array.length r.slots);
+    r.slots <- grown
+  end;
+  let epoch = r.slots.(index) + 1 in
+  r.slots.(index) <- epoch;
+  let n = String.length r.name in
+  let len = 1 + n + 8 + String.length tuple in
+  let buf = seal_buffer len in
+  Bytes.set_uint8 buf nonce_size n;
+  Bytes.blit_string r.name 0 buf (nonce_size + 1) n;
+  Bytes.set_int32_be buf (nonce_size + 1 + n) (Int32.of_int index);
+  Bytes.set_int32_be buf (nonce_size + 5 + n) (Int32.of_int epoch);
+  Bytes.blit_string tuple 0 buf (nonce_size + 9 + n) (String.length tuple);
+  let nonce = Prf.nonce_at t.nonce_prf t.nonce_ctr in
+  t.nonce_ctr <- t.nonce_ctr + 1;
+  seal_in_place t ~nonce buf ~len
+
+(* The tuple behind an opened header, once the header is known to fit. *)
+let slot_body plain ~context =
+  let len = Bytes.length plain in
+  if len < 1 || len < 1 + Bytes.get_uint8 plain 0 + 8 then
+    tamper context ": malformed slot header";
+  let off = 1 + Bytes.get_uint8 plain 0 + 8 in
+  Bytes.sub_string plain off (len - off)
+
+(* Top-level: a local recursive function would allocate its closure on
+   every read. *)
+let rec name_at plain name i =
+  i = String.length name
+  || (Bytes.get plain (1 + i) = String.get name i && name_at plain name (i + 1))
+
+let open_slot t region index ciphertext =
+  let context = Slot (region, index) in
+  let plain = open_sealed t ciphertext ~context in
+  let body = slot_body plain ~context in
+  let fresh =
+    match Hashtbl.find t.epochs region with
+    | exception Not_found -> false
+    | r ->
+        let n = String.length r.name in
+        (* 0, which no sealed header carries: never written, also past
+           the array's end *)
+        let epoch = if index < Array.length r.slots then r.slots.(index) else 0 in
+        Bytes.get_uint8 plain 0 = n
+        && name_at plain r.name 0
+        && Int32.to_int (Bytes.get_int32_be plain (1 + n)) = index
+        && Int32.to_int (Bytes.get_int32_be plain (5 + n)) = epoch
+  in
+  if not fresh then tamper context ": stale or relocated ciphertext";
   body
 
 (* --- checkpoints -----------------------------------------------------
@@ -284,7 +325,13 @@ let decode_saved s ~context =
   { s_version; s_ops; s_nonce_ctr; s_cycles; s_mem_in_use; s_mem_peak; s_epochs }
 
 let sorted_epochs t =
-  Hashtbl.fold (fun (region, index) epoch acc -> (Trace.region_name region, index, epoch) :: acc)
+  Hashtbl.fold
+    (fun _ r acc ->
+      let acc = ref acc in
+      Array.iteri
+        (fun index epoch -> if epoch > 0 then acc := (r.name, index, epoch) :: !acc)
+        r.slots;
+      !acc)
     t.epochs []
   |> List.sort compare
 
@@ -303,7 +350,10 @@ let take_checkpoint t =
   let version = !(t.nvram) in
   let blob = encode_saved (saved_of_state t ~version) in
   let nonce = Prf.nonce_at t.nonce_prf (ckpt_nonce_base + version) in
-  let sealed = seal_with_nonce t ~nonce blob in
+  let len = String.length blob in
+  let buf = seal_buffer len in
+  Bytes.blit_string blob 0 buf nonce_size len;
+  let sealed = seal_in_place t ~nonce buf ~len in
   let (_ : Host.t) = Host.define_region t.host Trace.Checkpoint ~size:1 in
   Trace.record t.trace Trace.Write Trace.Checkpoint 0;
   Host.raw_set t.host Trace.Checkpoint 0 sealed;
@@ -395,9 +445,7 @@ let get t region index =
   | Some Injector.Crash | None -> ());
   t.ops <- t.ops + 1;
   batch_tick t;
-  let c = Host.raw_get t.host region index in
-  open_slot t region index c
-    ~context:(Format.asprintf "%a" Trace.pp_entry { Trace.op = Read; region; index })
+  open_slot t region index (Host.raw_get t.host region index)
 
 let put t region index plaintext =
   let fault = begin_op t in
@@ -440,8 +488,8 @@ let resume ?recorder ?event_batch ?faults ?checkpoint_every ?on_checkpoint ~nvra
       ~seed ()
   in
   let sealed = Host.raw_get host Trace.Checkpoint 0 in
-  let blob = open_sealed t sealed ~context:"checkpoint" in
-  let target = decode_saved blob ~context:"checkpoint" in
+  let blob = open_sealed t sealed ~context:(Label "checkpoint") in
+  let target = decode_saved (Bytes.unsafe_to_string blob) ~context:"checkpoint" in
   if target.s_version <> !(t.nvram) then
     raise (Tamper_detected "checkpoint: version rollback detected");
   Host.reset host;
@@ -475,9 +523,8 @@ let tick t n = t.cycles <- t.cycles + n
 let cycles t = t.cycles
 
 let decrypt_for_recipient t ciphertext =
-  let plain = open_sealed t ciphertext ~context:"recipient" in
-  let _, _, _, body = split_header plain ~context:"recipient" in
-  body
+  let context = Label "recipient" in
+  slot_body (open_sealed t ciphertext ~context) ~context
 
 module Registry = Ppj_obs.Registry
 module Obs_counter = Ppj_obs.Counter

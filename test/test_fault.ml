@@ -189,6 +189,49 @@ let test_injected_replay_detected () =
   expect_tamper "injected replay" (fun () -> Co.get co Trace.Scratch 0);
   Alcotest.(check int) "fired" 1 (counter (Injector.registry inj) "fault.scpu.replay")
 
+(* Exact messages: the server forwards them over the wire.  The epoch
+   edge cases use a twin coprocessor (same seed, so the same key) to
+   mint authentic ciphertexts for slots this one never wrote. *)
+let test_tamper_messages () =
+  let expect what msg f =
+    match f () with
+    | exception Co.Tamper_detected m -> Alcotest.(check string) what msg m
+    | _ -> Alcotest.failf "%s: expected Tamper_detected" what
+  in
+  let host, co = scratch_co ~slots:8 () in
+  let twin_host, twin = scratch_co ~slots:8 () in
+  let (_ : Host.t) = Host.define_region twin_host Trace.Output ~size:1 in
+  List.iter (fun i -> Co.put twin Trace.Scratch i "twin") [ 0; 5 ];
+  Co.put twin Trace.Output 0 "twin";
+  let minted region i = Host.raw_get twin_host region i in
+  let get i () = Co.get co Trace.Scratch i in
+  Co.put co Trace.Scratch 1 "own";
+  let own = Host.raw_get host Trace.Scratch 1 in
+  Host.raw_set host Trace.Scratch 1 (String.sub own 0 10);
+  expect "truncated" "R scratch[1]: truncated ciphertext" (get 1);
+  Host.raw_set host Trace.Scratch 1 own;
+  Host.tamper host Trace.Scratch 1 ~byte:20;
+  expect "bit flip" "R scratch[1]" (get 1);
+  Host.raw_set host Trace.Scratch 0 (minted Trace.Scratch 0);
+  expect "never-written slot" "R scratch[0]: stale or relocated ciphertext" (get 0);
+  Host.raw_set host Trace.Scratch 5 (minted Trace.Scratch 5);
+  expect "index past the written ones" "R scratch[5]: stale or relocated ciphertext" (get 5);
+  let (_ : Host.t) = Host.define_region host Trace.Output ~size:1 in
+  Host.raw_set host Trace.Output 0 (minted Trace.Output 0);
+  expect "never-written region" "R out[0]: stale or relocated ciphertext" (fun () ->
+      Co.get co Trace.Output 0);
+  (* Redefining a region keeps its epochs: a ciphertext from before the
+     redefinition stays stale once the slot is written again. *)
+  let (_ : Host.t) = Host.define_region host Trace.Scratch ~size:16 in
+  Co.put co Trace.Scratch 9 "grows the epochs";
+  Co.put co Trace.Scratch 1 "rewritten";
+  Host.raw_set host Trace.Scratch 1 own;
+  expect "stale after redefinition" "R scratch[1]: stale or relocated ciphertext" (get 1);
+  let flipped = Bytes.of_string own in
+  Bytes.set flipped 20 (Char.chr (Char.code (Bytes.get flipped 20) lxor 1));
+  expect "recipient" "recipient" (fun () ->
+      Co.decrypt_for_recipient co (Bytes.to_string flipped))
+
 (* --- Checkpoint / resume, coprocessor level --- *)
 
 let value i = Printf.sprintf "slot-value-%04d" i
@@ -268,6 +311,37 @@ let oracle_of ~data_seed =
   Instance.oracle (Instance.create ~m:4 ~seed:77 ~predicate:pred [ a; b ])
 
 let crash_config = { Service.m = 4; seed = 77; algorithm = Service.Alg5 }
+
+(* One digest over every byte fixed-seed Algorithm 4 slices hand the
+   host: each checkpoint image (in the durable encoding a state
+   directory holds, with its version) and the final image of every slot
+   and the disk stream.  The pinned value is what earlier builds
+   wrote: if it moves, sealed slots or checkpoint blobs changed, and a
+   state directory written by an earlier build no longer resumes. *)
+let test_sealed_bytes_pinned () =
+  let a, b = variant ~data_seed:3 () in
+  let s = Instance.oracle_size (Instance.create ~m:4 ~seed:77 ~predicate:pred [ a; b ]) in
+  let digest = ref (Digest.string "") in
+  let images = ref 0 in
+  let add bytes = digest := Digest.string (!digest ^ Digest.string bytes) in
+  let p = 2 in
+  for k = 0 to p - 1 do
+    let on_checkpoint ~version ~image =
+      incr images;
+      add (string_of_int version);
+      add (Ppj_net.Persist.checkpoint_to_string image)
+    in
+    let inst =
+      Instance.create ~checkpoint_every:5 ~on_checkpoint ~m:4 ~seed:(77 + k) ~predicate:pred
+        [ a; b ]
+    in
+    Sharded.alg4 inst ~k ~p ~s;
+    let host = Co.host (Instance.co inst) in
+    Host.save_checkpoint host;
+    add (Ppj_net.Persist.checkpoint_to_string (Option.get (Host.export_checkpoint host)))
+  done;
+  Alcotest.(check int) "checkpoint images" 1234 !images;
+  Alcotest.(check string) "sealed bytes" "cfb5a25efeed241719dbc891fa0ad679" (Digest.to_hex !digest)
 
 let run_with_plan ~data_seed plan_str =
   let faults = Injector.create (plan plan_str) in
@@ -374,6 +448,8 @@ let () =
           Alcotest.test_case "cross-slot relocation" `Quick test_tamper_relocation;
           Alcotest.test_case "injected corrupt" `Quick test_injected_corrupt_detected;
           Alcotest.test_case "injected replay" `Quick test_injected_replay_detected;
+          Alcotest.test_case "exact messages and epoch edges" `Quick test_tamper_messages;
+          Alcotest.test_case "sealed bytes pinned" `Quick test_sealed_bytes_pinned;
         ] );
       ( "checkpoint",
         [ Alcotest.test_case "resume rejoins the timeline" `Quick test_checkpoint_resume_direct;

@@ -174,6 +174,38 @@ let test_co_seed_determinism () =
   let _, co2 = fresh ~seed:42 () in
   Alcotest.(check int) "same internal randomness" (Co.fresh_seed co1) (Co.fresh_seed co2)
 
+(* Allocation budget of the transfer path, in minor words: every
+   transfer is one OCB seal or open, so a per-call string or closure
+   here multiplies into every algorithm's run time (and, on the Domains
+   backend, into stop-the-world minor collections). *)
+let minor_words_per n f =
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_co_transfer_allocation () =
+  let slots = 16 in
+  let _, co = fresh () in
+  Co.load_region co Trace.Scratch (Array.init slots (fun i -> Printf.sprintf "%040d" i));
+  let pair i =
+    let k = i mod slots in
+    Co.put co Trace.Scratch k (Co.get co Trace.Scratch k)
+  in
+  ignore (minor_words_per 100 pair);
+  let words = minor_words_per 1000 pair in
+  if words > 150. then Alcotest.failf "%.0f minor words per get+put pair (budget 150)" words
+
+let test_aes_into_allocation () =
+  let k = Ppj_crypto.Aes.expand (String.make 16 'k') in
+  let buf = Bytes.make 16 'b' in
+  let enc _ = Ppj_crypto.Aes.encrypt_into k ~src:buf ~src_pos:0 ~dst:buf ~dst_pos:0 in
+  let dec _ = Ppj_crypto.Aes.decrypt_into k ~src:buf ~src_pos:0 ~dst:buf ~dst_pos:0 in
+  ignore (minor_words_per 10 dec);
+  Alcotest.(check int) "encrypt_into words per call" 0 (Float.to_int (minor_words_per 1000 enc));
+  Alcotest.(check int) "decrypt_into words per call" 0 (Float.to_int (minor_words_per 1000 dec))
+
 (* --- Attestation --- *)
 
 let layers =
@@ -455,6 +487,8 @@ let () =
           Alcotest.test_case "setup not traced" `Quick test_co_load_region_silent;
           Alcotest.test_case "cycle counter" `Quick test_co_cycles;
           Alcotest.test_case "seeded determinism" `Quick test_co_seed_determinism;
+          Alcotest.test_case "transfer allocation budget" `Quick test_co_transfer_allocation;
+          Alcotest.test_case "AES _into allocates nothing" `Quick test_aes_into_allocation;
           prop_co_tamper_any_byte
         ] );
       ( "attestation",

@@ -426,6 +426,54 @@ let test_parallel_registry_counters () =
   Alcotest.(check int) "no lost increments" (jobs * per_job)
     (Counter.value (Registry.counter registry "race.counter"))
 
+(* A failing job must not leave later jobs running behind the raise:
+   every spawned domain is joined first, then the lowest job's exception
+   propagates.  On 4.14 the map is sequential, so job 0's exception
+   simply arrives before job 1 starts. *)
+let test_parallel_map_joins_before_raising () =
+  let finished = Atomic.make 0 in
+  let job k =
+    match k with
+    | 0 -> failwith "job 0"
+    | 1 ->
+        Unix.sleepf 0.05;
+        Atomic.incr finished
+    | _ ->
+        Unix.sleepf 0.02;
+        failwith "job 2"
+  in
+  match Domains_compat.parallel_map job [| 0; 1; 2 |] with
+  | _ -> Alcotest.fail "job 0's exception was lost"
+  | exception Failure msg ->
+      Alcotest.(check string) "lowest job's exception" "job 0" msg;
+      if Domains_compat.available then
+        Alcotest.(check int) "job 1 joined before the raise" 1 (Atomic.get finished)
+
+(* Shard 0 runs on the calling domain: its ambient [shard] label must
+   still tag exactly its own pad gauge, and be gone again afterwards. *)
+let test_domains_pad_gauge_per_shard () =
+  let a, b = workload () in
+  let p = 3 in
+  Registry.clear Registry.default;
+  (match
+     Coordinator.run_local ~backend:Coordinator.Domains (local_config ~p Service.Alg4)
+       ~predicate:pred [ a; b ]
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let pads =
+    List.filter
+      (fun m -> m.Ppj_obs.Snapshot.name = "oblivious.sort.pad_slots")
+      (Registry.snapshot Registry.default)
+  in
+  let shard_of m = List.assoc_opt "shard" m.Ppj_obs.Snapshot.labels in
+  Alcotest.(check (list (option string)))
+    "one gauge per shard"
+    (List.init p (fun k -> Some (string_of_int k)))
+    (List.sort compare (List.map shard_of pads));
+  Alcotest.(check (list (pair string string))) "caller's labels restored" []
+    (Ppj_obs.Ambient.labels ())
+
 let test_local_speedup_accounting () =
   let a, b = workload () in
   let o = local ~p:4 Service.Alg4 [ a; b ] in
@@ -984,7 +1032,11 @@ let () =
       ( "domains concurrency",
         [ Alcotest.test_case "schedule cache builds once" `Quick test_parallel_schedule_cache;
           Alcotest.test_case "registry counters lose nothing" `Quick
-            test_parallel_registry_counters
+            test_parallel_registry_counters;
+          Alcotest.test_case "failing job joins the rest first" `Quick
+            test_parallel_map_joins_before_raising;
+          Alcotest.test_case "pad gauge per shard on Domains" `Quick
+            test_domains_pad_gauge_per_shard
         ] );
       ("chaos", [ Alcotest.test_case "kill-one-shard soak" `Quick test_chaos_soak ]);
       ( "load",
