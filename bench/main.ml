@@ -424,6 +424,7 @@ let shard () =
   let lo_band, hi_band = padded_band in
   row "%-4s %-12s %9s %9s %8s %6s  %s\n" "p" "backend" "seconds" "speedup" "merge" "band"
     "per-shard transfers (measured/formula)";
+  let misses = ref [] in
   List.iter
     (fun p ->
       let metrics = Shard.Metrics.create ~registry () in
@@ -449,7 +450,10 @@ let shard () =
             |> List.mapi (fun k measured ->
                    let f = formula ~p k in
                    let ratio = float_of_int measured /. f in
-                   if not (ratio >= lo_band && ratio <= hi_band) then all_ok := false;
+                   if not (ratio >= lo_band && ratio <= hi_band) then begin
+                     all_ok := false;
+                     misses := Printf.sprintf "p=%d shard %d" p k :: !misses
+                   end;
                    let labels = ("shard", string_of_int k) :: labels in
                    Obs.Registry.set_gauge ~labels registry "bench.shard.transfers"
                      (float_of_int measured);
@@ -466,7 +470,9 @@ let shard () =
     [ 1; 2; 4 ];
   row "(speedup = total transfers / slowest shard; per-shard formula:\n";
   row " 2*l_k + filter(l_k, min(l_k, S)) within the padded band %.2g-%.2g.\n" lo_band hi_band;
-  row " CI gates on bench.shard.speedup{p=4} >= 1.5 in BENCH_shard.json.)\n"
+  row " CI gates on bench.shard.speedup{p=4} >= 1.5 in BENCH_shard.json.)\n";
+  if !misses <> [] then
+    failwith ("shard: outside the band: " ^ String.concat ", " (List.rev !misses))
 
 (* --- Aggregation ablation --- *)
 
@@ -626,7 +632,8 @@ let netjoin () =
       predicate = "eq(key,key)";
     }
   in
-  let client () = Net.Client.create ~registry ~recorder (Net.Transport.loopback server) in
+  let reactor = Net.Reactor.create server in
+  let client () = Net.Client.create ~registry ~recorder (Net.Transport.loopback reactor) in
   let ok = function Ok v -> v | Error e -> failwith e in
   let submit id rel =
     let c = client () in
@@ -997,13 +1004,7 @@ let recovery () =
     }
   in
   let config = { Service.m = 4; seed = 9; algorithm = Service.Alg5 } in
-  let no_sleep =
-    { Net.Client.default_config with
-      recv_timeout = 0.05;
-      backoff = Net.Client.Exponential;
-      sleep = ignore;
-    }
-  in
+  let no_sleep = { Net.Client.default_config with recv_timeout = 0.05; sleep = ignore } in
   let correct = ref 0 and wrong = ref 0 in
   for seed = 1 to runs do
     let dir = tmp_dir (Printf.sprintf "recover-%d" seed) in
@@ -1024,11 +1025,12 @@ let recovery () =
       | Ok plan -> Ppj_fault.Injector.create plan
       | Error e -> failwith e
     in
-    let server1 =
-      Net.Server.create ~mac_key ~seed:5 ~faults ~checkpoint_every:32 ~store:store1 ()
+    let reactor1 =
+      Net.Reactor.create
+        (Net.Server.create ~mac_key ~seed:5 ~faults ~checkpoint_every:32 ~store:store1 ())
     in
     let submit id rel =
-      let c = Net.Client.create ~config:no_sleep (Net.Transport.loopback server1) in
+      let c = Net.Client.create ~config:no_sleep (Net.Transport.loopback reactor1) in
       (match
          Net.Client.submit_relation c
            ~rng:(Rng.create (Hashtbl.hash id))
@@ -1043,7 +1045,7 @@ let recovery () =
     let c1 =
       Net.Client.create
         ~config:{ no_sleep with max_retries = 0 }
-        (Net.Transport.loopback server1)
+        (Net.Transport.loopback reactor1)
     in
     (match
        Net.Client.fetch_result c1 ~rng:(Rng.create 99) ~id:"carol" ~mac_key ~contract config
@@ -1059,8 +1061,8 @@ let recovery () =
             | Ok (s, _) -> s
             | Error _ -> failwith "bench recovery reopen failed"
           in
-          let server2 = Net.Server.create ~mac_key ~seed:6 ~store:store2 () in
-          let c2 = Net.Client.create ~config:no_sleep (Net.Transport.loopback server2) in
+          let reactor2 = Net.Reactor.create (Net.Server.create ~mac_key ~seed:6 ~store:store2 ()) in
+          let c2 = Net.Client.create ~config:no_sleep (Net.Transport.loopback reactor2) in
           let out =
             Net.Client.fetch_result c2 ~rng:(Rng.create 100) ~id:"carol" ~mac_key ~contract
               config

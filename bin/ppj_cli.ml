@@ -532,7 +532,11 @@ let serve_cmd =
     Arg.(value & opt int 1024 & info [ "backlog" ] ~doc:"Listen backlog for connect storms.")
   in
   Cmd.v
-    (Cmd.info "serve" ~doc:"Run the join service as a server on a Unix-domain socket.")
+    (Cmd.info "serve"
+       ~doc:
+         "Run the join service as a server on a Unix-domain socket.  The same server hosts \
+          one shard of a sharded deployment: start p of them and point submit --shards and \
+          fetch --shards at their sockets.")
     Term.(
       const run $ socket_arg $ mac_key_arg $ seed_arg $ max_sessions_arg $ metrics_arg
       $ log_level_arg $ trace_out_arg $ fault_plan_arg $ checkpoint_every_arg $ state_dir_arg
@@ -1053,61 +1057,7 @@ let restart_chaos_cmd =
           detected and refused.  Exits nonzero on any wrong answer or undetected tampering.")
     Term.(const run $ runs_arg $ seed0_arg $ checkpoint_every_arg $ mac_key_arg $ verbose_arg)
 
-(* --- sharded deployment: shard-serve / shardtest ---------------------- *)
-
-let shard_serve_cmd =
-  (* A shard server is a vanilla reactor-hosted service: Service already
-     executes [Sharded { k; p; inner }] configs, so the only difference
-     from `serve` is intent (and a trimmed flag surface).  Run p of
-     these and point `submit --shards` / `fetch --shards` at them. *)
-  let run socket mac_key seed max_sessions checkpoint_every state_dir metrics log_level
-      health_socket stats_interval =
-    let logger =
-      match log_level with
-      | None -> Ppj_obs.Log.null
-      | Some s -> (
-          match Ppj_obs.Log.level_of_string s with
-          | Ok level -> Ppj_obs.Log.create ~level ~name:"ppj.shard" ()
-          | Error e -> die "%s" e)
-    in
-    let registry = Ppj_obs.Registry.create () in
-    let store = open_store ~registry ~mac_key state_dir in
-    let server = Net.Server.create ~registry ~seed ~mac_key ~logger ?checkpoint_every ?store () in
-    let reactor = Net.Reactor.create server in
-    Format.printf "ppj shard-serve: shard ready on %s@." socket;
-    Option.iter (Format.printf "ppj shard-serve: health probe on %s@.") health_socket;
-    Format.print_flush ();
-    let tick = make_stats_tick ~server ~interval:stats_interval state_dir in
-    Net.Reactor.serve_unix reactor ~path:socket ?health_path:health_socket ?tick
-      ?max_sessions ();
-    Format.printf "ppj shard-serve: done after %d session(s)@."
-      (Net.Server.sessions_closed server);
-    Option.iter Store.close store;
-    if metrics then
-      print_metrics
-        ~sessions_active:(Net.Server.sessions_active server)
-        (Ppj_obs.Registry.snapshot (Net.Server.registry server))
-  in
-  let max_sessions_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-sessions" ] ~doc:"Exit once this many sessions have closed.")
-  in
-  let checkpoint_every_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "checkpoint-every" ]
-          ~doc:"Seal a recovery checkpoint every N coprocessor transfers.")
-  in
-  Cmd.v
-    (Cmd.info "shard-serve"
-       ~doc:"Run one shard server of a sharded deployment on a Unix-domain socket (a reactor \
-             service ready to execute its slice of a sharded join).")
-    Term.(
-      const run $ socket_arg $ mac_key_arg $ seed_arg $ max_sessions_arg $ checkpoint_every_arg
-      $ state_dir_arg $ metrics_arg $ log_level_arg $ health_socket_arg $ stats_interval_arg)
+(* --- sharded deployment: shardtest ------------------------------------ *)
 
 let shardtest_cmd =
   (* The CI smoke: fork p real shard-server processes on Unix sockets,
@@ -1499,5 +1449,5 @@ let () =
           [ run_cmd; trace_cmd; privacy_cmd; cost_cmd; nstar_cmd; csv_join_cmd;
             serve_cmd; submit_cmd; fetch_cmd; gen_cmd; chaos_cmd; loadtest_cmd;
             store_check_cmd; restart_chaos_cmd;
-            shard_serve_cmd; shardtest_cmd; trace_check_cmd;
+            shardtest_cmd; trace_check_cmd;
             stats_cmd; top_cmd; health_cmd ]))

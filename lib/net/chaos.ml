@@ -6,6 +6,8 @@ module Rng = Ppj_crypto.Rng
 module Service = Ppj_core.Service
 module Registry = Ppj_obs.Registry
 module Counter = Ppj_obs.Counter
+module Recorder = Ppj_obs.Recorder
+module Trace_ctx = Ppj_obs.Trace_ctx
 module Plan = Ppj_fault.Plan
 module Injector = Ppj_fault.Injector
 
@@ -150,19 +152,13 @@ let config = { Service.m = 4; seed = 7; algorithm = Service.Alg5 }
 let client_config =
   { Client.default_config with recv_timeout = 0.01; max_retries = 6; sleep = ignore }
 
-let play ?recorder ~client_registry ~faults ~use_reactor server seed =
+let play ?recorder ~client_registry ~faults reactor seed =
   let a, b = workload seed in
   let session k =
-    (* The reactor path routes the same bytes through the per-connection
-       machinery (decoder, bounded queue, admission) instead of calling
-       the engine directly; the fault gate is interposed by [faulty], so
-       one plan grammar covers both paths. *)
-    let transport =
-      if use_reactor then
-        Transport.faulty ~faults (Transport.via_reactor (Reactor.create server))
-      else Transport.loopback ~faults server
+    let c =
+      Client.create ~config:client_config ~registry:client_registry ?recorder
+        (Transport.loopback ~faults reactor)
     in
-    let c = Client.create ~config:client_config ~registry:client_registry ?recorder transport in
     Fun.protect ~finally:(fun () -> Client.close c) (fun () -> k c)
   in
   let submit id rel =
@@ -178,13 +174,20 @@ let play ?recorder ~client_registry ~faults ~use_reactor server seed =
         ~rng:(Rng.create (seed + 99))
         ~id:"carol" ~mac_key ~contract config)
 
-let wire ?recorder ?(reactor = false) seed =
+let wire ?recorder seed =
   let plan = Plan.random ~seed in
   let faults = Injector.create plan in
-  (* A soak is thousands of joins: reservoir-cap the per-run latency
-     histograms so observability stays O(cap) however long it runs. *)
-  let server_registry = Registry.create ~histogram_cap:512 () in
-  let client_registry = Registry.create ~histogram_cap:512 () in
+  let server_registry = Registry.create () in
+  let client_registry = Registry.create () in
+  (* The client stamps the recorder's trace id into the attest request,
+     where a corrupt-frame event can land on it.  A recorder's own id
+     comes from the wall clock and the pid, so give each run one derived
+     from its seed: a recorded soak then replays seed for seed. *)
+  Option.iter
+    (fun r ->
+      Recorder.adopt r
+        (Trace_ctx.make ~trace_id:(Printf.sprintf "chaos-%d" seed) ~span_id:Trace_ctx.root_span))
+    recorder;
   let server = Server.create ~registry:server_registry ?recorder ~mac_key ~seed:5 ~faults () in
   let expected =
     let a, b = workload seed in
@@ -193,7 +196,7 @@ let wire ?recorder ?(reactor = false) seed =
     | Error e -> invalid_arg ("chaos " ^ e)
   in
   let delivered =
-    play ?recorder ~client_registry ~faults ~use_reactor:reactor server seed |> Result.map snd
+    play ?recorder ~client_registry ~faults (Reactor.create server) seed |> Result.map snd
   in
   { seed;
     plan = Plan.to_string plan;

@@ -79,20 +79,21 @@ val printing : ?verbose:bool -> (int -> run) -> int -> run
 val pp_report : name:string -> Format.formatter -> run list -> unit
 (** The summary line [name: N runs — ...]. *)
 
-val wire :
-  ?recorder:Ppj_obs.Recorder.t -> ?reactor:bool -> int -> run
+val wire : ?recorder:Ppj_obs.Recorder.t -> int -> run
 (** The networked trial for one seed: draw [Plan.random ~seed], arm one
     injector with it and thread it through the server's coprocessor
-    (crash / ciphertext corruption / replay), the loopback wire in both
-    directions (drop / duplicate / delay / payload corruption) and the
-    client's receive path (injected timeouts); then two providers
-    upload, the recipient executes and fetches, and {!judge} compares
-    the delivery with {!oracle}.  [reactor] (default false) routes every
-    session through {!Transport.via_reactor} instead of the direct
-    loopback.  Deterministic per seed without a [recorder]; with one,
-    the recorder's clock-derived trace id travels in the attest request,
-    where a frame-corruption event can land on it.
+    (crash / ciphertext corruption / replay), the {!Transport.loopback}
+    gate in both directions (drop / duplicate / delay / payload
+    corruption) and the client's receive path (injected timeouts); then
+    two providers upload, the recipient executes and fetches — every
+    session through the server's one {!Reactor} — and {!judge} compares
+    the delivery with {!oracle}.  Deterministic per seed.
     [recorder] is handed to both client and server, so a soak exports
-    one flight-recorder trace of every crash, resume and retry; the
-    per-run latency registries are reservoir-capped so a long soak's
-    memory stays bounded. *)
+    one flight-recorder trace of every crash, resume and retry.  The
+    client stamps the recorder's context into the attest request, where
+    a frame-corruption event can land on it, so each run first adopts
+    the trace id [chaos-<seed>] instead of the recorder's clock-derived
+    one.  The context also names the client's open span, numbered by
+    what the recorder has seen, so under a recorder a run is
+    reproducible given the same recorder history (a soak from the same
+    first seed on a fresh recorder). *)

@@ -6,15 +6,12 @@ module Service = Ppj_core.Service
 module Registry = Ppj_obs.Registry
 module Recorder = Ppj_obs.Recorder
 
-type backoff = Exponential | Decorrelated of { seed : int }
-
 type config = {
   recv_timeout : float;
   max_retries : int;
   backoff_base : float;
-  backoff_factor : float;
   backoff_cap : float;
-  backoff : backoff;
+  backoff_seed : int;
   sleep : float -> unit;
   chunk_bytes : int;
 }
@@ -23,9 +20,8 @@ let default_config =
   { recv_timeout = 2.0;
     max_retries = 3;
     backoff_base = 0.05;
-    backoff_factor = 2.0;
     backoff_cap = 2.0;
-    backoff = Decorrelated { seed = 0 };
+    backoff_seed = 0;
     sleep = Unix.sleepf;
     chunk_bytes = 1024;
   }
@@ -33,7 +29,7 @@ let default_config =
 type t = {
   transport : Transport.t;
   config : config;
-  backoff_rng : Ppj_crypto.Rng.t option;  (* armed iff backoff is Decorrelated *)
+  backoff_rng : Ppj_crypto.Rng.t;
   registry : Registry.t;
   recorder : Recorder.t option;
   decoder : Frame.Decoder.t;
@@ -48,18 +44,15 @@ type t = {
 
 let create ?(config = default_config) ?registry ?recorder transport =
   let backoff_rng =
-    match config.backoff with
-    | Exponential -> None
-    | Decorrelated { seed } ->
-        (* seed 0 asks for per-process entropy — the whole point of the
-           jitter is that a fleet of clients retrying the same outage
-           does not re-synchronise into thundering herds.  A nonzero
-           seed pins the schedule for tests and load experiments. *)
-        let seed =
-          if seed <> 0 then seed
-          else 1 + (Hashtbl.hash (Unix.getpid (), Unix.gettimeofday ()) land 0x3FFFFFFF)
-        in
-        Some (Ppj_crypto.Rng.split (Ppj_crypto.Rng.create seed) "client-backoff")
+    (* seed 0 asks for per-process entropy — the whole point of the
+       jitter is that a fleet of clients retrying the same outage does
+       not re-synchronise into thundering herds.  A nonzero seed pins
+       the schedule for tests and load experiments. *)
+    let seed =
+      if config.backoff_seed <> 0 then config.backoff_seed
+      else 1 + (Hashtbl.hash (Unix.getpid (), Unix.gettimeofday ()) land 0x3FFFFFFF)
+    in
+    Ppj_crypto.Rng.split (Ppj_crypto.Rng.create seed) "client-backoff"
   in
   { transport;
     config;
@@ -78,9 +71,9 @@ let registry t = t.registry
 let recorder t = t.recorder
 
 (* The client drives the session sequentially, so — unlike the server's
-   interleaved select loop — it can safely hold spans across several
-   round trips ("handshake" covers attest + hello, "upload" the whole
-   chunk stream). *)
+   reactor, which interleaves sessions — it can safely hold spans across
+   several round trips ("handshake" covers attest + hello, "upload" the
+   whole chunk stream). *)
 let with_span t ?attrs name f =
   match t.recorder with None -> f () | Some r -> Recorder.with_span r ?attrs name f
 
@@ -151,20 +144,15 @@ let recv_reply t =
    replies a retried RPC provokes, all of them share one seq and are
    swept aside once that seq concludes. *)
 (* The sleep before the next retry, given the previous one ([0.] before
-   the first).  Exponential is the legacy fixed ladder; Decorrelated is
-   the AWS-style jittered recurrence [min cap (uniform base (prev * 3))]
-   — successive sleeps are randomised {e and} de-correlated from other
+   the first, which makes the first exactly [backoff_base]): the
+   AWS-style decorrelated jitter [min cap (uniform base (prev * 3))] —
+   successive sleeps are randomised {e and} de-correlated from other
    clients', so a shared outage does not produce synchronised retry
    waves. *)
 let next_sleep t prev =
-  match t.backoff_rng with
-  | None ->
-      min t.config.backoff_cap
-        (if prev <= 0. then t.config.backoff_base else prev *. t.config.backoff_factor)
-  | Some rng ->
-      let lo = t.config.backoff_base in
-      let hi = max lo (prev *. 3.) in
-      min t.config.backoff_cap (lo +. Ppj_crypto.Rng.float rng (hi -. lo))
+  let lo = t.config.backoff_base in
+  let hi = max lo (prev *. 3.) in
+  min t.config.backoff_cap (lo +. Ppj_crypto.Rng.float t.backoff_rng (hi -. lo))
 
 let rpc t ~name ~idempotent msg =
   Registry.span ~labels:[ ("rpc", name) ] t.registry "net.client.rpc.seconds" (fun () ->

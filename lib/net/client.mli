@@ -6,8 +6,8 @@
     key), {!bind_contract}, {!upload} (chunked encrypted relation),
     {!execute} and {!fetch}.  Each step is one RPC with a receive
     timeout; steps the server handles idempotently (attest, contract,
-    execute, fetch) are retried under bounded exponential backoff, the
-    others fail fast.  Requests carry a strictly increasing sequence
+    execute, fetch) are retried a bounded number of times under
+    decorrelated jitter, the others fail fast.  Requests carry a strictly increasing sequence
     number that the server echoes in replies, so a retried RPC whose
     first reply was merely slow cannot desync the session: late
     duplicate replies are recognised by their concluded seq, counted
@@ -22,23 +22,19 @@ module Relation = Ppj_relation.Relation
 module Tuple = Ppj_relation.Tuple
 module Service = Ppj_core.Service
 
-type backoff =
-  | Exponential  (** fixed ladder: [base, base*factor, ...], capped *)
-  | Decorrelated of { seed : int }
-      (** decorrelated jitter: each sleep is
-          [min cap (uniform base (prev * 3))], so a fleet of clients
-          retrying the same outage spreads out instead of hammering the
-          server in synchronised waves.  [seed = 0] draws per-process
-          entropy at {!create}; a nonzero seed pins the schedule for
-          deterministic tests and load experiments. *)
-
 type config = {
   recv_timeout : float;  (** seconds to wait for each reply *)
   max_retries : int;  (** extra attempts for idempotent RPCs *)
-  backoff_base : float;  (** first retry sleep / jitter lower bound *)
-  backoff_factor : float;  (** multiplier per retry ([Exponential] only) *)
+  backoff_base : float;  (** first retry sleep, and every later one's lower bound *)
   backoff_cap : float;  (** upper bound on any single retry sleep *)
-  backoff : backoff;
+  backoff_seed : int;
+      (** Retry sleeps follow decorrelated jitter: each is
+          [min cap (uniform base (prev * 3))] ([prev = 0] before the
+          first, so the first is exactly [backoff_base]).  A fleet of
+          clients retrying the same outage spreads out instead of
+          hammering the server in synchronised waves.  [0] draws
+          per-process entropy at {!create}; a nonzero seed pins the
+          schedule for deterministic tests and load experiments. *)
   sleep : float -> unit;  (** injectable for deterministic tests *)
   chunk_bytes : int;  (** upload chunk size *)
 }

@@ -105,7 +105,6 @@ let run ?registry ?(spec = default_spec) ~path () =
     Chaos.oracle config ~contract [ (schema, a); (schema, b) ]
   in
   let* () = setup ~path ~seed:spec.seed in
-  let poller = Poller.create () in
   let t0 = Unix.gettimeofday () in
   let sessions =
     Array.init spec.sessions (fun idx ->
@@ -179,7 +178,7 @@ let run ?registry ?(spec = default_spec) ~path () =
         | Waiting | Concluded -> ())
       sessions;
     if !active > !max_concurrent then max_concurrent := !active;
-    let readable, writable = Poller.wait poller ~read:!read ~write:!write ~timeout:0.02 in
+    let readable, writable = Poller.wait ~read:!read ~write:!write ~timeout:0.02 in
     List.iter
       (fun fd ->
         match Hashtbl.find_opt fd_index fd with

@@ -1,36 +1,19 @@
-type backend = Select | Poll
-
-type t = { backend : backend }
-
 external poll_stub :
   Unix.file_descr array -> int array -> int array -> int -> int = "ppj_poll_stub"
 
-let create ?(backend = Poll) () = { backend }
-
-let backend t = t.backend
-
-let backend_name t = match t.backend with Select -> "select" | Poll -> "poll"
-
 let now () = Unix.gettimeofday ()
 
-(* Deadline semantics shared by both backends: [timeout < 0] waits
-   forever, otherwise EINTR retries use whatever is left of the original
-   budget rather than restarting (or, worse, aborting) it. *)
+(* [timeout < 0] waits forever, otherwise EINTR retries use whatever is
+   left of the original budget rather than restarting (or, worse,
+   aborting) it. *)
 let deadline_of timeout = if timeout < 0. then None else Some (now () +. timeout)
 
 let remaining = function
   | None -> -1.
   | Some d -> Stdlib.max 0. (d -. now ())
 
-let rec select_wait ~read ~write deadline =
-  let timeout = remaining deadline in
-  match Unix.select read write [] timeout with
-  | r, w, _ -> (r, w)
-  | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      if timeout >= 0. && remaining deadline <= 0. then ([], [])
-      else select_wait ~read ~write deadline
-
-let poll_wait ~read ~write deadline =
+let wait ~read ~write ~timeout =
+  let deadline = deadline_of timeout in
   (* Merge the two interest lists: one pollfd per descriptor, whatever
      combination of read/write interest it appears with. *)
   let interest : (Unix.file_descr, int) Hashtbl.t = Hashtbl.create 64 in
@@ -69,9 +52,3 @@ let poll_wait ~read ~write deadline =
         (!r, !w)
   in
   go ()
-
-let wait t ~read ~write ~timeout =
-  let deadline = deadline_of timeout in
-  match t.backend with
-  | Select -> select_wait ~read ~write deadline
-  | Poll -> poll_wait ~read ~write deadline

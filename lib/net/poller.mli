@@ -1,34 +1,18 @@
-(** Readiness abstraction: one interface over [select] and [poll].
+(** Readiness waits over [poll(2)].
 
-    The reactor asks "which of these descriptors are readable/writable
-    within [timeout] seconds" and does not care how the answer is
-    produced.  Two backends answer it:
+    The reactor and the socket transport ask "which of these descriptors
+    are readable/writable within [timeout] seconds".  The answer comes
+    from the [poll(2)] binding in [poller_stubs.c]: no descriptor cap
+    (where [select] stops at [FD_SETSIZE], 1024 on Linux, below the
+    thousands of sessions the loadtest drives), O(n) per call, available
+    on every POSIX system this project targets.
 
-    - [Select] wraps {!Unix.select} — portable, but limited to
-      descriptors below [FD_SETSIZE] (1024 on Linux), so it cannot hold
-      the thousands of sessions the loadtest drives.
-    - [Poll] calls the [poll(2)] binding in [poller_stubs.c] — no
-      descriptor cap, O(n) per call, available on every POSIX system
-      this project targets.
-
-    Both backends retry [EINTR] against the caller's original deadline
-    instead of surfacing a spurious early timeout (the bug class the
-    old select loop had: a signal landing mid-poll truncated the wait
-    and, on the client side, was misreported as a receive timeout). *)
-
-type backend = Select | Poll
-
-type t
-
-val create : ?backend:backend -> unit -> t
-(** Default backend is [Poll]. *)
-
-val backend : t -> backend
-
-val backend_name : t -> string
+    [EINTR] is retried against the caller's original deadline instead of
+    surfacing a spurious early timeout (the bug class the old select
+    loop had: a signal landing mid-poll truncated the wait and, on the
+    client side, was misreported as a receive timeout). *)
 
 val wait :
-  t ->
   read:Unix.file_descr list ->
   write:Unix.file_descr list ->
   timeout:float ->
@@ -38,7 +22,4 @@ val wait :
     and writable subsets (possibly both empty on timeout).  A
     descriptor in an error/hang-up state is reported readable so the
     owner's next read observes the failure.  [EINTR] never shortens the
-    wait: the call retries with the time remaining.
-
-    @raise Invalid_argument on [Select] with a descriptor ≥ FD_SETSIZE
-    (the reason [Poll] is the default). *)
+    wait: the call retries with the time remaining. *)

@@ -214,9 +214,12 @@ let sweep t ~now =
 
 (* --- Unix-domain-socket serve loop ---------------------------------- *)
 
-let serve_unix t ~path ?health_path ?tick ?poller ?(poll_interval = 0.05) ?(backlog = 1024)
-    ?max_sessions ?(stop = fun () -> false) () =
-  let poller = match poller with Some p -> p | None -> Poller.create () in
+(* How long one readiness wait may block before the loop re-checks
+   [stop], [max_sessions] and the idle sweep. *)
+let poll_interval = 0.05
+
+let serve_unix t ~path ?health_path ?tick ?(backlog = 1024) ?max_sessions
+    ?(stop = fun () -> false) () =
   (* A client that vanishes mid-reply turns our next write into SIGPIPE,
      which kills the whole process by default; ignore it so the write
      surfaces as EPIPE and tears down that one connection instead.  The
@@ -322,7 +325,7 @@ let serve_unix t ~path ?health_path ?tick ?poller ?(poll_interval = 0.05) ?(back
         let write =
           Hashtbl.fold (fun fd c acc -> if wants_write c then fd :: acc else acc) fds []
         in
-        let readable, writable = Poller.wait poller ~read ~write ~timeout:poll_interval in
+        let readable, writable = Poller.wait ~read ~write ~timeout:poll_interval in
         let now = Unix.gettimeofday () in
         List.iter
           (fun fd ->

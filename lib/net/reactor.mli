@@ -6,9 +6,10 @@
     backpressure, admission control, and idle eviction.  The reactor
     itself never touches a socket — it consumes bytes via {!feed} and
     produces bytes via {!pending}/{!wrote} — so the same engine is
-    driven by three harnesses: the real [poll]/[select] loop
-    ({!serve_unix}), the seeded deterministic scheduler ({!Sim}), and
-    the in-process chaos transport ({!Transport.via_reactor}).
+    driven by three harnesses: the real [poll(2)] loop ({!serve_unix}),
+    the seeded deterministic scheduler ({!Sim}), and the in-process
+    transport every test, soak and bench session uses
+    ({!Transport.loopback}).
 
     Overload never hangs and never grows without bound; it sheds:
 
@@ -101,8 +102,6 @@ val serve_unix :
   path:string ->
   ?health_path:string ->
   ?tick:(now:float -> unit) ->
-  ?poller:Poller.t ->
-  ?poll_interval:float ->
   ?backlog:int ->
   ?max_sessions:int ->
   ?stop:(unit -> bool) ->
@@ -122,8 +121,6 @@ val serve_unix :
     handshake, answered before any attestation, so an orchestrator can
     gate on it without wire credentials.  [tick] is invoked once per
     loop iteration with the loop's clock; the CLI uses it to persist
-    periodic telemetry snapshots into the state directory.
-
-    [poller] defaults to the [poll(2)] backend, which is what lets one
-    process hold thousands of connections — [select]'s FD_SETSIZE cap
-    is the documented reason this loop exists. *)
+    periodic telemetry snapshots into the state directory.  The loop
+    waits on [poll(2)] (see {!Poller}), which is what lets one process
+    hold thousands of connections. *)

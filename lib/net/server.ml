@@ -16,6 +16,9 @@ type contract_state = {
   contract : Channel.contract;
   digest : string;
   submissions : (string, Schema.t * Relation.t) Hashtbl.t;  (* provider id -> *)
+  mutable generation : int;
+      (* bumped on every accepted submission: a join computed from an
+         older generation joined inputs that are gone *)
 }
 
 type upload = {
@@ -29,15 +32,19 @@ type upload = {
 
 type phase = Expect_attest | Expect_hello | Established
 
+(* What a join joined: the decrypted config, by digest, and the
+   contract's submissions, by generation.  A cached result or a crashed
+   join is reused only for the same inputs: an Execute retry with the
+   same config over the same submissions is answered from cache, while a
+   different config, or a provider's re-upload since, recomputes instead
+   of silently serving stale tuples. *)
+type inputs = { config_digest : string; generation : int }
+
 type outcome = {
   sealed_schema : string;
   sealed_body : string;
   transfers : int;
-  config_digest : string;
-      (* digest of the decrypted config that produced this result: an
-         Execute retry with the same config is answered from cache, a
-         different config recomputes instead of silently serving stale
-         tuples *)
+  inputs : inputs;  (* that produced this result *)
 }
 
 type session = {
@@ -47,11 +54,11 @@ type session = {
   mutable bound : contract_state option;
   mutable upload : upload option;
   mutable result : outcome option;
-  mutable crashed : (string * Instance.t) option;
-      (* (config digest, instance) of a join whose coprocessor died
-         mid-run: the client was told Unavailable, and a retry of the
-         same config resumes this instance from its sealed checkpoint
-         instead of starting over *)
+  mutable crashed : (inputs * Instance.t) option;
+      (* (inputs, instance) of a join whose coprocessor died mid-run:
+         the client was told Unavailable, and a retry over the same
+         inputs resumes this instance from its sealed checkpoint instead
+         of starting over *)
 }
 
 type t = {
@@ -88,7 +95,7 @@ let replay_store t store =
           counter t "net.server.store.body_rejected";
           Log.warn t.log "durable contract rejected" ~kv:[ ("reason", e) ]
       | Ok contract ->
-          let cs = { contract; digest; submissions = Hashtbl.create 4 } in
+          let cs = { contract; digest; submissions = Hashtbl.create 4; generation = 0 } in
           List.iter
             (fun (provider, sbody) ->
               match Persist.submission_of_string sbody with
@@ -210,7 +217,7 @@ let on_hello t session h =
   | Expect_attest -> err Wire.Bad_state "hello before attestation fetch"
   | Established -> err Wire.Bad_state "handshake already complete"
   | Expect_hello ->
-      (* One span per message, not per session: the select loop interleaves
+      (* One span per message, not per session: the reactor interleaves
          sessions on one recorder, so cross-message spans would nest
          arbitrarily.  The client side holds the long spans. *)
       with_span t "handshake" (fun () ->
@@ -280,7 +287,11 @@ let on_contract t session sealed =
                                 Store.put_contract s ~digest (Wire.contract_to_string contract))
                               (fun () ->
                                 let cs =
-                                  { contract; digest; submissions = Hashtbl.create 4 }
+                                  { contract;
+                                    digest;
+                                    submissions = Hashtbl.create 4;
+                                    generation = 0;
+                                  }
                                 in
                                 Hashtbl.replace t.contracts digest cs;
                                 counter t "net.server.contracts.registered";
@@ -353,8 +364,14 @@ let on_upload_done t session =
                                   ~provider:session.peer_id
                                   (Persist.submission_to_string u.schema relation))
                               (fun () ->
+                                (* A durable store superseded the
+                                   contract's results and checkpoints as
+                                   it journalled this submission; the
+                                   generation does the same for the
+                                   session caches. *)
                                 Hashtbl.replace cs.submissions session.peer_id
                                   (u.schema, relation);
+                                cs.generation <- cs.generation + 1;
                                 counter t "net.server.submissions.accepted";
                                 Log.info t.log "submission accepted"
                                   ~kv:
@@ -374,11 +391,11 @@ let nvram_name ~contract ~config = "nvram:" ^ hex contract ^ ":" ^ hex config
    result body holds the plaintext oTuple stream, re-sealed here to this
    session's fresh ephemeral keys (the original session keys died with
    the old process). *)
-let durable_result t session party cs config_digest =
+let durable_result t session party cs inputs =
   match t.store with
   | None -> None
   | Some store -> (
-      match Store.result store ~contract:cs.digest ~config:config_digest with
+      match Store.result store ~contract:cs.digest ~config:inputs.config_digest with
       | None -> None
       | Some body -> (
           match Persist.result_of_string body with
@@ -389,7 +406,7 @@ let durable_result t session party cs config_digest =
           | Ok (schema_str, transfers, otuples) ->
               let sealed_body = Channel.seal_result party cs.contract otuples in
               let sealed_schema = Channel.seal party schema_str in
-              session.result <- Some { sealed_schema; sealed_body; transfers; config_digest };
+              session.result <- Some { sealed_schema; sealed_body; transfers; inputs };
               counter t "net.server.results.restored";
               Log.info t.log "durable result served" ~kv:[ ("peer", session.peer_id) ];
               Some [ Wire.Execute_ok { transfers } ]))
@@ -426,11 +443,12 @@ let on_execute t session sealed_config =
             | Error e -> err Wire.Malformed "config: %s" e
             | Ok config -> (
                 let config_digest = Attestation.hash plain in
+                let inputs = { config_digest; generation = cs.generation } in
                 match session.result with
-                | Some r when String.equal r.config_digest config_digest ->
+                | Some r when r.inputs = inputs ->
                     [ Wire.Execute_ok { transfers = r.transfers } ]
                 | _ ->
-                match durable_result t session party cs config_digest with
+                match durable_result t session party cs inputs with
                 | Some replies -> replies
                 | None -> (
                     let missing =
@@ -497,8 +515,8 @@ let on_execute t session sealed_config =
                                 with_span t "execute" (fun () ->
                                     let inst, report =
                                       match session.crashed with
-                                      | Some (digest, inst)
-                                        when String.equal digest config_digest ->
+                                      | Some (crashed_inputs, inst)
+                                        when crashed_inputs = inputs ->
                                           (* Same config retried after a crash:
                                              pick the join up from the last
                                              sealed checkpoint. *)
@@ -580,7 +598,7 @@ let on_execute t session sealed_config =
                                     { sealed_schema;
                                       sealed_body;
                                       transfers = report.Report.transfers;
-                                      config_digest;
+                                      inputs;
                                     })))
                           with
                           | result ->
@@ -595,7 +613,7 @@ let on_execute t session sealed_config =
                                   ];
                               [ Wire.Execute_ok { transfers = result.transfers } ]
                           | exception Service.Join_crashed { inst; transfer } ->
-                              session.crashed <- Some (config_digest, inst);
+                              session.crashed <- Some (inputs, inst);
                               counter t "net.server.joins.crashed";
                               Log.warn t.log "join crashed"
                                 ~kv:

@@ -5,8 +5,9 @@
     state machines that walk attest → hello → established, then accept
     contract binding, chunked uploads, execute and fetch.  The engine is
     transport-agnostic — {!handle_frame} maps one inbound frame to its
-    reply frames — so the deterministic loopback transport and the
-    Unix-domain-socket loop below drive identical code.
+    reply frames — and only the {!Reactor} calls it: the socket loop,
+    the simulator and the in-process loopback transport all reach it
+    through one.
 
     Join execution reuses the decomposed {!Ppj_core.Service} handlers, so
     a networked join and an in-process [Service.run] produce byte-identical
@@ -40,7 +41,7 @@ val create :
 
     [recorder] arms the flight recorder: the server opens per-message
     spans ("handshake", "execute" — never spans that straddle messages,
-    since the select loop interleaves sessions on one recorder), threads
+    since the reactor interleaves sessions on one recorder), threads
     the recorder into {!Ppj_core.Service.execute_join}, and adopts the
     trace context a v3 client stamps into its [Attest_request] so both
     processes' spans share one trace.  [logger] (default

@@ -24,14 +24,15 @@ let corrupt_payload frame =
     Some { frame with Frame.payload = Bytes.to_string b }
   end
 
-(* A stateful per-connection gate deciding each frame's fate.  Delay is a
-   one-slot hold per direction: the delayed frame travels right behind
-   the next frame that passes, reordering without loss.  The tap (the
-   adversary's view) records the frame as sent, before the network loses
-   or mangles it. *)
-let gate faults =
+(* The one gate every in-process frame crosses, per connection.  The
+   tap (the adversary's view) records the frame as sent, before the
+   network loses or mangles it; then the fault plan decides its fate.
+   Delay is a one-slot hold per direction: the delayed frame travels
+   right behind the next frame that passes, reordering without loss. *)
+let gate ?tap ?faults () =
   let held = [| None; None |] in
   fun dir frame ->
+    Option.iter (fun w -> Wiretap.record w dir frame) tap;
     match faults with
     | None -> [ frame ]
     | Some inj ->
@@ -55,79 +56,63 @@ let gate faults =
         | Some Injector.Corrupt ->
             release (match corrupt_payload frame with Some f -> [ f ] | None -> []))
 
-let wants_recv_timeout = function
-  | None -> false
-  | Some inj -> Injector.on_recv inj
+(* Whole frames decoded so far from [decoder]'s byte stream. *)
+let frames decoder =
+  let rec go acc =
+    match Frame.Decoder.next decoder with
+    | Ok None -> List.rev acc
+    | Ok (Some f) -> go (f :: acc)
+    | Error e -> failwith ("loopback: undecodable stream: " ^ e)
+  in
+  go []
 
-let loopback ?tap ?faults server =
-  let session = Server.open_session server in
+let loopback ?tap ?faults reactor =
+  let now () = Unix.gettimeofday () in
+  let conn = Reactor.connect reactor ~now:(now ()) ~peer:"loopback" in
+  let pass = gate ?tap ?faults () in
+  let outbound = Frame.Decoder.create () in
+  let inbound = Frame.Decoder.create () in
   let inbox : string Queue.t = Queue.create () in
-  let decoder = Frame.Decoder.create () in
   let closed = ref false in
-  let gate = gate faults in
-  let pass dir frame =
-    (match tap with Some w -> Wiretap.record w dir frame | None -> ());
-    gate dir frame
-  in
-  let send bytes =
-    if !closed then raise Closed;
-    Frame.Decoder.feed decoder bytes;
-    let rec pump () =
-      match Frame.Decoder.next decoder with
-      | Ok None -> ()
-      | Error e -> failwith ("loopback: client sent garbage: " ^ e)
-      | Ok (Some frame) ->
-          List.iter
-            (fun delivered ->
-              List.iter
-                (fun reply ->
-                  List.iter
-                    (fun out -> Queue.push (Frame.encode out) inbox)
-                    (pass Wiretap.To_client reply))
-                (Server.handle_frame server session delivered))
-            (pass Wiretap.To_server frame);
-          pump ()
-    in
-    pump ()
-  in
-  let recv ~timeout:_ =
-    if wants_recv_timeout faults then None
-    else if Queue.is_empty inbox then None
-    else Some (Queue.pop inbox)
-  in
-  let close () =
-    if not !closed then begin
-      closed := true;
-      Server.close_session server session
-    end
-  in
-  { send; recv; close; peer = "loopback" }
-
-(* Like [loopback], but the bytes travel through the reactor's
-   per-connection machinery — decoder, bounded outbound queue, admission
-   control — instead of calling [Server.handle_frame] directly.  Chaos
-   soaks run over this to prove the reactor preserves the protocol's
-   fault semantics; wrap it in {!faulty} for the fault gate. *)
-let via_reactor ?(now = Unix.gettimeofday) reactor =
-  let conn = Reactor.connect reactor ~now:(now ()) ~peer:"reactor-loopback" in
-  let closed = ref false in
-  let send bytes =
-    if !closed then raise Closed;
-    Reactor.feed reactor conn ~now:(now ()) bytes
-  in
-  let recv ~timeout:_ =
-    if !closed then raise Closed;
-    let buf = Buffer.create 256 in
-    let rec drain () =
+  (* What [Reactor.serve_unix] does after every read: write out all the
+     replies the reactor queued.  Here they land in [inbox], one frame
+     per [recv], after the gate; a connection the reactor finished with
+     is closed, as the socket loop would. *)
+  let flush () =
+    let rec go () =
       match Reactor.pending conn with
       | None -> ()
       | Some (s, off) ->
-          Buffer.add_string buf (String.sub s off (String.length s - off));
-          Reactor.wrote conn (String.length s - off);
-          drain ()
+          let n = String.length s - off in
+          Frame.Decoder.feed inbound (String.sub s off n);
+          Reactor.wrote conn n;
+          go ()
     in
-    drain ();
-    if Buffer.length buf = 0 then None else Some (Buffer.contents buf)
+    go ();
+    List.iter
+      (fun f -> List.iter (fun d -> Queue.push (Frame.encode d) inbox) (pass Wiretap.To_client f))
+      (frames inbound);
+    if Reactor.finished conn then Reactor.close reactor conn
+  in
+  let send bytes =
+    if !closed || Reactor.finished conn then raise Closed;
+    Frame.Decoder.feed outbound bytes;
+    List.iter
+      (fun f ->
+        List.iter
+          (fun d ->
+            Reactor.feed reactor conn ~now:(now ()) (Frame.encode d);
+            flush ())
+          (pass Wiretap.To_server f))
+      (frames outbound)
+  in
+  let recv ~timeout:_ =
+    (* The plan's timeout@recv events count client receive calls. *)
+    if match faults with Some inj -> Injector.on_recv inj | None -> false then None
+    else
+      match Queue.take_opt inbox with
+      | Some _ as reply -> reply
+      | None -> if Reactor.finished conn then raise Closed else None
   in
   let close () =
     if not !closed then begin
@@ -135,44 +120,7 @@ let via_reactor ?(now = Unix.gettimeofday) reactor =
       Reactor.close reactor conn
     end
   in
-  { send; recv; close; peer = "reactor-loopback" }
-
-(* Wrap a byte transport in the same fault gate the loopback uses: both
-   directions are reassembled into frames, gated, and re-encoded, so one
-   plan grammar covers in-process and socket deployments alike. *)
-let faulty ~faults inner =
-  let out_dec = Frame.Decoder.create () in
-  let in_dec = Frame.Decoder.create () in
-  let gate = gate (Some faults) in
-  let pump decoder dir k =
-    let rec go () =
-      match Frame.Decoder.next decoder with
-      | Ok None -> ()
-      | Error e -> failwith ("faulty transport: undecodable stream: " ^ e)
-      | Ok (Some frame) ->
-          List.iter k (gate dir frame);
-          go ()
-    in
-    go ()
-  in
-  let send bytes =
-    Frame.Decoder.feed out_dec bytes;
-    pump out_dec Wiretap.To_server (fun f -> inner.send (Frame.encode f))
-  in
-  let recv ~timeout =
-    if wants_recv_timeout (Some faults) then None
-    else
-      match inner.recv ~timeout with
-      | None -> None
-      | Some bytes ->
-          let buf = Buffer.create (String.length bytes) in
-          Frame.Decoder.feed in_dec bytes;
-          pump in_dec Wiretap.To_client (fun f -> Buffer.add_string buf (Frame.encode f));
-          (* Possibly empty when every buffered frame was dropped: the
-             caller's deadline loop treats it as silence. *)
-          Some (Buffer.contents buf)
-  in
-  { send; recv; close = inner.close; peer = inner.peer ^ "+faults" }
+  { send; recv; close; peer = "loopback" }
 
 (* A kill switch for chaos scenarios: once blown, the wrapped transport
    behaves like a peer that dropped dead mid-session — sends raise
@@ -213,7 +161,6 @@ let connect_unix ~path () =
       Error (Printf.sprintf "connect %s: %s" path (Unix.error_message err))
   | fd ->
       let closed = ref false in
-      let poller = Poller.create () in
       let send s =
         if !closed then raise Closed;
         let b = Bytes.of_string s in
@@ -232,7 +179,7 @@ let connect_unix ~path () =
            surface here as a spurious receive timeout, charging a retry
            (and its backoff) to the client for nothing.  [Poller.wait]
            retries against the original deadline. *)
-        match Poller.wait poller ~read:[ fd ] ~write:[] ~timeout with
+        match Poller.wait ~read:[ fd ] ~write:[] ~timeout with
         | [], _ -> None
         | _ -> (
             match Unix.read fd buf 0 (Bytes.length buf) with

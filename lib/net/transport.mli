@@ -1,22 +1,18 @@
 (** Client-side byte transports.
 
     A transport moves opaque byte chunks; framing and message semantics
-    live above it ({!Frame}, {!Wire}, {!Client}).  Two implementations:
+    live above it ({!Frame}, {!Wire}, {!Client}).  Both implementations
+    reach the server through a {!Reactor}, the code every deployed
+    server runs:
 
-    - {!loopback} — deterministic in-memory pair wired straight into a
-      {!Server} engine.  Sends are handled synchronously, receives pop a
-      queue, nothing sleeps: tests of retry and timeout logic run in
-      microseconds and are exactly reproducible.  Takes a
-      {!Ppj_fault.Injector} for frame faults and a {!Wiretap} observing
-      every frame.
-    - {!via_reactor} — like {!loopback}, but the bytes pass through a
-      {!Reactor}'s per-connection machinery (decoder, bounded outbound
-      queue, admission control), so the reactor path is exercised by the
-      same deterministic in-process harnesses.
+    - {!loopback} — a deterministic in-process connection admitted
+      through a reactor.  Nothing sleeps: tests of retry and timeout
+      logic run in microseconds and are exactly reproducible.  Takes a
+      {!Wiretap} observing every frame and a {!Ppj_fault.Injector} for
+      frame faults.
     - {!connect_unix} — a Unix-domain-socket connection to a process
       running [Reactor.serve_unix], with EINTR-safe {!Poller}-based
-      receive timeouts.  Wrap it in {!faulty} to drive the same fault
-      plans over a real socket. *)
+      receive timeouts. *)
 
 exception Closed
 (** Raised by [recv]/[send] when the peer has gone away. *)
@@ -30,30 +26,20 @@ type t = {
   peer : string;  (** description for error messages *)
 }
 
-val loopback :
-  ?tap:Wiretap.t ->
-  ?faults:Ppj_fault.Injector.t ->
-  Server.t ->
-  t
-(** One client connection to an in-process server engine.  [faults]
-    applies the plan's frame events — drop, duplicate, one-slot delay,
-    payload corruption — per direction ({e after} the tap records the
-    frame: loss happens on the wire, where the adversary already
-    looked), and its [timeout\@recv] events make [recv] report silence.
-    Call it several times on one server to simulate several parties. *)
-
-val via_reactor : ?now:(unit -> float) -> Reactor.t -> t
-(** One client connection admitted through [reactor].  Sends feed the
-    reactor at [now ()] (default wall clock — pass a virtual clock for
-    timeout tests); receives drain the connection's outbound queue;
-    closing the transport closes the reactor connection.  Nothing
-    sleeps, so it composes with the chaos harness exactly like
-    {!loopback}. *)
-
-val faulty : faults:Ppj_fault.Injector.t -> t -> t
-(** Interpose the same fault gate on any byte transport: both directions
-    are reassembled into frames, gated by the plan, and re-encoded —
-    socket deployments and loopback tests share one fault grammar. *)
+val loopback : ?tap:Wiretap.t -> ?faults:Ppj_fault.Injector.t -> Reactor.t -> t
+(** One client connection admitted through [reactor] (its decoder,
+    bounded outbound queue and admission control, exactly as
+    [Reactor.serve_unix] drives them).  Every frame, in both directions,
+    passes one gate: [tap] records it first (loss happens on the wire,
+    where the adversary already looked), then the plan's frame events —
+    drop, duplicate, one-slot delay, payload corruption — decide its
+    fate.  Replies are collected as the reactor queues them and handed
+    out one frame per [recv]; the plan's [timeout\@recv] events make
+    [recv] report silence.  Once the reactor closes the connection
+    (admission refused, queue shed) and its goodbye is read, [send] and
+    [recv] raise {!Closed}, as over a socket.  Use one reactor per server and call this
+    once per party, so the reactor counts every connection
+    ([net.server.conns.live], admission). *)
 
 val fused : ?after_sends:int -> t -> t * (unit -> unit)
 (** A kill switch over any transport, for kill-one-shard chaos: the

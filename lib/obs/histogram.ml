@@ -3,9 +3,10 @@ type t = {
   mutable len : int;
   mutable seen : int;
   mutable total : float;
-  cap : int option;
   mutable lcg : int64;
 }
+
+let cap = 4096
 
 type summary = {
   count : int;
@@ -20,13 +21,8 @@ type summary = {
   samples : float array;
 }
 
-let create ?cap () =
-  (match cap with
-  | Some c when c < 1 -> invalid_arg "Histogram.create: cap must be >= 1"
-  | _ -> ());
-  let initial = match cap with Some c -> Stdlib.min c 16 | None -> 16 in
-  { values = Array.make initial 0.; len = 0; seen = 0; total = 0.; cap;
-    lcg = 0x9E3779B97F4A7C15L }
+let create () =
+  { values = Array.make 16 0.; len = 0; seen = 0; total = 0.; lcg = 0x9E3779B97F4A7C15L }
 
 (* SplitMix64 step: deterministic per-histogram stream, independent of
    the global [Random] state so snapshots stay reproducible. *)
@@ -41,8 +37,7 @@ let next_rand t =
 
 let append t v =
   if t.len = Array.length t.values then begin
-    let next = 2 * t.len in
-    let next = match t.cap with Some c -> Stdlib.min c next | None -> next in
+    let next = Stdlib.min cap (2 * t.len) in
     let bigger = Array.make next 0. in
     Array.blit t.values 0 bigger 0 t.len;
     t.values <- bigger
@@ -52,13 +47,13 @@ let append t v =
 
 let observe t v =
   if not (Float.is_finite v) then invalid_arg "Histogram.observe: non-finite value";
-  (match t.cap with
-  | Some c when t.len >= c ->
-      (* Algorithm R: the (seen+1)-th observation replaces a random slot
-         with probability c / (seen+1). *)
-      let j = next_rand t mod (t.seen + 1) in
-      if j < c then t.values.(j) <- v
-  | _ -> append t v);
+  if t.len >= cap then begin
+    (* Algorithm R: the (seen+1)-th observation replaces a random slot
+       with probability cap / (seen+1). *)
+    let j = next_rand t mod (t.seen + 1) in
+    if j < cap then t.values.(j) <- v
+  end
+  else append t v;
   t.seen <- t.seen + 1;
   t.total <- t.total +. v
 
@@ -66,7 +61,9 @@ let count t = t.seen
 
 let sum t = t.total
 
-let sampled t = match t.cap with Some c -> t.seen > c | None -> false
+(* Fewer values held than observed: the reservoir dropped some, or a
+   merge rebuilt it on a quantile grid. *)
+let sampled t = t.seen > t.len
 
 let sorted t =
   let a = Array.sub t.values 0 t.len in
@@ -184,22 +181,21 @@ let merge_summaries a b =
 let merge a b =
   if a.len = 0 then { b with values = Array.copy b.values }
   else if b.len = 0 then { a with values = Array.copy a.values }
-  else if not (sampled a || sampled b) then
-    (* Both reservoirs hold every observation: the merged histogram is
-       the exact combined multiset, uncapped. *)
+  else if not (sampled a || sampled b) && a.len + b.len <= cap then
+    (* Both reservoirs hold every observation and the union fits: the
+       merged histogram is the exact combined multiset. *)
     { values = Array.append (Array.sub a.values 0 a.len) (Array.sub b.values 0 b.len);
       len = a.len + b.len;
       seen = a.seen + b.seen;
       total = a.total +. b.total;
-      cap = None;
       lcg = 0x9E3779B97F4A7C15L;
     }
   else
-    (* At least one side subsampled: rebuild a bounded reservoir on the
-       weighted quantile grid.  count/sum stay exact; quantiles carry
-       the reservoir tolerance. *)
+    (* A side subsampled, or the union overflows the reservoir: rebuild
+       a bounded one on the weighted quantile grid.  count/sum stay
+       exact; quantiles carry the reservoir tolerance. *)
     let pairs = weighted_pairs [ (sorted a, a.seen); (sorted b, b.seen) ] in
     let values = grid_of_sorted (Array.map fst pairs) merge_target in
     let len = Array.length values in
     { values; len; seen = a.seen + b.seen; total = a.total +. b.total;
-      cap = Some len; lcg = 0x9E3779B97F4A7C15L }
+      lcg = 0x9E3779B97F4A7C15L }

@@ -1,14 +1,13 @@
-(** Value histograms with exact quantiles up to an optional cap.
+(** Value histograms with exact quantiles up to a fixed reservoir.
 
-    By default every observation is retained (this is an instrumentation
-    layer for a simulator, not a telemetry agent), so quantiles are exact
-    nearest-rank values rather than sketch approximations.  Long-running
-    soak loops can bound memory with [create ~cap]: past [cap]
-    observations the histogram switches to deterministic reservoir
-    sampling (Algorithm R driven by an internal SplitMix64 stream, never
-    the global [Random] state), [count]/[sum]/[mean] stay exact, and
-    quantiles become reservoir estimates — flagged by [sampled] in the
-    summary. *)
+    The first {!cap} observations are all retained, so quantiles are
+    exact nearest-rank values rather than sketch approximations.  Past
+    {!cap} the histogram switches to deterministic reservoir sampling
+    (Algorithm R driven by an internal SplitMix64 stream, never the
+    global [Random] state): memory and the cost of a {!summary} stay
+    bounded however long a server runs, [count]/[sum]/[mean] stay exact,
+    and quantiles become reservoir estimates — flagged by [sampled] in
+    the summary. *)
 
 type t
 
@@ -32,9 +31,10 @@ type summary = {
           with fleet-wide quantiles (see {!merge_summaries}). *)
 }
 
-val create : ?cap:int -> unit -> t
-(** [cap] bounds retained observations (default: unbounded).
-    @raise Invalid_argument if [cap < 1]. *)
+val cap : int
+(** Observations retained before sampling starts: 4096. *)
+
+val create : unit -> t
 
 val observe : t -> float -> unit
 (** Non-finite observations raise [Invalid_argument]. *)
@@ -45,12 +45,13 @@ val count : t -> int
 val sum : t -> float
 
 val sampled : t -> bool
-(** [true] once a capped histogram has seen more than [cap] values. *)
+(** [true] once the histogram holds fewer values than it has observed:
+    past {!cap}, or after a {!merge} that rebuilt the reservoir. *)
 
 val percentile : t -> float -> float option
 (** Nearest-rank percentile: for [q] in (0, 100], the value at sorted
     rank [ceil (q/100 * count)]; [None] on an empty histogram.  Computed
-    over the reservoir when capped.
+    over the reservoir once sampled.
     @raise Invalid_argument if [q] is outside (0, 100]. *)
 
 val summary : ?sample_limit:int -> t -> summary option
@@ -63,8 +64,9 @@ val summary : ?sample_limit:int -> t -> summary option
 val merge : t -> t -> t
 (** A fresh histogram holding both inputs' observations: [count] and
     [sum] are exact sums.  When neither input ever dropped an
-    observation the merged reservoir is the exact combined multiset;
-    otherwise it is rebuilt on a bounded weighted quantile grid, so
+    observation and together they fit in {!cap}, the merged reservoir is
+    the exact combined multiset; otherwise it is rebuilt on a bounded
+    weighted quantile grid, so
     quantiles carry the same tolerance as the inputs' reservoirs.
     Neither input is mutated. *)
 

@@ -5,7 +5,6 @@ type instrument =
 
 type t = {
   table : (string * (string * string) list, instrument) Hashtbl.t;
-  histogram_cap : int option;
   (* Instruments are looked up from shard domains (the oblivious-sort pad
      metrics fire inside Domains-backend jobs), so every access to the
      Hashtbl goes through this lock; the instruments themselves are
@@ -14,8 +13,7 @@ type t = {
   lock : Mutex.t;
 }
 
-let create ?histogram_cap () =
-  { table = Hashtbl.create 32; histogram_cap; lock = Mutex.create () }
+let create () = { table = Hashtbl.create 32; lock = Mutex.create () }
 
 let default = create ()
 
@@ -49,7 +47,7 @@ let counter ?(labels = []) t name =
   | i -> mismatch name "counter" i
 
 let histogram ?(labels = []) t name =
-  match find t ~labels name (fun () -> I_histogram (Histogram.create ?cap:t.histogram_cap ())) with
+  match find t ~labels name (fun () -> I_histogram (Histogram.create ())) with
   | I_histogram h -> h
   | i -> mismatch name "histogram" i
 

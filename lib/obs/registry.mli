@@ -15,10 +15,7 @@
 
 type t
 
-val create : ?histogram_cap:int -> unit -> t
-(** [histogram_cap] bounds every histogram the registry creates (see
-    {!Histogram.create}); default unbounded.  Use a cap for long soak
-    runs where per-observation retention would grow without bound. *)
+val create : unit -> t
 
 val default : t
 (** A process-wide registry for code without an obvious owner (the bench

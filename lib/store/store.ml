@@ -22,12 +22,15 @@ type health = {
   quarantined_bytes : int;
 }
 
+(* Checkpoints and results are indexed contract first, then config
+   digest, so a submission retires its contract's joins without scanning
+   anyone else's. *)
 type view = {
   v_contracts : (string, string) Hashtbl.t;
   v_submissions : (string * string, string) Hashtbl.t;
   v_nvram : (string, int) Hashtbl.t;
-  v_checkpoints : (string * string, string) Hashtbl.t;
-  v_results : (string * string, string) Hashtbl.t;
+  v_checkpoints : (string, (string, string) Hashtbl.t) Hashtbl.t;
+  v_results : (string, (string, string) Hashtbl.t) Hashtbl.t;
 }
 
 let new_view () =
@@ -125,12 +128,37 @@ let open_payload key payload =
 
 exception Refuse of error
 
+let of_contract tbl contract =
+  match Hashtbl.find_opt tbl contract with
+  | Some by_config -> by_config
+  | None ->
+      let by_config = Hashtbl.create 4 in
+      Hashtbl.replace tbl contract by_config;
+      by_config
+
+let find_join tbl ~contract ~config =
+  Option.bind (Hashtbl.find_opt tbl contract) (fun by_config -> Hashtbl.find_opt by_config config)
+
+let remove_join tbl ~contract ~config =
+  Option.iter (fun by_config -> Hashtbl.remove by_config config) (Hashtbl.find_opt tbl contract)
+
+let joins tbl =
+  Hashtbl.fold
+    (fun contract by_config acc ->
+      Hashtbl.fold (fun config body acc -> ((contract, config), body) :: acc) by_config acc)
+    tbl []
+
 let apply_record view r =
   match r with
   | Record.Meta _ -> ()
   | Record.Contract { digest; body } -> Hashtbl.replace view.v_contracts digest body
   | Record.Submission { contract; provider; body } ->
-      Hashtbl.replace view.v_submissions (contract, provider) body
+      Hashtbl.replace view.v_submissions (contract, provider) body;
+      (* A new submission supersedes every join computed or checkpointed
+         from the contract's previous inputs.  Live appends and replay
+         both come through here, so they agree. *)
+      Hashtbl.remove view.v_checkpoints contract;
+      Hashtbl.remove view.v_results contract
   | Record.Nvram { name; value } ->
       (match Hashtbl.find_opt view.v_nvram name with
       | Some cur when value < cur ->
@@ -141,11 +169,11 @@ let apply_record view r =
                      (String.escaped name) cur value)))
       | _ -> Hashtbl.replace view.v_nvram name value)
   | Record.Checkpoint { contract; config; body } ->
-      Hashtbl.replace view.v_checkpoints (contract, config) body
+      Hashtbl.replace (of_contract view.v_checkpoints contract) config body
   | Record.Result { contract; config; body } ->
-      Hashtbl.replace view.v_results (contract, config) body;
-      Hashtbl.remove view.v_checkpoints (contract, config)
-  | Record.Clear { contract; config } -> Hashtbl.remove view.v_checkpoints (contract, config)
+      Hashtbl.replace (of_contract view.v_results contract) config body;
+      remove_join view.v_checkpoints ~contract ~config
+  | Record.Clear { contract; config } -> remove_join view.v_checkpoints ~contract ~config
 
 (* First record of a non-empty file must be a plain Meta of a supported
    format; everything after it must be sealed.  Returns the epoch and
@@ -389,6 +417,9 @@ and compact t =
     let next_epoch = t.t_epoch + 1 in
     let sorted tbl cmp = List.sort cmp (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
     let by_key (a, _) (b, _) = compare a b in
+    (* Submissions before checkpoints and results: replaying a
+       submission supersedes its contract's joins, so this order is what
+       keeps the snapshot's joins alive. *)
     let records =
       List.concat
         [ List.map
@@ -402,10 +433,10 @@ and compact t =
             (sorted t.view.v_nvram by_key);
           List.map
             (fun ((contract, config), body) -> Record.Checkpoint { contract; config; body })
-            (sorted t.view.v_checkpoints by_key);
+            (List.sort by_key (joins t.view.v_checkpoints));
           List.map
             (fun ((contract, config), body) -> Record.Result { contract; config; body })
-            (sorted t.view.v_results by_key);
+            (List.sort by_key (joins t.view.v_results));
         ]
     in
     let payloads =
@@ -487,9 +518,9 @@ let nvram t name = Hashtbl.find_opt t.view.v_nvram name
 let nvram_all t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.view.v_nvram [] |> List.sort compare
 
-let checkpoint t ~contract ~config = Hashtbl.find_opt t.view.v_checkpoints (contract, config)
+let checkpoint t ~contract ~config = find_join t.view.v_checkpoints ~contract ~config
 
-let result t ~contract ~config = Hashtbl.find_opt t.view.v_results (contract, config)
+let result t ~contract ~config = find_join t.view.v_results ~contract ~config
 
 let close t =
   (match t.writer with Some w -> Journal.close w | None -> ());
@@ -563,8 +594,8 @@ let check ~mac_key dirname =
         r_submissions = Hashtbl.length view.v_submissions;
         r_nvram =
           Hashtbl.fold (fun k v acc -> (k, v) :: acc) view.v_nvram [] |> List.sort compare;
-        r_checkpoints = Hashtbl.length view.v_checkpoints;
-        r_results = Hashtbl.length view.v_results;
+        r_checkpoints = List.length (joins view.v_checkpoints);
+        r_results = List.length (joins view.v_results);
         r_snapshot_bytes = loaded.l_snapshot_bytes;
         r_journal_bytes = loaded.l_journal_bytes;
       }

@@ -71,6 +71,9 @@ val put_contract : t -> digest:string -> string -> (unit, append_error) result
 
 val put_submission :
   t -> contract:string -> provider:string -> string -> (unit, append_error) result
+(** Also drops the contract's results and checkpoints, for every config:
+    they joined the inputs this submission replaces.  Replay applies the
+    same rule, so a reopened directory agrees. *)
 
 val nvram_set : t -> name:string -> int -> (unit, append_error) result
 (** Durable monotonic counter write.

@@ -51,8 +51,15 @@ let in_process_delivery algorithm =
 
 let no_sleep = { Client.default_config with recv_timeout = 0.05; sleep = ignore }
 
-let client ?config ?registry ?tap ?faults server =
-  Client.create ?config ?registry (Transport.loopback ?tap ?faults server)
+(* One reactor per server, as [ppj serve] runs it: every in-process
+   session crosses it. *)
+let serve ?faults ?max_contracts ?(seed = 7) () =
+  Reactor.create (Server.create ~mac_key ~seed ?faults ?max_contracts ())
+
+let server_registry reactor = Server.registry (Reactor.server reactor)
+
+let client ?config ?registry ?tap ?faults reactor =
+  Client.create ?config ?registry (Transport.loopback ?tap ?faults reactor)
 
 (* Wire faults come from the one plan grammar the whole stack shares. *)
 let inj ?registry s =
@@ -236,7 +243,7 @@ let run_loopback ?tap server algorithm =
   fetch_over ?tap server algorithm
 
 let test_loopback_matches_in_process algorithm () =
-  let server = Server.create ~mac_key ~seed:5 () in
+  let server = serve ~seed:5 () in
   let joined_schema, tuples = run_loopback server algorithm in
   Alcotest.(check bool) "joined schema arrives" true (Schema.fields joined_schema <> []);
   Alcotest.(check (list string))
@@ -245,9 +252,9 @@ let test_loopback_matches_in_process algorithm () =
     (List.map T.encode tuples)
 
 let test_server_metrics_exported () =
-  let server = Server.create ~mac_key ~seed:5 () in
+  let server = serve ~seed:5 () in
   let _ = run_loopback server Service.Alg4 in
-  let snap = Registry.snapshot (Server.registry server) in
+  let snap = Registry.snapshot (server_registry server) in
   List.iter
     (fun name ->
       if Ppj_obs.Snapshot.find snap name = None then Alcotest.fail (name ^ " not exported"))
@@ -308,11 +315,11 @@ let test_wire_leaks_only_shape () =
   let tap1 = Wiretap.create () in
   let tap2 = Wiretap.create () in
   let _ =
-    run_marked (Server.create ~mac_key ~seed:5 ()) tap1 marker1 ~keys_a:[ 1; 2; 3; 4 ]
+    run_marked (serve ~seed:5 ()) tap1 marker1 ~keys_a:[ 1; 2; 3; 4 ]
       ~keys_b:[ 2; 3; 4; 5 ]
   in
   let _ =
-    run_marked (Server.create ~mac_key ~seed:5 ()) tap2 marker2 ~keys_a:[ 6; 7; 8; 9 ]
+    run_marked (serve ~seed:5 ()) tap2 marker2 ~keys_a:[ 6; 7; 8; 9 ]
       ~keys_b:[ 7; 8; 9; 10 ]
   in
   Alcotest.(check bool)
@@ -335,14 +342,10 @@ let test_wire_leaks_only_shape () =
 let counter_value reg name = Counter.value (Registry.counter reg name)
 
 let test_retry_recovers_from_drop () =
-  let server = Server.create ~mac_key () in
+  let server = serve () in
   let sleeps = ref [] in
   let config =
-    { Client.default_config with
-      recv_timeout = 0.01;
-      backoff = Client.Exponential;
-      sleep = (fun d -> sleeps := d :: !sleeps);
-    }
+    { Client.default_config with recv_timeout = 0.01; sleep = (fun d -> sleeps := d :: !sleeps) }
   in
   let reg = Registry.create () in
   let faults = inj ~registry:reg "drop@dir=to_client,tag=contract-ok" in
@@ -353,18 +356,13 @@ let test_retry_recovers_from_drop () =
   Alcotest.(check int) "one retry" 1 (counter_value reg "net.client.retries");
   Alcotest.(check int) "one timeout" 1 (counter_value reg "net.client.timeouts");
   Alcotest.(check int) "one injected drop" 1 (counter_value reg "fault.net.drop");
+  (* the first jittered sleep is exactly backoff_base *)
   Alcotest.(check (list (float 1e-9))) "one backoff sleep" [ 0.05 ] !sleeps
 
 let test_retries_exhaust () =
-  let server = Server.create ~mac_key () in
-  let sleeps = ref [] in
+  let server = serve () in
   let config =
-    { Client.default_config with
-      recv_timeout = 0.01;
-      max_retries = 3;
-      backoff = Client.Exponential;
-      sleep = (fun d -> sleeps := d :: !sleeps);
-    }
+    { Client.default_config with recv_timeout = 0.01; max_retries = 3; sleep = ignore }
   in
   let reg = Registry.create () in
   let faults = inj ~registry:reg "drop@dir=to_client,count=100" in
@@ -378,12 +376,10 @@ let test_retries_exhaust () =
      timeout the client saw *)
   Alcotest.(check int) "a drop per attempt" 4 (counter_value reg "fault.net.drop");
   Alcotest.(check int) "injected total matches" 4
-    (Ppj_fault.Injector.injected faults);
-  Alcotest.(check (list (float 1e-9)))
-    "exponential backoff" [ 0.2; 0.1; 0.05 ] !sleeps
+    (Ppj_fault.Injector.injected faults)
 
 let test_non_idempotent_not_retried () =
-  let server = Server.create ~mac_key () in
+  let server = serve () in
   let reg = Registry.create () in
   let faults = inj ~registry:reg "drop@dir=to_client,tag=upload-ok" in
   let c = client ~config:no_sleep ~registry:reg ~faults server in
@@ -400,7 +396,7 @@ let test_non_idempotent_not_retried () =
 let test_execute_retry_is_idempotent () =
   (* A lost Execute_ok must not run the join twice: the retry is answered
      from the session's cached result. *)
-  let server = Server.create ~mac_key ~seed:5 () in
+  let server = serve ~seed:5 () in
   let a, b = workload () in
   submit_over server "alice" a;
   submit_over server "bob" b;
@@ -415,7 +411,7 @@ let test_execute_retry_is_idempotent () =
     (in_process_delivery Service.Alg4)
     (List.map T.encode tuples);
   Alcotest.(check int) "join ran once" 1
-    (counter_value (Server.registry server) "net.server.joins.executed")
+    (counter_value (server_registry server) "net.server.joins.executed")
 
 let test_slow_reply_duplicate_discarded () =
   (* The reply is slow, not lost: the plan's [delay] holds the first
@@ -423,7 +419,7 @@ let test_slow_reply_duplicate_discarded () =
      same seq sit buffered.  The client must consume one and discard the
      other instead of handing it to the next RPC (which used to fail
      with "unexpected reply" and desync the whole exchange). *)
-  let server = Server.create ~mac_key ~seed:5 () in
+  let server = serve ~seed:5 () in
   let a, b = workload () in
   submit_over server "alice" a;
   submit_over server "bob" b;
@@ -444,12 +440,12 @@ let test_slow_reply_duplicate_discarded () =
   Alcotest.(check int) "duplicate reply dropped" 1
     (counter_value reg "net.client.stale.dropped");
   Alcotest.(check int) "join ran once" 1
-    (counter_value (Server.registry server) "net.server.joins.executed")
+    (counter_value (server_registry server) "net.server.joins.executed")
 
 let test_execute_config_change_recomputes () =
   (* A second Execute with a different config on the same session must
      not be served the first run's cached result. *)
-  let server = Server.create ~mac_key ~seed:5 () in
+  let server = serve ~seed:5 () in
   let a, b = workload () in
   submit_over server "alice" a;
   submit_over server "bob" b;
@@ -457,7 +453,7 @@ let test_execute_config_change_recomputes () =
   ok (Client.attest c);
   ok (Client.handshake c ~rng:(Rng.create 99) ~id:"carol" ~mac_key);
   ok (Client.bind_contract c contract);
-  let joins () = counter_value (Server.registry server) "net.server.joins.executed" in
+  let joins () = counter_value (server_registry server) "net.server.joins.executed" in
   let _ = ok (Client.execute c (service_config Service.Alg4)) in
   Alcotest.(check int) "first execute runs the join" 1 (joins ());
   let _ = ok (Client.execute c (service_config Service.Alg4)) in
@@ -479,7 +475,7 @@ let test_crash_resume_over_loopback () =
      and the delivery is still byte-identical to the fault-free run. *)
   let reg = Registry.create () in
   let faults = inj ~registry:reg "crash@t=150;checkpoint@every=32" in
-  let server = Server.create ~mac_key ~seed:5 ~faults () in
+  let server = serve ~seed:5 ~faults () in
   let a, b = workload () in
   submit_over server "alice" a;
   submit_over server "bob" b;
@@ -496,7 +492,7 @@ let test_crash_resume_over_loopback () =
   Alcotest.(check int) "the crash was injected" 1 (counter_value reg "fault.scpu.crash");
   Alcotest.(check int) "client saw one unavailable" 1
     (counter_value reg "net.client.unavailable");
-  let sreg = Server.registry server in
+  let sreg = server_registry server in
   Alcotest.(check int) "server recorded the crash" 1
     (counter_value sreg "net.server.joins.crashed");
   Alcotest.(check int) "join concluded exactly once" 1
@@ -544,12 +540,33 @@ let test_chaos_runs_are_reproducible () =
         r.Chaos.injected r'.Chaos.injected)
     once again
 
+let test_chaos_recorded_runs_reproducible () =
+  (* Under a flight recorder the client stamps a trace id into every
+     attest request, where a corrupt-frame event can land on it.  Two
+     recorders with different ids of the same length must still see the
+     same soak, seed for seed. *)
+  let soak trace_id =
+    let recorder = Ppj_obs.Recorder.create ~name:"chaos" ~trace_id () in
+    Chaos.soak ~seed0:1 ~runs:60 (Chaos.wire ~recorder)
+  in
+  let once = soak "63f1a2b3c4d5e-0001" and again = soak "7000000000000-abcd" in
+  List.iter2
+    (fun r r' ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d outcome" r.Chaos.seed)
+        (Chaos.outcome_to_string r.Chaos.outcome)
+        (Chaos.outcome_to_string r'.Chaos.outcome);
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d firings" r.Chaos.seed)
+        r.Chaos.injected r'.Chaos.injected)
+    once again
+
 let test_chaos_judge () =
   (* The judge is every soak's negative control: the oracle's tuples in
      any order are Correct, a delivery that drops, duplicates or
      replaces a tuple is Wrong, and errors split into tamper detections
      and typed refusals. *)
-  let server = Server.create ~mac_key ~seed:5 () in
+  let server = serve ~seed:5 () in
   let _, tuples = run_loopback server Service.Alg5 in
   let a, b = workload () in
   let expected =
@@ -597,7 +614,7 @@ let test_hello_before_attest () =
   check_error Wire.Bad_state (reply_of server session (Wire.Hello h))
 
 let test_wrong_mac_key_rejected () =
-  let server = Server.create ~mac_key () in
+  let server = serve () in
   let c = client ~config:no_sleep server in
   ok (Client.attest c);
   match Client.handshake c ~rng:(Rng.create 4) ~id:"eve" ~mac_key:"not-the-real-mac-key" with
@@ -619,7 +636,7 @@ let test_replayed_hello_rejected () =
   check_error Wire.Auth_failed (reply_of server s2 (Wire.Hello h))
 
 let test_non_recipient_cannot_execute () =
-  let server = Server.create ~mac_key () in
+  let server = serve () in
   let a, _ = workload () in
   let c = client ~config:no_sleep server in
   ok (Client.submit_relation c ~rng:(Rng.create 6) ~id:"alice" ~mac_key ~contract ~schema a);
@@ -629,7 +646,7 @@ let test_non_recipient_cannot_execute () =
       Alcotest.(check bool) "contract-rejected" true (contains ~sub:"contract-rejected" e)
 
 let test_execute_before_uploads () =
-  let server = Server.create ~mac_key () in
+  let server = serve () in
   let c = client ~config:no_sleep server in
   ok (Client.attest c);
   ok (Client.handshake c ~rng:(Rng.create 7) ~id:"carol" ~mac_key);
@@ -652,7 +669,7 @@ let establish server id =
   | _ -> Alcotest.fail "handshake failed"
 
 let test_contract_capacity_bounded () =
-  let server = Server.create ~mac_key ~max_contracts:1 () in
+  let server = serve ~max_contracts:1 () in
   let c = client ~config:no_sleep server in
   ok (Client.attest c);
   ok (Client.handshake c ~rng:(Rng.create 12) ~id:"carol" ~mac_key);
@@ -838,6 +855,8 @@ let () =
             test_chaos_soak_never_wrong;
           Alcotest.test_case "runs are seed-reproducible" `Quick
             test_chaos_runs_are_reproducible;
+          Alcotest.test_case "recorded runs are seed-reproducible" `Quick
+            test_chaos_recorded_runs_reproducible;
           Alcotest.test_case "judge catches wrong deliveries" `Quick test_chaos_judge;
         ] );
       ( "errors",

@@ -46,7 +46,7 @@ let test_histogram_percentiles () =
       Alcotest.(check (float 1e-9)) "p50" 50.0 s.Histogram.p50;
       Alcotest.(check (float 1e-9)) "p95" 95.0 s.Histogram.p95;
       Alcotest.(check (float 1e-9)) "p99" 99.0 s.Histogram.p99;
-      Alcotest.(check bool) "uncapped is never sampled" false s.Histogram.sampled
+      Alcotest.(check bool) "below the cap is never sampled" false s.Histogram.sampled
 
 let test_histogram_single_observation () =
   let h = Histogram.create () in
@@ -70,31 +70,36 @@ let test_histogram_sorts_negatives () =
       Alcotest.(check (float 1e-9)) "max" 3.5 s.Histogram.max;
       Alcotest.(check (float 1e-9)) "p50" 0.0 s.Histogram.p50
 
+(* The reservoir is a constant: feed past [Histogram.cap] to sample. *)
 let test_histogram_reservoir_cap () =
-  let cap = 64 in
-  let h = Histogram.create ~cap () in
-  for i = 1 to 1000 do
+  let n = 2 * Histogram.cap + 1000 in
+  let h = Histogram.create () in
+  for i = 1 to n do
     Histogram.observe h (float_of_int i)
   done;
-  Alcotest.(check int) "count is logical, not the sample size" 1000 (Histogram.count h);
+  Alcotest.(check int) "count is logical, not the sample size" n (Histogram.count h);
   Alcotest.(check bool) "past the cap means sampled" true (Histogram.sampled h);
   match Histogram.summary h with
   | None -> Alcotest.fail "expected a summary"
   | Some s ->
-      Alcotest.(check int) "summary count" 1000 s.Histogram.count;
-      Alcotest.(check (float 1e-9)) "sum is exact despite sampling" 500500.0 s.Histogram.sum;
-      Alcotest.(check (float 1e-9)) "mean is exact despite sampling" 500.5 s.Histogram.mean;
+      let fn = float_of_int n in
+      Alcotest.(check int) "summary count" n s.Histogram.count;
+      Alcotest.(check (float 1e-9)) "sum is exact despite sampling" (fn *. (fn +. 1.) /. 2.)
+        s.Histogram.sum;
+      Alcotest.(check (float 1e-9)) "mean is exact despite sampling" ((fn +. 1.) /. 2.)
+        s.Histogram.mean;
       Alcotest.(check bool) "summary carries the sampled flag" true s.Histogram.sampled;
-      (* Algorithm R keeps a uniform sample of 1..1000: percentiles are
+      (* Algorithm R keeps a uniform sample of 1..n: percentiles are
          estimates, but must stay inside the observed range. *)
-      Alcotest.(check bool) "p50 estimate in range" true (s.Histogram.p50 >= 1.0 && s.Histogram.p50 <= 1000.0)
+      Alcotest.(check bool) "p50 estimate in range" true
+        (s.Histogram.p50 >= 1.0 && s.Histogram.p50 <= fn)
 
 let test_histogram_reservoir_deterministic () =
   (* The replacement stream is seeded per histogram, not from the global
      [Random]: two identically-fed histograms must sample identically. *)
   let fill () =
-    let h = Histogram.create ~cap:16 () in
-    for i = 1 to 500 do
+    let h = Histogram.create () in
+    for i = 1 to Histogram.cap + 3000 do
       Histogram.observe h (float_of_int ((i * 37) mod 251))
     done;
     Histogram.summary h
@@ -102,16 +107,22 @@ let test_histogram_reservoir_deterministic () =
   Alcotest.(check bool) "same feed, same reservoir" true (fill () = fill ())
 
 let test_histogram_below_cap_is_exact () =
-  let h = Histogram.create ~cap:100 () in
-  List.iter (Histogram.observe h) [ 5.0; 1.0; 3.0 ];
-  Alcotest.(check bool) "below cap never sampled" false (Histogram.sampled h);
-  match Histogram.summary h with
-  | Some s -> Alcotest.(check (float 1e-9)) "exact p50" 3.0 s.Histogram.p50
-  | None -> Alcotest.fail "expected a summary"
-
-let test_histogram_rejects_bad_cap () =
-  Alcotest.check_raises "cap 0" (Invalid_argument "Histogram.create: cap must be >= 1")
-    (fun () -> ignore (Histogram.create ~cap:0 ()))
+  (* Exactly [cap] observations, scrambled: every one is kept, so the
+     nearest-rank quantiles are exact; one more starts the sampling. *)
+  let h = Histogram.create () in
+  for i = 0 to Histogram.cap - 1 do
+    Histogram.observe h (float_of_int (((i * 37) mod Histogram.cap) + 1))
+  done;
+  Alcotest.(check bool) "at cap never sampled" false (Histogram.sampled h);
+  (match Histogram.summary h with
+  | Some s ->
+      Alcotest.(check (float 1e-9)) "exact p50" (float_of_int (Histogram.cap / 2)) s.Histogram.p50;
+      Alcotest.(check (float 1e-9)) "exact p99"
+        (Float.ceil (0.99 *. float_of_int Histogram.cap))
+        s.Histogram.p99
+  | None -> Alcotest.fail "expected a summary");
+  Histogram.observe h 0.5;
+  Alcotest.(check bool) "one past the cap is sampled" true (Histogram.sampled h)
 
 let test_histogram_empty () =
   Alcotest.(check bool) "empty has no summary" true (Histogram.summary (Histogram.create ()) = None)
@@ -374,28 +385,30 @@ let test_histogram_merge_count_sum_property () =
   QCheck.Test.check_cell_exn ~rand:(Random.State.make [| 71 |]) cell
 
 let test_histogram_merge_sampled_quantile_tolerance () =
-  (* Capped reservoirs: the merged quantiles are estimates, but count and
-     sum stay exact, and quantile estimates stay inside the observed
+  (* Sampled reservoirs: the merged quantiles are estimates, but count
+     and sum stay exact, and quantile estimates stay inside the observed
      range with sane ordering. *)
-  let a = Histogram.create ~cap:64 () and b = Histogram.create ~cap:64 () in
-  for i = 1 to 1000 do
+  let n = Histogram.cap + 1000 in
+  let a = Histogram.create () and b = Histogram.create () in
+  for i = 1 to n do
     Histogram.observe a (float_of_int i)
   done;
-  for i = 1001 to 2000 do
+  for i = n + 1 to 2 * n do
     Histogram.observe b (float_of_int i)
   done;
   let s = summary_exn (Histogram.merge a b) in
-  Alcotest.(check int) "count exact" 2000 s.Histogram.count;
-  Alcotest.(check (float 1e-6)) "sum exact" 2001000. s.Histogram.sum;
+  let fn = float_of_int (2 * n) in
+  Alcotest.(check int) "count exact" (2 * n) s.Histogram.count;
+  Alcotest.(check (float 1e-6)) "sum exact" (fn *. (fn +. 1.) /. 2.) s.Histogram.sum;
   Alcotest.(check bool) "sampled" true s.Histogram.sampled;
   Alcotest.(check bool) "p50 ordered" true (s.Histogram.p50 <= s.Histogram.p95);
   Alcotest.(check bool) "p95 ordered" true (s.Histogram.p95 <= s.Histogram.p99);
   (* both reservoirs are uniform over their half: the median of the union
-     must land near 1000 (loose bound, deterministic seed) *)
+     must land near n (loose bound, deterministic seed) *)
   Alcotest.(check bool) "p50 plausible" true
-    (s.Histogram.p50 > 500. && s.Histogram.p50 < 1500.);
+    (s.Histogram.p50 > fn /. 4. && s.Histogram.p50 < 3. *. fn /. 4.);
   Alcotest.(check bool) "p99 in range" true
-    (s.Histogram.p99 >= 1. && s.Histogram.p99 <= 2000.)
+    (s.Histogram.p99 >= 1. && s.Histogram.p99 <= fn)
 
 (* --- Snapshot.merge ---------------------------------------------------- *)
 
@@ -586,8 +599,7 @@ let () =
           Alcotest.test_case "sorts negatives" `Quick test_histogram_sorts_negatives;
           Alcotest.test_case "reservoir cap" `Quick test_histogram_reservoir_cap;
           Alcotest.test_case "reservoir deterministic" `Quick test_histogram_reservoir_deterministic;
-          Alcotest.test_case "below cap exact" `Quick test_histogram_below_cap_is_exact;
-          Alcotest.test_case "rejects bad cap" `Quick test_histogram_rejects_bad_cap
+          Alcotest.test_case "below cap exact" `Quick test_histogram_below_cap_is_exact
         ] );
       ( "span",
         [ Alcotest.test_case "measures elapsed" `Quick test_span_measures_elapsed;

@@ -1,10 +1,11 @@
-(* The reactor server core: the poller readiness layer (EINTR must not
+(* The reactor server core: the poll(2) readiness layer (EINTR must not
    shorten a wait), admission control / queue-overflow shedding / idle
    and slowloris eviction with typed unavailable refusals, the seeded
    deterministic scheduler whose interleavings must match the serial
-   oracle and reproduce byte-identical flight-recorder timelines, the
-   chaos soak over the reactor path, and the open-loop load generator
-   against a real Unix-domain socket. *)
+   oracle and reproduce byte-identical flight-recorder timelines, and
+   the open-loop load generator against a real Unix-domain socket.  The
+   chaos soaks in test_net cross the reactor too: every in-process
+   session does. *)
 
 open Ppj_net
 module Ch = Ppj_scpu.Channel
@@ -56,8 +57,7 @@ let contains ~sub s =
 
 (* --- poller ---------------------------------------------------------- *)
 
-let test_poller_readiness backend () =
-  let poller = Poller.create ~backend () in
+let test_poller_readiness () =
   let r, w = Unix.pipe () in
   Fun.protect
     ~finally:(fun () ->
@@ -65,21 +65,20 @@ let test_poller_readiness backend () =
       Unix.close w)
     (fun () ->
       (* nothing to read yet: the wait times out empty *)
-      let readable, writable = Poller.wait poller ~read:[ r ] ~write:[] ~timeout:0.01 in
+      let readable, writable = Poller.wait ~read:[ r ] ~write:[] ~timeout:0.01 in
       Alcotest.(check bool) "quiet pipe not readable" true (readable = [] && writable = []);
       (* the write end of a fresh pipe is writable *)
-      let _, writable = Poller.wait poller ~read:[] ~write:[ w ] ~timeout:0.5 in
+      let _, writable = Poller.wait ~read:[] ~write:[ w ] ~timeout:0.5 in
       Alcotest.(check bool) "pipe writable" true (List.mem w writable);
       ignore (Unix.write_substring w "x" 0 1);
-      let readable, _ = Poller.wait poller ~read:[ r ] ~write:[] ~timeout:0.5 in
+      let readable, _ = Poller.wait ~read:[ r ] ~write:[] ~timeout:0.5 in
       Alcotest.(check bool) "pipe readable after write" true (List.mem r readable))
 
-let test_poller_survives_eintr backend () =
+let test_poller_survives_eintr () =
   (* A signal storm during the wait: the old select loop surfaced EINTR
      as an instant empty result (and the client's recv as a spurious
      timeout).  The poller must absorb the interrupts and still honour
      the caller's full deadline. *)
-  let poller = Poller.create ~backend () in
   let r, w = Unix.pipe () in
   let fired = ref 0 in
   let prev = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> incr fired)) in
@@ -94,7 +93,7 @@ let test_poller_survives_eintr backend () =
       Unix.close w)
     (fun () ->
       let t0 = Unix.gettimeofday () in
-      let readable, writable = Poller.wait poller ~read:[ r ] ~write:[] ~timeout:0.2 in
+      let readable, writable = Poller.wait ~read:[ r ] ~write:[] ~timeout:0.2 in
       let elapsed = Unix.gettimeofday () -. t0 in
       Alcotest.(check bool) "interrupts fired during the wait" true (!fired > 0);
       Alcotest.(check bool) "result still empty" true (readable = [] && writable = []);
@@ -435,26 +434,35 @@ let test_sim_idle_eviction_virtual_time () =
       | Some _ -> ())
     r.Sim.outcomes
 
-(* --- chaos soak over the reactor path -------------------------------- *)
+(* --- the in-process loopback crosses the reactor ---------------------- *)
 
-let test_chaos_soak_on_reactor () =
-  let runs = Chaos.soak ~runs:25 (Chaos.wire ~reactor:true) in
-  List.iter
-    (fun r ->
-      if not (Chaos.safe r) then
-        Alcotest.failf "seed %d unsafe on the reactor: %s" r.Chaos.seed
-          (Chaos.outcome_to_string r.Chaos.outcome))
-    runs;
-  (* at least some runs exercise real faults, or the soak proves nothing *)
-  let injected = List.fold_left (fun n r -> n + r.Chaos.injected) 0 runs in
-  Alcotest.(check bool) "faults actually fired" true (injected > 0)
-
-let test_chaos_reactor_reproducible () =
-  let one () = Chaos.wire ~reactor:true 3 in
-  let a = one () and b = one () in
-  Alcotest.(check string) "same outcome" (Chaos.outcome_to_string a.Chaos.outcome)
-    (Chaos.outcome_to_string b.Chaos.outcome);
-  Alcotest.(check int) "same faults fired" a.Chaos.injected b.Chaos.injected
+let test_loopback_admitted_by_the_reactor () =
+  (* [Transport.loopback] is a reactor connection like a socket's: it
+     counts toward [net.server.conns.live] and admission, and a refused
+     one reads the typed goodbye, then a closed peer. *)
+  let server = make_server () in
+  let reactor = Reactor.create ~limits:{ Reactor.default_limits with max_conns = 1 } server in
+  let config =
+    { Client.default_config with recv_timeout = 0.05; max_retries = 0; sleep = ignore }
+  in
+  let first = Client.create ~config (Transport.loopback reactor) in
+  (match Client.stats first with
+  | Ok (info, _) ->
+      Alcotest.(check int) "the scrape counts its own connection" 1 info.Wire.conns_live
+  | Error e -> Alcotest.fail e);
+  let second = Client.create ~config (Transport.loopback reactor) in
+  (match Client.attest second with
+  | Ok () -> Alcotest.fail "a connection past max_conns was served"
+  | Error e ->
+      Alcotest.(check bool) ("typed unavailable: " ^ e) true (contains ~sub:"unavailable" e));
+  Alcotest.(check int) "shed counted" 1 (counter_value server "net.server.admission.shed");
+  (match Client.attest second with
+  | Ok () -> Alcotest.fail "the refused connection was served"
+  | Error e -> Alcotest.(check bool) ("then closed: " ^ e) true (contains ~sub:"closed" e));
+  Client.close second;
+  Alcotest.(check int) "still one live" 1 (Reactor.live reactor);
+  Client.close first;
+  Alcotest.(check int) "all released" 0 (Reactor.live reactor)
 
 (* --- real sockets ---------------------------------------------------- *)
 
@@ -579,13 +587,8 @@ let test_idle_eviction_over_socket () =
 let () =
   Alcotest.run "reactor"
     [ ( "poller",
-        [ Alcotest.test_case "poll backend readiness" `Quick (test_poller_readiness Poller.Poll);
-          Alcotest.test_case "select backend readiness" `Quick
-            (test_poller_readiness Poller.Select);
-          Alcotest.test_case "poll absorbs EINTR" `Quick
-            (test_poller_survives_eintr Poller.Poll);
-          Alcotest.test_case "select absorbs EINTR" `Quick
-            (test_poller_survives_eintr Poller.Select);
+        [ Alcotest.test_case "poll backend readiness" `Quick test_poller_readiness;
+          Alcotest.test_case "poll absorbs EINTR" `Quick test_poller_survives_eintr;
         ] );
       ( "overload",
         [ Alcotest.test_case "full join through the reactor" `Quick test_reactor_full_join;
@@ -605,10 +608,9 @@ let () =
           Alcotest.test_case "idle eviction in virtual time" `Quick
             test_sim_idle_eviction_virtual_time;
         ] );
-      ( "chaos-reactor",
-        [ Alcotest.test_case "soak stays safe on the reactor" `Quick test_chaos_soak_on_reactor;
-          Alcotest.test_case "soak reproducible per seed" `Quick
-            test_chaos_reactor_reproducible;
+      ( "loopback path",
+        [ Alcotest.test_case "admitted and counted by the reactor" `Quick
+            test_loopback_admitted_by_the_reactor;
         ] );
       ( "unix",
         [ Alcotest.test_case "loadgen over a real socket" `Quick test_loadgen_over_socket;

@@ -23,6 +23,7 @@ module Registry = Ppj_obs.Registry
 module Counter = Ppj_obs.Counter
 module Histogram = Ppj_obs.Histogram
 module Server = Ppj_net.Server
+module Reactor = Ppj_net.Reactor
 module Transport = Ppj_net.Transport
 module Client = Ppj_net.Client
 module Wire = Ppj_net.Wire
@@ -631,9 +632,11 @@ let wire_config ?(p = 2) inner =
   { Coordinator.p; m = 4; seed = 7; inner; strategy = Partitioner.Replicate }
 
 let wire_setup ?(p = 2) ?(connect_hook = fun _ t -> t) () =
-  let servers = Array.init p (fun _ -> Server.create ~mac_key ~seed:5 ()) in
+  let shard_servers =
+    Array.init p (fun _ -> Reactor.create (Server.create ~mac_key ~seed:5 ()))
+  in
   let shards =
-    Shards.create ~p ~connect:(fun k -> Ok (connect_hook k (Transport.loopback servers.(k))))
+    Shards.create ~p ~connect:(fun k -> Ok (connect_hook k (Transport.loopback shard_servers.(k))))
   in
   shards
 
@@ -823,16 +826,17 @@ let kill_one_shard ~retries seed =
   let plan = if killed then None else Some (Ppj_fault.Plan.random ~seed) in
   let faults = Option.map Ppj_fault.Injector.create plan in
   let victim_faults k = if k = victim then faults else None in
-  let server_regs = Array.init 2 (fun _ -> Registry.create ~histogram_cap:512 ()) in
-  let servers =
+  let server_regs = Array.init 2 (fun _ -> Registry.create ()) in
+  let shard_servers =
     Array.init 2 (fun k ->
-        Server.create ~registry:server_regs.(k) ~mac_key:chaos_mac_key ~seed:5
-          ?faults:(victim_faults k) ())
+        Reactor.create
+          (Server.create ~registry:server_regs.(k) ~mac_key:chaos_mac_key ~seed:5
+             ?faults:(victim_faults k) ()))
   in
   let dials = Array.make 2 0 in
   let connect k =
     dials.(k) <- dials.(k) + 1;
-    let t = Transport.loopback ?faults:(victim_faults k) servers.(k) in
+    let t = Transport.loopback ?faults:(victim_faults k) shard_servers.(k) in
     if killed && k = victim && dials.(k) <= fused_dials then
       Ok (fst (Transport.fused ~after_sends t))
     else Ok t

@@ -107,7 +107,7 @@ let test_stats_before_attestation () =
 let test_client_stats_does_not_disturb_session () =
   (* Scrape, attest, scrape, handshake: the admin exchange must leave
      the session lifecycle where it found it. *)
-  let server = Server.create ~mac_key ~seed:5 () in
+  let server = Reactor.create (Server.create ~mac_key ~seed:5 ()) in
   let c = client server in
   let info0, _ = ok (Client.stats c) in
   Alcotest.(check bool) "pre-attest scrape ready" true info0.Wire.ready;
@@ -121,7 +121,7 @@ let test_client_stats_does_not_disturb_session () =
   Client.close c
 
 let test_scrape_reports_health_gauges () =
-  let server = Server.create ~mac_key ~seed:5 () in
+  let server = Reactor.create (Server.create ~mac_key ~seed:5 ()) in
   let a, b = workload () in
   List.iter
     (fun (id, rel) ->
@@ -138,6 +138,8 @@ let test_scrape_reports_health_gauges () =
   Client.close c;
   Alcotest.(check int) "one session still open" 1 info.Wire.sessions_active;
   Alcotest.(check int) "two sessions closed" 2 info.Wire.sessions_closed;
+  (* every in-process session crossed the one reactor, which counts it *)
+  Alcotest.(check int) "one connection live" 1 info.Wire.conns_live;
   (match Snapshot.find snap "net.server.joins.executed" with
   | Some { Snapshot.value = Snapshot.Counter 1; _ } -> ()
   | _ -> Alcotest.fail "join counter missing");
@@ -162,7 +164,7 @@ let test_scrape_reports_health_gauges () =
 let p = 4
 
 let fleet () =
-  let servers = Array.init p (fun k -> Server.create ~mac_key ~seed:(5 + k) ()) in
+  let servers = Array.init p (fun k -> Reactor.create (Server.create ~mac_key ~seed:(5 + k) ())) in
   let shards = Shards.create ~p ~connect:(fun k -> Ok (Transport.loopback servers.(k))) in
   (servers, shards)
 
@@ -341,7 +343,7 @@ let test_server_scrapes_pass_the_lint () =
      — the process-global default registry accumulates across the two
      runs sharing this test binary. *)
   let scrape_of data_seed =
-    let server = Server.create ~mac_key ~seed:5 () in
+    let server = Reactor.create (Server.create ~mac_key ~seed:5 ()) in
     let a, b = workload ~seed:data_seed () in
     List.iter
       (fun (id, rel) ->
@@ -358,7 +360,7 @@ let test_server_scrapes_pass_the_lint () =
          (Client.fetch_result c ~rng:(Rng.create 99) ~id:"carol" ~mac_key ~contract
             { Service.m = 4; seed = 9; algorithm = Service.Alg5 }));
     Client.close c;
-    Registry.snapshot (Server.registry server)
+    Registry.snapshot (Server.registry (Reactor.server server))
   in
   match Privacy.compare_exports [ scrape_of 11; scrape_of 12; scrape_of 13 ] with
   | Privacy.Indistinguishable -> ()

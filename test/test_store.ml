@@ -392,9 +392,10 @@ let in_process_delivery () =
   | Ok o -> List.map T.encode o.Service.delivered
   | Error e -> Alcotest.fail e
 
-let no_sleep =
-  { Client.default_config with recv_timeout = 0.05; backoff = Client.Exponential; sleep = ignore }
+let no_sleep = { Client.default_config with recv_timeout = 0.05; sleep = ignore }
 
+(* Servers here are reactors over [Server.t], as [ppj serve] runs them:
+   every in-process session crosses one. *)
 let loop_client ?config ?registry ?faults server =
   Client.create ?config ?registry (Transport.loopback ?faults server)
 
@@ -426,7 +427,8 @@ let test_durable_resume_across_servers () =
       let store1, _ = opened (Store.open_dir ~mac_key dir) in
       let faults = inj "crash@t=150" in
       let server1 =
-        Server.create ~mac_key ~seed:5 ~faults ~checkpoint_every:32 ~store:store1 ()
+        Reactor.create
+          (Server.create ~mac_key ~seed:5 ~faults ~checkpoint_every:32 ~store:store1 ())
       in
       let a, b = workload () in
       submit_over server1 "alice" a;
@@ -452,7 +454,9 @@ let test_durable_resume_across_servers () =
         <> None);
       Alcotest.(check int) "no quarantine on clean restart" 0 h.Store.quarantined_bytes;
       let reg2 = Registry.create () in
-      let server2 = Server.create ~registry:reg2 ~mac_key ~seed:6 ~store:store2 () in
+      let server2 =
+        Reactor.create (Server.create ~registry:reg2 ~mac_key ~seed:6 ~store:store2 ())
+      in
       let c2 = loop_client ~config:no_sleep server2 in
       let _, tuples =
         match
@@ -475,7 +479,7 @@ let test_durable_resume_across_servers () =
 let test_durable_result_across_servers () =
   with_dir (fun dir ->
       let store1, _ = opened (Store.open_dir ~mac_key dir) in
-      let server1 = Server.create ~mac_key ~seed:5 ~store:store1 () in
+      let server1 = Reactor.create (Server.create ~mac_key ~seed:5 ~store:store1 ()) in
       let a, b = workload () in
       submit_over server1 "alice" a;
       submit_over server1 "bob" b;
@@ -492,7 +496,9 @@ let test_durable_result_across_servers () =
       Store.close store1;
       let store2, _ = opened (Store.open_dir ~mac_key dir) in
       let reg2 = Registry.create () in
-      let server2 = Server.create ~registry:reg2 ~mac_key ~seed:7 ~store:store2 () in
+      let server2 =
+        Reactor.create (Server.create ~registry:reg2 ~mac_key ~seed:7 ~store:store2 ())
+      in
       let c2 = loop_client ~config:no_sleep server2 in
       let _, t2 =
         match
@@ -518,7 +524,8 @@ let test_doctored_checkpoint_quarantined () =
       let store1, _ = opened (Store.open_dir ~mac_key dir) in
       let faults = inj "crash@t=150" in
       let server1 =
-        Server.create ~mac_key ~seed:5 ~faults ~checkpoint_every:32 ~store:store1 ()
+        Reactor.create
+          (Server.create ~mac_key ~seed:5 ~faults ~checkpoint_every:32 ~store:store1 ())
       in
       let a, b = workload () in
       submit_over server1 "alice" a;
@@ -545,7 +552,9 @@ let test_doctored_checkpoint_quarantined () =
       | Ok () -> ()
       | Error e -> Alcotest.fail (Store.append_error_message e));
       let reg2 = Registry.create () in
-      let server2 = Server.create ~registry:reg2 ~mac_key ~seed:6 ~store:store2 () in
+      let server2 =
+        Reactor.create (Server.create ~registry:reg2 ~mac_key ~seed:6 ~store:store2 ())
+      in
       let c2 = loop_client ~config:no_sleep server2 in
       let _, tuples =
         match
@@ -572,7 +581,7 @@ let test_sealed_store_sheds () =
   with_dir (fun dir ->
       let store, _ = opened (Store.open_dir ~journal_max_bytes:64 ~mac_key dir) in
       let reg = Registry.create () in
-      let server = Server.create ~registry:reg ~mac_key ~seed:5 ~store () in
+      let server = Reactor.create (Server.create ~registry:reg ~mac_key ~seed:5 ~store ()) in
       let a, _ = workload () in
       let c = loop_client ~config:no_sleep server in
       (match
@@ -587,16 +596,88 @@ let test_sealed_store_sheds () =
       Client.close c;
       Store.close store)
 
+(* A provider's re-upload retires every join over its old relation.  The
+   recipient's next execute must join the new inputs: on a durable
+   server in a fresh session (the store's cached result), after the
+   state directory is reopened (replay), and on an in-memory server in
+   the recipient's own session (the session cache). *)
+let test_reupload_supersedes_results () =
+  let a, b = workload () in
+  let a2, _ = W.equijoin_pair (Rng.create 23) ~na:12 ~nb:18 ~matches:6 ~max_multiplicity:2 in
+  let oracle rels =
+    match Chaos.oracle service_config ~contract (List.map (fun r -> (schema, r)) rels) with
+    | Ok e -> e
+    | Error e -> Alcotest.fail e
+  in
+  let before = oracle [ a; b ] and after = oracle [ a2; b ] in
+  Alcotest.(check bool) "the re-upload changes the answer" false (before = after);
+  let verdict what ~expected delivered =
+    Alcotest.(check string) what "correct"
+      (Chaos.outcome_to_string (Chaos.judge ~expected (Result.map snd delivered)))
+  in
+  let reupload server =
+    (* a fresh handshake exponent: the replay guard remembers alice's first *)
+    let c = loop_client ~config:no_sleep server in
+    (match
+       Client.submit_relation c ~rng:(Rng.create 23) ~id:"alice" ~mac_key ~contract ~schema a2
+     with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    Client.close c
+  in
+  let join server seed =
+    let c = loop_client ~config:no_sleep server in
+    let r =
+      Client.fetch_result c ~rng:(Rng.create seed) ~id:"carol" ~mac_key ~contract service_config
+    in
+    Client.close c;
+    r
+  in
+  let durable ~reopen =
+    with_dir (fun dir ->
+        let store1, _ = opened (Store.open_dir ~mac_key dir) in
+        let server1 = Reactor.create (Server.create ~mac_key ~seed:5 ~store:store1 ()) in
+        submit_over server1 "alice" a;
+        submit_over server1 "bob" b;
+        verdict "first join" ~expected:before (join server1 99);
+        reupload server1;
+        if reopen then begin
+          Store.close store1;
+          let store2, _ = opened (Store.open_dir ~mac_key dir) in
+          let server2 = Reactor.create (Server.create ~mac_key ~seed:6 ~store:store2 ()) in
+          verdict "after reopening the state directory" ~expected:after (join server2 100);
+          Store.close store2
+        end
+        else begin
+          verdict "durable server, fresh session" ~expected:after (join server1 100);
+          Store.close store1
+        end)
+  in
+  durable ~reopen:false;
+  durable ~reopen:true;
+  let server = Reactor.create (Server.create ~mac_key ~seed:5 ()) in
+  submit_over server "alice" a;
+  submit_over server "bob" b;
+  let c = loop_client ~config:no_sleep server in
+  verdict "first join" ~expected:before
+    (Client.fetch_result c ~rng:(Rng.create 99) ~id:"carol" ~mac_key ~contract service_config);
+  reupload server;
+  let again =
+    Result.bind (Client.execute c service_config) (fun _ -> Client.fetch c)
+  in
+  Client.close c;
+  verdict "in memory, the recipient's own session" ~expected:after again
+
 (* --- client decorrelated jitter ----------------------------------------- *)
 
 let collect_sleeps seed =
-  let server = Server.create ~mac_key () in
+  let server = Reactor.create (Server.create ~mac_key ()) in
   let sleeps = ref [] in
   let config =
     { Client.default_config with
       recv_timeout = 0.01;
       max_retries = 3;
-      backoff = Client.Decorrelated { seed };
+      backoff_seed = seed;
       sleep = (fun d -> sleeps := d :: !sleeps);
     }
   in
@@ -661,6 +742,8 @@ let () =
           Alcotest.test_case "doctored checkpoint quarantined" `Quick
             test_doctored_checkpoint_quarantined;
           Alcotest.test_case "sealed store sheds uploads" `Quick test_sealed_store_sheds;
+          Alcotest.test_case "re-upload supersedes cached joins" `Quick
+            test_reupload_supersedes_results;
         ] );
       ( "client backoff",
         [ Alcotest.test_case "decorrelated jitter" `Quick test_decorrelated_jitter ] );
