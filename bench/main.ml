@@ -403,11 +403,13 @@ let parallel () =
 
 (* End-to-end run of the lib/shard coordinator: replicate partitioning
    over p in-process shards executing Algorithm 4 slices, pad-to-max
-   oblivious merge.  The gateable number is the transfer-model speedup
-   (total transfers / slowest shard) — deterministic and
-   hardware-independent, as in the parallel experiment; wall-clock
-   seconds per p are recorded informationally (a single-core CI runner
-   cannot show real Domains parallelism). *)
+   oblivious merge.  Every shard's transfer count must equal its exact
+   closed form, so a trace-shape change fails the run instead of
+   drifting inside a band.  The transfer-model speedup (total transfers
+   / slowest shard) is deterministic and hardware-independent, as in
+   the parallel experiment; wall-clock seconds per p are recorded
+   informationally (a single-core CI runner cannot show real Domains
+   parallelism). *)
 let shard () =
   header "Sharded coordinator (lib/shard): one submit across p shards";
   let a, b = measured_workload () in
@@ -419,10 +421,9 @@ let shard () =
   let formula ~p k =
     let lo = k * l / p and hi = (k + 1) * l / p in
     let lk = hi - lo in
-    (2. *. float_of_int lk) +. Cost.filter_cost ~omega:lk ~mu:(min lk s)
+    (2 * lk) + Cost.filter_exact ~omega:lk ~mu:(min lk s)
   in
-  let lo_band, hi_band = padded_band in
-  row "%-4s %-12s %9s %9s %8s %6s  %s\n" "p" "backend" "seconds" "speedup" "merge" "band"
+  row "%-4s %-12s %9s %9s %8s %6s  %s\n" "p" "backend" "seconds" "speedup" "merge" "exact"
     "per-shard transfers (measured/formula)";
   let misses = ref [] in
   List.iter
@@ -449,17 +450,17 @@ let shard () =
             Array.to_list o.Shard.Coordinator.per_shard_transfers
             |> List.mapi (fun k measured ->
                    let f = formula ~p k in
-                   let ratio = float_of_int measured /. f in
-                   if not (ratio >= lo_band && ratio <= hi_band) then begin
+                   if measured <> f then begin
                      all_ok := false;
                      misses := Printf.sprintf "p=%d shard %d" p k :: !misses
                    end;
                    let labels = ("shard", string_of_int k) :: labels in
                    Obs.Registry.set_gauge ~labels registry "bench.shard.transfers"
                      (float_of_int measured);
-                   Obs.Registry.set_gauge ~labels registry "bench.shard.formula" f;
-                   Obs.Registry.set_gauge ~labels registry "bench.shard.ratio" ratio;
-                   Printf.sprintf "%d/%.0f" measured f)
+                   Obs.Registry.set_gauge ~labels registry "bench.shard.formula" (float_of_int f);
+                   Obs.Registry.set_gauge ~labels registry "bench.shard.ratio"
+                     (float_of_int measured /. float_of_int f);
+                   Printf.sprintf "%d/%d" measured f)
           in
           Obs.Registry.set_gauge ~labels registry "bench.shard.within_tolerance"
             (if !all_ok then 1. else 0.);
@@ -468,11 +469,12 @@ let shard () =
             (if !all_ok then "ok" else "FAIL")
             (String.concat " " cells))
     [ 1; 2; 4 ];
-  row "(speedup = total transfers / slowest shard; per-shard formula:\n";
-  row " 2*l_k + filter(l_k, min(l_k, S)) within the padded band %.2g-%.2g.\n" lo_band hi_band;
+  row "(speedup = total transfers / slowest shard; per-shard formula, exact:\n";
+  row " 2*l_k + filter_exact(l_k, min(l_k, S)).\n";
   row " CI gates on bench.shard.speedup{p=4} >= 1.5 in BENCH_shard.json.)\n";
   if !misses <> [] then
-    failwith ("shard: outside the band: " ^ String.concat ", " (List.rev !misses))
+    failwith
+      ("shard: transfers differ from the exact form: " ^ String.concat ", " (List.rev !misses))
 
 (* --- Aggregation ablation --- *)
 
@@ -694,6 +696,43 @@ let env_int name default =
 let env_float name default =
   match Sys.getenv_opt name with Some s -> float_of_string s | None -> default
 
+(* The loadtest's server, run in a child process started on this
+   executable with [--loadtest-server PATH]: a reactor loop sized for
+   the whole burst, torn down by SIGTERM once the parent has its
+   numbers.  Its flight recorder (when PPJ_LOADTEST_TRACE is set) is
+   written on the way out — that file is the CI trace artifact.  The
+   child is a fresh process rather than a fork because OCaml 5 refuses
+   [Unix.fork] once a domain has been spawned, as [shard] does. *)
+let loadtest_server path =
+  let module Net = Ppj_net in
+  let stopped = ref false in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> stopped := true));
+  let trace_out = Sys.getenv_opt "PPJ_LOADTEST_TRACE" in
+  let srv_recorder =
+    match trace_out with
+    | Some _ -> Some (Obs.Recorder.create ~name:"loadtest-server" ())
+    | None -> None
+  in
+  (try
+     let server =
+       Net.Server.create ?recorder:srv_recorder ~mac_key:Net.Loadgen.mac_key ~seed:5 ()
+     in
+     let limits = { Net.Reactor.default_limits with max_conns = 4096; idle_timeout = 60. } in
+     Net.Reactor.serve_unix
+       (Net.Reactor.create ~limits server)
+       ~path ~backlog:4096
+       ~stop:(fun () -> !stopped)
+       ()
+   with _ -> ());
+  match (trace_out, srv_recorder) with
+  | Some file, Some r -> (
+      try
+        Out_channel.with_open_text file (fun oc ->
+            Out_channel.output_string oc (Obs.Json.to_string (Obs.Recorder.to_perfetto r));
+            Out_channel.output_char oc '\n')
+      with Sys_error _ -> ())
+  | _ -> ()
+
 let loadtest () =
   header "Loadtest: open-loop concurrent sessions against the reactor server";
   let module Net = Ppj_net in
@@ -701,81 +740,49 @@ let loadtest () =
   let min_concurrent = env_int "PPJ_LOADTEST_MIN_CONCURRENT" (min sessions 1000) in
   let p99_gate = env_float "PPJ_LOADTEST_P99_GATE" 120. in
   let rate = env_float "PPJ_LOADTEST_RATE" 0. in
-  let trace_out = Sys.getenv_opt "PPJ_LOADTEST_TRACE" in
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "ppj-loadtest-%d.sock" (Unix.getpid ()))
   in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
-  match Unix.fork () with
-  | 0 ->
-      (* Server child: reactor loop sized for the whole burst, torn down
-         by SIGTERM once the parent has its numbers.  Its flight
-         recorder (when PPJ_LOADTEST_TRACE is set) is written on the way
-         out — that file is the CI trace artifact. *)
-      let stopped = ref false in
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> stopped := true));
-      let srv_recorder =
-        match trace_out with
-        | Some _ -> Some (Obs.Recorder.create ~name:"loadtest-server" ())
-        | None -> None
-      in
-      (try
-         let server =
-           Net.Server.create ?recorder:srv_recorder ~mac_key:Net.Loadgen.mac_key ~seed:5 ()
-         in
-         let limits =
-           { Net.Reactor.default_limits with max_conns = 4096; idle_timeout = 60. }
-         in
-         Net.Reactor.serve_unix
-           (Net.Reactor.create ~limits server)
-           ~path ~backlog:4096
-           ~stop:(fun () -> !stopped)
-           ()
-       with _ -> ());
-      (match (trace_out, srv_recorder) with
-      | Some file, Some r -> (
-          try
-            Out_channel.with_open_text file (fun oc ->
-                Out_channel.output_string oc (Obs.Json.to_string (Obs.Recorder.to_perfetto r));
-                Out_channel.output_char oc '\n')
-          with Sys_error _ -> ())
-      | _ -> ());
-      Unix._exit 0
-  | pid ->
-      let stats =
-        Fun.protect
-          ~finally:(fun () ->
-            (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-          (fun () ->
-            let spec =
-              { Net.Loadgen.default_spec with
-                sessions;
-                rate = (if rate <= 0. then infinity else rate);
-              }
-            in
-            Obs.Registry.span ~labels:[ ("phase", "loadtest") ] registry
-              "bench.loadtest.seconds" (fun () ->
-                match Net.Loadgen.run ~registry ~spec ~path () with
-                | Ok stats -> stats
-                | Error e -> failwith ("loadtest: " ^ e)))
-      in
-      row "%s\n" (Format.asprintf "%a" Net.Loadgen.pp_stats stats);
-      (* SLO gates: zero wrong answers, zero hangs, the promised
-         concurrency actually reached, and p99 under the bar. *)
-      if stats.Net.Loadgen.wrong > 0 then failwith "loadtest delivered a wrong answer";
-      if stats.Net.Loadgen.hung > 0 then failwith "loadtest left sessions hung";
-      if stats.Net.Loadgen.max_concurrent < min_concurrent then
-        failwith
-          (Printf.sprintf "loadtest peaked at %d concurrent sessions; needed >= %d"
-             stats.Net.Loadgen.max_concurrent min_concurrent);
-      if stats.Net.Loadgen.p99 > p99_gate then
-        failwith
-          (Printf.sprintf "loadtest p99 %.2fs exceeds the %.2fs gate" stats.Net.Loadgen.p99
-             p99_gate);
-      row "SLO gates               : wrong=0 hung=0 concurrent>=%d p99<=%.0fs  all met\n"
-        min_concurrent p99_gate
+  let pid =
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; "--loadtest-server"; path |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let stats =
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+      (fun () ->
+        let spec =
+          { Net.Loadgen.default_spec with
+            sessions;
+            rate = (if rate <= 0. then infinity else rate);
+          }
+        in
+        Obs.Registry.span ~labels:[ ("phase", "loadtest") ] registry
+          "bench.loadtest.seconds" (fun () ->
+            match Net.Loadgen.run ~registry ~spec ~path () with
+            | Ok stats -> stats
+            | Error e -> failwith ("loadtest: " ^ e)))
+  in
+  row "%s\n" (Format.asprintf "%a" Net.Loadgen.pp_stats stats);
+  (* SLO gates: zero wrong answers, zero hangs, the promised
+     concurrency actually reached, and p99 under the bar. *)
+  if stats.Net.Loadgen.wrong > 0 then failwith "loadtest delivered a wrong answer";
+  if stats.Net.Loadgen.hung > 0 then failwith "loadtest left sessions hung";
+  if stats.Net.Loadgen.max_concurrent < min_concurrent then
+    failwith
+      (Printf.sprintf "loadtest peaked at %d concurrent sessions; needed >= %d"
+         stats.Net.Loadgen.max_concurrent min_concurrent);
+  if stats.Net.Loadgen.p99 > p99_gate then
+    failwith
+      (Printf.sprintf "loadtest p99 %.2fs exceeds the %.2fs gate" stats.Net.Loadgen.p99
+         p99_gate);
+  row "SLO gates               : wrong=0 hung=0 concurrent>=%d p99<=%.0fs  all met\n"
+    min_concurrent p99_gate
 
 (* --- Crypto hot path --- *)
 
@@ -1307,7 +1314,7 @@ let write_json path ~deterministic ran =
   close_out oc;
   Printf.printf "(wrote %s)\n" path
 
-let () =
+let main () =
   let json, deterministic, names = parse_args Sys.argv in
   (* Resolve (and fail on) an unwritable destination before spending a
      minute running experiments. *)
@@ -1344,3 +1351,8 @@ let () =
         names
   in
   Option.iter (fun file -> write_json file ~deterministic ran) json
+
+let () =
+  match Sys.argv with
+  | [| _; "--loadtest-server"; path |] -> loadtest_server path
+  | _ -> main ()

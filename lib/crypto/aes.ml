@@ -54,30 +54,29 @@ let t14 = mul_table 14
    where Te0[x] packs MixColumns' first-column coefficients of S[x]
    ((2,1,1,3) · S[x]) and Te1..Te3 are byte rotations of Te0.  The
    decryption set Td0..Td3 does the same for InvSubBytes/InvShiftRows/
-   InvMixColumns with the (14,9,13,11) coefficient column of S^-1. *)
+   InvMixColumns with the (14,9,13,11) coefficient column of S^-1.
+
+   The four tables of a direction sit back to back in one 1024-entry
+   array, Te_j at offset 256 j, so a round keeps one table base live
+   instead of four. *)
 
 let rotr32_8 w = ((w lsr 8) lor (w lsl 24)) land 0xFFFFFFFF
 
-let te0, te1, te2, te3, td0, td1, td2, td3 =
-  let e0 = Array.make 256 0 and e1 = Array.make 256 0 in
-  let e2 = Array.make 256 0 and e3 = Array.make 256 0 in
-  let d0 = Array.make 256 0 and d1 = Array.make 256 0 in
-  let d2 = Array.make 256 0 and d3 = Array.make 256 0 in
+let te, td =
+  let e = Array.make 1024 0 and d = Array.make 1024 0 in
   for x = 0 to 255 do
     let s = sbox.(x) in
-    let w = (t2.(s) lsl 24) lor (s lsl 16) lor (s lsl 8) lor t3.(s) in
-    e0.(x) <- w;
-    e1.(x) <- rotr32_8 w;
-    e2.(x) <- rotr32_8 (rotr32_8 w);
-    e3.(x) <- rotr32_8 (rotr32_8 (rotr32_8 w));
     let si = inv_sbox.(x) in
-    let v = (t14.(si) lsl 24) lor (t9.(si) lsl 16) lor (t13.(si) lsl 8) lor t11.(si) in
-    d0.(x) <- v;
-    d1.(x) <- rotr32_8 v;
-    d2.(x) <- rotr32_8 (rotr32_8 v);
-    d3.(x) <- rotr32_8 (rotr32_8 (rotr32_8 v))
+    let w = ref ((t2.(s) lsl 24) lor (s lsl 16) lor (s lsl 8) lor t3.(s)) in
+    let v = ref ((t14.(si) lsl 24) lor (t9.(si) lsl 16) lor (t13.(si) lsl 8) lor t11.(si)) in
+    for j = 0 to 3 do
+      e.((256 * j) + x) <- !w;
+      d.((256 * j) + x) <- !v;
+      w := rotr32_8 !w;
+      v := rotr32_8 !v
+    done
   done;
-  (e0, e1, e2, e3, d0, d1, d2, d3)
+  (e, d)
 
 (* Round constants, hoisted to module level: the MMO hash expands a fresh
    key per 16-byte block, so rebuilding this table inside [expand] was a
@@ -159,24 +158,18 @@ let dkeys k =
       k.drk <- Some d;
       d
 
-let get32 b pos =
-  (Char.code (Bytes.unsafe_get b pos) lsl 24)
-  lor (Char.code (Bytes.unsafe_get b (pos + 1)) lsl 16)
-  lor (Char.code (Bytes.unsafe_get b (pos + 2)) lsl 8)
-  lor Char.code (Bytes.unsafe_get b (pos + 3))
-
-let put32 b pos w =
-  Bytes.unsafe_set b pos (Char.unsafe_chr ((w lsr 24) land 0xff));
-  Bytes.unsafe_set b (pos + 1) (Char.unsafe_chr ((w lsr 16) land 0xff));
-  Bytes.unsafe_set b (pos + 2) (Char.unsafe_chr ((w lsr 8) land 0xff));
-  Bytes.unsafe_set b (pos + 3) (Char.unsafe_chr (w land 0xff))
+(* State words are loaded and stored as big-endian 32-bit words; the
+   mask drops the sign extension of [Int32.to_int]. *)
+let get32 b pos = Int32.to_int (Bytes.get_int32_be b pos) land 0xFFFFFFFF
+let put32 b pos w = Bytes.set_int32_be b pos (Int32.of_int w)
 
 let check_range name buf pos =
   if pos < 0 || pos + 16 > Bytes.length buf then invalid_arg name
 
-(* All table indices below are masked to 0..255 (state words never exceed
-   32 bits), so unsafe_get is in bounds by construction. *)
-let tbl = Array.unsafe_get
+(* All table indices below are a masked byte (0..255) plus the offset of
+   one of the four 256-entry quarters (state words never exceed 32 bits),
+   so unsafe_get is in bounds by construction. *)
+let tbl (t : int array) i = Array.unsafe_get t i
 
 (* The rounds run in a [for] loop over local refs, which the native
    compiler keeps in registers, so a block allocates nothing.  A local
@@ -202,24 +195,28 @@ let encrypt_into k ~src ~src_pos ~dst ~dst_pos =
     let b = 4 * r in
     let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
     s0 :=
-      tbl te0 (a0 lsr 24) lxor tbl te1 ((a1 lsr 16) land 0xff)
-      lxor tbl te2 ((a2 lsr 8) land 0xff)
-      lxor tbl te3 (a3 land 0xff)
+      tbl te (a0 lsr 24)
+      lxor tbl te (256 lor ((a1 lsr 16) land 0xff))
+      lxor tbl te (512 lor ((a2 lsr 8) land 0xff))
+      lxor tbl te (768 lor (a3 land 0xff))
       lxor Array.unsafe_get rk b;
     s1 :=
-      tbl te0 (a1 lsr 24) lxor tbl te1 ((a2 lsr 16) land 0xff)
-      lxor tbl te2 ((a3 lsr 8) land 0xff)
-      lxor tbl te3 (a0 land 0xff)
+      tbl te (a1 lsr 24)
+      lxor tbl te (256 lor ((a2 lsr 16) land 0xff))
+      lxor tbl te (512 lor ((a3 lsr 8) land 0xff))
+      lxor tbl te (768 lor (a0 land 0xff))
       lxor Array.unsafe_get rk (b + 1);
     s2 :=
-      tbl te0 (a2 lsr 24) lxor tbl te1 ((a3 lsr 16) land 0xff)
-      lxor tbl te2 ((a0 lsr 8) land 0xff)
-      lxor tbl te3 (a1 land 0xff)
+      tbl te (a2 lsr 24)
+      lxor tbl te (256 lor ((a3 lsr 16) land 0xff))
+      lxor tbl te (512 lor ((a0 lsr 8) land 0xff))
+      lxor tbl te (768 lor (a1 land 0xff))
       lxor Array.unsafe_get rk (b + 2);
     s3 :=
-      tbl te0 (a3 lsr 24) lxor tbl te1 ((a0 lsr 16) land 0xff)
-      lxor tbl te2 ((a1 lsr 8) land 0xff)
-      lxor tbl te3 (a2 land 0xff)
+      tbl te (a3 lsr 24)
+      lxor tbl te (256 lor ((a0 lsr 16) land 0xff))
+      lxor tbl te (512 lor ((a1 lsr 8) land 0xff))
+      lxor tbl te (768 lor (a2 land 0xff))
       lxor Array.unsafe_get rk (b + 3)
   done;
   let b = 4 * k.rounds in
@@ -248,24 +245,28 @@ let decrypt_into k ~src ~src_pos ~dst ~dst_pos =
     let b = 4 * r in
     let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
     s0 :=
-      tbl td0 (a0 lsr 24) lxor tbl td1 ((a3 lsr 16) land 0xff)
-      lxor tbl td2 ((a2 lsr 8) land 0xff)
-      lxor tbl td3 (a1 land 0xff)
+      tbl td (a0 lsr 24)
+      lxor tbl td (256 lor ((a3 lsr 16) land 0xff))
+      lxor tbl td (512 lor ((a2 lsr 8) land 0xff))
+      lxor tbl td (768 lor (a1 land 0xff))
       lxor Array.unsafe_get rk b;
     s1 :=
-      tbl td0 (a1 lsr 24) lxor tbl td1 ((a0 lsr 16) land 0xff)
-      lxor tbl td2 ((a3 lsr 8) land 0xff)
-      lxor tbl td3 (a2 land 0xff)
+      tbl td (a1 lsr 24)
+      lxor tbl td (256 lor ((a0 lsr 16) land 0xff))
+      lxor tbl td (512 lor ((a3 lsr 8) land 0xff))
+      lxor tbl td (768 lor (a2 land 0xff))
       lxor Array.unsafe_get rk (b + 1);
     s2 :=
-      tbl td0 (a2 lsr 24) lxor tbl td1 ((a1 lsr 16) land 0xff)
-      lxor tbl td2 ((a0 lsr 8) land 0xff)
-      lxor tbl td3 (a3 land 0xff)
+      tbl td (a2 lsr 24)
+      lxor tbl td (256 lor ((a1 lsr 16) land 0xff))
+      lxor tbl td (512 lor ((a0 lsr 8) land 0xff))
+      lxor tbl td (768 lor (a3 land 0xff))
       lxor Array.unsafe_get rk (b + 2);
     s3 :=
-      tbl td0 (a3 lsr 24) lxor tbl td1 ((a2 lsr 16) land 0xff)
-      lxor tbl td2 ((a1 lsr 8) land 0xff)
-      lxor tbl td3 (a0 land 0xff)
+      tbl td (a3 lsr 24)
+      lxor tbl td (256 lor ((a2 lsr 16) land 0xff))
+      lxor tbl td (512 lor ((a1 lsr 8) land 0xff))
+      lxor tbl td (768 lor (a0 land 0xff))
       lxor Array.unsafe_get rk (b + 3)
   done;
   let b = 4 * k.rounds in

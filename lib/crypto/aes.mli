@@ -8,8 +8,9 @@
     vectors in the test suite.
 
     The hot path is a 32-bit T-table cipher: SubBytes, ShiftRows and
-    MixColumns fuse into four 256-entry u32 table lookups per column per
-    round, operating on four ints instead of a 16-int state array (see
+    MixColumns fuse into four u32 table lookups per column per round
+    (one 1024-entry table per direction), operating on four ints loaded
+    as big-endian words instead of a 16-int state array (see
     DESIGN.md).  The original byte-wise implementation is retained as
     {!Reference} and cross-checked property-wise in the test suite. *)
 

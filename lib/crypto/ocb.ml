@@ -78,22 +78,38 @@ let offset_direct k ~nonce i =
    [blocks_of] substring array, no [Block.xor] string per block.  The
    running offset Z, the checksum and one cipher block live in three
    16-byte scratch buffers per call (constant, not per block); Z is
-   advanced in place by XORing L(ntz i) into it.  The string
-   [encrypt]/[decrypt] API below is a thin wrapper and produces
-   byte-identical output (the pinned KATs pin both). *)
+   advanced in place by XORing L(ntz i) into it.
 
-let xor_str_into (s : string) (b : bytes) =
-  for i = 0 to Block.size - 1 do
-    Bytes.unsafe_set b i
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get b i) lxor Char.code (String.unsafe_get s i)))
-  done
+   Every 16-byte XOR is two 64-bit word operations.  XOR commutes with
+   any byte order, so native-endian loads and stores compute the same
+   bytes as a byte-at-a-time XOR; the loads are the unchecked
+   primitives, and every span they touch is bounds-checked once, up
+   front.  The primitives are applied directly, never bound to a name or
+   passed as a value: that keeps each [int64] unboxed, so a block
+   allocates nothing.  The string [encrypt]/[decrypt] API below is a thin
+   wrapper and produces byte-identical output (the pinned KATs pin
+   both). *)
 
-(* z <- E(N xor L), charging one cipher call. *)
-let z0_into k ~nonce z =
-  check_nonce nonce;
-  Bytes.blit_string nonce 0 z 0 Block.size;
-  xor_str_into (k.l0 :> string) z;
+external get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external sget64 : string -> int -> int64 = "%caml_string_get64u"
+
+(* b.[0..15] <- b.[0..15] xor s. *)
+let[@inline] xor_str_into (s : string) b =
+  set64 b 0 (Int64.logxor (get64 b 0) (sget64 s 0));
+  set64 b 8 (Int64.logxor (get64 b 8) (sget64 s 8))
+
+(* d.[dp..dp+15] <- a.[ap..ap+15] xor b.[0..15]. *)
+let[@inline] xor_into d dp a ap b =
+  set64 d dp (Int64.logxor (get64 a ap) (get64 b 0));
+  set64 d (dp + 8) (Int64.logxor (get64 a (ap + 8)) (get64 b 8))
+
+(* z <- E(N xor L) for the nonce N at [nb.[np..np+15]], charging one
+   cipher call. *)
+let z0_into k nb np z =
+  let l0 = (k.l0 :> string) in
+  set64 z 0 (Int64.logxor (get64 nb np) (sget64 l0 0));
+  set64 z 8 (Int64.logxor (get64 nb (np + 8)) (sget64 l0 8));
   k.cipher_calls <- k.cipher_calls + 1;
   Aes.encrypt_into k.aes ~src:z ~src_pos:0 ~dst:z ~dst_pos:0
 
@@ -102,143 +118,141 @@ let advance k z i =
   k.f_apps <- k.f_apps + 1;
   xor_str_into (l_at k (Block.ntz i) :> string) z
 
+(* Y[m] = E(len(M[m]) xor L(-1) xor Z[m]), the pad of a final block of
+   [last_len] bytes, into [tmp]. *)
+let final_pad k z tmp last_len =
+  Bytes.set_int64_be tmp 0 0L;
+  Bytes.set_int64_be tmp 8 (Int64.of_int (8 * last_len));
+  xor_str_into (k.l_inv :> string) tmp;
+  xor_into tmp 0 tmp 0 z;
+  k.cipher_calls <- k.cipher_calls + 1;
+  Aes.encrypt_into k.aes ~src:tmp ~src_pos:0 ~dst:tmp ~dst_pos:0
+
+(* d.[dp..dp+len-1] <- a.[ap..] xor b.[0..]: whole words while eight
+   bytes remain, then bytes (a final block holds 0-16 of them). *)
+let xor_partial d dp a ap b len =
+  let j = ref 0 in
+  while !j + 8 <= len do
+    set64 d (dp + !j) (Int64.logxor (get64 a (ap + !j)) (get64 b !j));
+    j := !j + 8
+  done;
+  while !j < len do
+    Bytes.unsafe_set d (dp + !j)
+      (Char.unsafe_chr
+         (Char.code (Bytes.unsafe_get a (ap + !j)) lxor Char.code (Bytes.unsafe_get b !j)));
+    incr j
+  done
+
 let blocks_for len = if len = 0 then 1 else (len + Block.size - 1) / Block.size
 
 let check_span name buf pos len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then invalid_arg name
 
-let seal_into k ~nonce ~src ~src_pos ~src_len ~dst ~dst_pos =
-  check_span "Ocb.seal_into: src" src src_pos src_len;
-  check_span "Ocb.seal_into: dst" dst dst_pos (src_len + tag_length);
+(* The cores take the nonce as 16 bytes at [nb.[np..]]; callers have
+   checked every span. *)
+let seal_core k nb np ~src ~src_pos ~src_len ~dst ~dst_pos =
   let z = Bytes.create Block.size in
   let sum = Bytes.make Block.size '\000' in
   let tmp = Bytes.create Block.size in
-  z0_into k ~nonce z;
+  z0_into k nb np z;
   let m = blocks_for src_len in
   for i = 1 to m - 1 do
     advance k z i;
     let off = src_pos + (Block.size * (i - 1)) in
     let out = dst_pos + (Block.size * (i - 1)) in
-    for j = 0 to Block.size - 1 do
-      let mj = Char.code (Bytes.unsafe_get src (off + j)) in
-      Bytes.unsafe_set sum j (Char.unsafe_chr (Char.code (Bytes.unsafe_get sum j) lxor mj));
-      Bytes.unsafe_set tmp j (Char.unsafe_chr (mj lxor Char.code (Bytes.unsafe_get z j)))
-    done;
+    (* checksum gains M[i]; C[i] = E(M[i] xor Z[i]) xor Z[i] *)
+    xor_into sum 0 src off sum;
+    xor_into tmp 0 src off z;
     k.cipher_calls <- k.cipher_calls + 1;
     Aes.encrypt_into k.aes ~src:tmp ~src_pos:0 ~dst:tmp ~dst_pos:0;
-    for j = 0 to Block.size - 1 do
-      Bytes.unsafe_set dst (out + j)
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get tmp j) lxor Char.code (Bytes.unsafe_get z j)))
-    done
+    xor_into dst out tmp 0 z
   done;
   advance k z m;
   let last_off = src_pos + (Block.size * (m - 1)) in
   let last_out = dst_pos + (Block.size * (m - 1)) in
   let last_len = src_len - (Block.size * (m - 1)) in
-  (* Y[m] = E(len(M[m]) xor L(-1) xor Z[m]), computed in [tmp]. *)
-  Bytes.fill tmp 0 Block.size '\000';
-  Bytes.set_int64_be tmp 8 (Int64.of_int (8 * last_len));
-  xor_str_into (k.l_inv :> string) tmp;
-  for j = 0 to Block.size - 1 do
-    Bytes.unsafe_set tmp j
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get tmp j) lxor Char.code (Bytes.unsafe_get z j)))
-  done;
-  k.cipher_calls <- k.cipher_calls + 1;
-  Aes.encrypt_into k.aes ~src:tmp ~src_pos:0 ~dst:tmp ~dst_pos:0;
-  (* C[m] = M[m] xor (first |M[m]| bytes of Y[m]); checksum gains
-     pad(C[m]) xor Y[m]. *)
-  for j = 0 to last_len - 1 do
-    let c = Char.code (Bytes.unsafe_get src (last_off + j)) lxor Char.code (Bytes.unsafe_get tmp j) in
-    Bytes.unsafe_set dst (last_out + j) (Char.unsafe_chr c);
-    Bytes.unsafe_set sum j (Char.unsafe_chr (Char.code (Bytes.unsafe_get sum j) lxor c))
-  done;
-  for j = 0 to Block.size - 1 do
-    Bytes.unsafe_set sum j
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get sum j) lxor Char.code (Bytes.unsafe_get tmp j)))
-  done;
+  final_pad k z tmp last_len;
+  (* C[m] = M[m] xor (first |M[m]| bytes of Y[m]); the checksum gains
+     pad(C[m]) xor Y[m], which is M[m] followed by the rest of Y[m]. *)
+  xor_partial dst last_out src last_off tmp last_len;
+  xor_partial sum 0 dst last_out sum last_len;
+  xor_into sum 0 sum 0 tmp;
   (* Tag = E(checksum xor Z[m]). *)
-  for j = 0 to Block.size - 1 do
-    Bytes.unsafe_set sum j
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get sum j) lxor Char.code (Bytes.unsafe_get z j)))
-  done;
+  xor_into sum 0 sum 0 z;
   k.cipher_calls <- k.cipher_calls + 1;
   Aes.encrypt_into k.aes ~src:sum ~src_pos:0 ~dst ~dst_pos:(dst_pos + src_len)
 
+(* [src_len >= tag_length] here. *)
+let open_core k nb np ~src ~src_pos ~src_len ~dst ~dst_pos =
+  let body_len = src_len - tag_length in
+  check_span "Ocb.open_into/open_blob: dst" dst dst_pos body_len;
+  let z = Bytes.create Block.size in
+  let sum = Bytes.make Block.size '\000' in
+  let tmp = Bytes.create Block.size in
+  z0_into k nb np z;
+  let m = blocks_for body_len in
+  for i = 1 to m - 1 do
+    advance k z i;
+    let off = src_pos + (Block.size * (i - 1)) in
+    let out = dst_pos + (Block.size * (i - 1)) in
+    (* M[i] = D(C[i] xor Z[i]) xor Z[i]; the checksum gains M[i] *)
+    xor_into tmp 0 src off z;
+    k.cipher_calls <- k.cipher_calls + 1;
+    Aes.decrypt_into k.aes ~src:tmp ~src_pos:0 ~dst:tmp ~dst_pos:0;
+    xor_into dst out tmp 0 z;
+    xor_into sum 0 dst out sum
+  done;
+  advance k z m;
+  let last_off = src_pos + (Block.size * (m - 1)) in
+  let last_out = dst_pos + (Block.size * (m - 1)) in
+  let last_len = body_len - (Block.size * (m - 1)) in
+  (* Stash C[m] zero-padded before the plaintext overwrite ([src] and
+     [dst] may alias): the checksum needs pad(C[m]). *)
+  let last_ct = Bytes.make Block.size '\000' in
+  Bytes.blit src last_off last_ct 0 last_len;
+  final_pad k z tmp last_len;
+  xor_partial dst last_out last_ct 0 tmp last_len;
+  (* Tag = E(checksum xor pad(C[m]) xor Y[m] xor Z[m]). *)
+  xor_into sum 0 sum 0 last_ct;
+  xor_into sum 0 sum 0 tmp;
+  xor_into sum 0 sum 0 z;
+  k.cipher_calls <- k.cipher_calls + 1;
+  Aes.encrypt_into k.aes ~src:sum ~src_pos:0 ~dst:sum ~dst_pos:0;
+  (* Constant-time tag check: OR-fold the XOR of both words so a
+     forger learns nothing from verification timing (an early-exit
+     compare leaks the length of the matching tag prefix). *)
+  let tag = src_pos + body_len in
+  Int64.equal 0L
+    (Int64.logor
+       (Int64.logxor (get64 sum 0) (get64 src tag))
+       (Int64.logxor (get64 sum 8) (get64 src (tag + 8))))
+
+let seal_into k ~nonce ~src ~src_pos ~src_len ~dst ~dst_pos =
+  check_span "Ocb.seal_into: src" src src_pos src_len;
+  check_span "Ocb.seal_into: dst" dst dst_pos (src_len + tag_length);
+  check_nonce nonce;
+  seal_core k (Bytes.unsafe_of_string nonce) 0 ~src ~src_pos ~src_len ~dst ~dst_pos
+
 let open_into k ~nonce ~src ~src_pos ~src_len ~dst ~dst_pos =
   check_span "Ocb.open_into: src" src src_pos src_len;
-  if src_len < tag_length then false
-  else begin
-    let body_len = src_len - tag_length in
-    check_span "Ocb.open_into: dst" dst dst_pos body_len;
-    let z = Bytes.create Block.size in
-    let sum = Bytes.make Block.size '\000' in
-    let tmp = Bytes.create Block.size in
-    z0_into k ~nonce z;
-    let m = blocks_for body_len in
-    for i = 1 to m - 1 do
-      advance k z i;
-      let off = src_pos + (Block.size * (i - 1)) in
-      let out = dst_pos + (Block.size * (i - 1)) in
-      for j = 0 to Block.size - 1 do
-        Bytes.unsafe_set tmp j
-          (Char.unsafe_chr
-             (Char.code (Bytes.unsafe_get src (off + j))
-             lxor Char.code (Bytes.unsafe_get z j)))
-      done;
-      k.cipher_calls <- k.cipher_calls + 1;
-      Aes.decrypt_into k.aes ~src:tmp ~src_pos:0 ~dst:tmp ~dst_pos:0;
-      for j = 0 to Block.size - 1 do
-        let mj = Char.code (Bytes.unsafe_get tmp j) lxor Char.code (Bytes.unsafe_get z j) in
-        Bytes.unsafe_set dst (out + j) (Char.unsafe_chr mj);
-        Bytes.unsafe_set sum j (Char.unsafe_chr (Char.code (Bytes.unsafe_get sum j) lxor mj))
-      done
-    done;
-    advance k z m;
-    let last_off = src_pos + (Block.size * (m - 1)) in
-    let last_out = dst_pos + (Block.size * (m - 1)) in
-    let last_len = body_len - (Block.size * (m - 1)) in
-    (* Stash C[m] zero-padded before the plaintext overwrite ([src] and
-       [dst] may alias): the checksum needs pad(C[m]). *)
-    let last_ct = Bytes.make Block.size '\000' in
-    Bytes.blit src last_off last_ct 0 last_len;
-    Bytes.fill tmp 0 Block.size '\000';
-    Bytes.set_int64_be tmp 8 (Int64.of_int (8 * last_len));
-    xor_str_into (k.l_inv :> string) tmp;
-    for j = 0 to Block.size - 1 do
-      Bytes.unsafe_set tmp j
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get tmp j) lxor Char.code (Bytes.unsafe_get z j)))
-    done;
-    k.cipher_calls <- k.cipher_calls + 1;
-    Aes.encrypt_into k.aes ~src:tmp ~src_pos:0 ~dst:tmp ~dst_pos:0;
-    for j = 0 to last_len - 1 do
-      Bytes.unsafe_set dst (last_out + j)
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get last_ct j) lxor Char.code (Bytes.unsafe_get tmp j)))
-    done;
-    for j = 0 to Block.size - 1 do
-      Bytes.unsafe_set sum j
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get sum j)
-           lxor Char.code (Bytes.unsafe_get last_ct j)
-           lxor Char.code (Bytes.unsafe_get tmp j)
-           lxor Char.code (Bytes.unsafe_get z j)))
-    done;
-    k.cipher_calls <- k.cipher_calls + 1;
-    Aes.encrypt_into k.aes ~src:sum ~src_pos:0 ~dst:sum ~dst_pos:0;
-    (* Constant-time tag check: XOR-fold every byte so a forger learns
-       nothing from verification timing (the early-exit string compare
-       this replaces leaked the length of the matching tag prefix). *)
-    let d = ref 0 in
-    for j = 0 to tag_length - 1 do
-      d :=
-        !d
-        lor (Char.code (Bytes.unsafe_get sum j)
-            lxor Char.code (Bytes.unsafe_get src (src_pos + body_len + j)))
-    done;
-    !d = 0
-  end
+  src_len >= tag_length
+  && begin
+       check_nonce nonce;
+       open_core k (Bytes.unsafe_of_string nonce) 0 ~src ~src_pos ~src_len ~dst ~dst_pos
+     end
+
+let nonce_size = Block.size
+
+let seal_blob k buf ~pos ~len =
+  check_span "Ocb.seal_blob" buf pos (nonce_size + len + tag_length);
+  let body = pos + nonce_size in
+  seal_core k buf pos ~src:buf ~src_pos:body ~src_len:len ~dst:buf ~dst_pos:body
+
+let open_blob k ~src ~src_pos ~src_len ~dst ~dst_pos =
+  check_span "Ocb.open_blob: src" src src_pos src_len;
+  src_len >= nonce_size + tag_length
+  && open_core k src src_pos ~src:src ~src_pos:(src_pos + nonce_size)
+       ~src_len:(src_len - nonce_size) ~dst ~dst_pos
 
 (* --- string API (thin wrappers over the in-place core) --------------- *)
 

@@ -70,6 +70,26 @@ val open_into :
     verify — checked in constant time — or if [src_len < tag_length].
     Aliasing as for {!seal_into}. *)
 
+val nonce_size : int
+(** Nonce length in bytes (16). *)
+
+val seal_blob : key -> bytes -> pos:int -> len:int -> unit
+(** [seal_blob k buf ~pos ~len] seals, in place, the stored-blob layout
+    [nonce | plaintext | tag space] at [buf.[pos..]]: the [len] bytes
+    after the 16-byte nonce are encrypted under it and the tag is
+    written after them.  The same bytes as {!seal_into} with that nonce,
+    without copying the nonce out of the buffer.
+    @raise Invalid_argument if the blob does not fit in [buf]. *)
+
+val open_blob :
+  key -> src:bytes -> src_pos:int -> src_len:int -> dst:bytes -> dst_pos:int -> bool
+(** Inverse of {!seal_blob}: opens the [src_len]-byte blob
+    [nonce | ciphertext | tag] at [src.[src_pos..]], writing
+    [src_len - nonce_size - tag_length] plaintext bytes at
+    [dst.[dst_pos..]].  [false] exactly when {!open_into} with that
+    nonce would return [false], or when the blob is shorter than a
+    nonce. *)
+
 val offset_sequential : key -> nonce:string -> int -> Block.t
 (** [offset_sequential k ~nonce i] computes Z[i] (i ≥ 1) by applying
     [f(·,·)] repeatedly from Z[0], charging {!f_applications}. *)

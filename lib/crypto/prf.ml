@@ -14,4 +14,14 @@ let int_at t i =
   let s = Block.to_string (block_at t i) in
   Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_be (Bytes.of_string s) 0) 2)
 
-let nonce_at t i = Block.to_string (block_at t i)
+(* E_k(encode i) straight into the caller's buffer: [encode i] is
+   [Block.of_int i], eight zero bytes then [i] big-endian. *)
+let nonce_into t i buf ~pos =
+  Bytes.set_int64_be buf pos 0L;
+  Bytes.set_int64_be buf (pos + 8) (Int64.of_int i);
+  Aes.encrypt_into t ~src:buf ~src_pos:pos ~dst:buf ~dst_pos:pos
+
+let nonce_at t i =
+  let b = Bytes.create Block.size in
+  nonce_into t i b ~pos:0;
+  Bytes.unsafe_to_string b

@@ -21,3 +21,9 @@ val int_at : t -> int -> int
 
 val nonce_at : t -> int -> string
 (** 16-byte nonce for message counter [i]. *)
+
+val nonce_into : t -> int -> bytes -> pos:int -> unit
+(** [nonce_into t i buf ~pos] writes {!nonce_at}[ t i] to
+    [buf.[pos..pos+15]] without allocating (the coprocessor derives one
+    per sealed transfer, straight into the blob it seals).
+    @raise Invalid_argument if the range is out of bounds. *)

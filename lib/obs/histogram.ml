@@ -61,8 +61,7 @@ let count t = t.seen
 
 let sum t = t.total
 
-(* Fewer values held than observed: the reservoir dropped some, or a
-   merge rebuilt it on a quantile grid. *)
+(* Fewer values held than observed: the reservoir dropped some. *)
 let sampled t = t.seen > t.len
 
 let sorted t =
@@ -177,25 +176,3 @@ let merge_summaries a b =
     sampled = (not exact) || clipped;
     samples;
   }
-
-let merge a b =
-  if a.len = 0 then { b with values = Array.copy b.values }
-  else if b.len = 0 then { a with values = Array.copy a.values }
-  else if not (sampled a || sampled b) && a.len + b.len <= cap then
-    (* Both reservoirs hold every observation and the union fits: the
-       merged histogram is the exact combined multiset. *)
-    { values = Array.append (Array.sub a.values 0 a.len) (Array.sub b.values 0 b.len);
-      len = a.len + b.len;
-      seen = a.seen + b.seen;
-      total = a.total +. b.total;
-      lcg = 0x9E3779B97F4A7C15L;
-    }
-  else
-    (* A side subsampled, or the union overflows the reservoir: rebuild
-       a bounded one on the weighted quantile grid.  count/sum stay
-       exact; quantiles carry the reservoir tolerance. *)
-    let pairs = weighted_pairs [ (sorted a, a.seen); (sorted b, b.seen) ] in
-    let values = grid_of_sorted (Array.map fst pairs) merge_target in
-    let len = Array.length values in
-    { values; len; seen = a.seen + b.seen; total = a.total +. b.total;
-      lcg = 0x9E3779B97F4A7C15L }

@@ -45,8 +45,8 @@ val count : t -> int
 val sum : t -> float
 
 val sampled : t -> bool
-(** [true] once the histogram holds fewer values than it has observed:
-    past {!cap}, or after a {!merge} that rebuilt the reservoir. *)
+(** [true] once the histogram holds fewer values than it has observed,
+    i.e. past {!cap}. *)
 
 val percentile : t -> float -> float option
 (** Nearest-rank percentile: for [q] in (0, 100], the value at sorted
@@ -60,15 +60,6 @@ val summary : ?sample_limit:int -> t -> summary option
     even quantile grid (and the summary flagged [sampled]), keeping wire
     snapshots bounded however many observations the histogram holds.
     Quantile fields are always computed over the full reservoir. *)
-
-val merge : t -> t -> t
-(** A fresh histogram holding both inputs' observations: [count] and
-    [sum] are exact sums.  When neither input ever dropped an
-    observation and together they fit in {!cap}, the merged reservoir is
-    the exact combined multiset; otherwise it is rebuilt on a bounded
-    weighted quantile grid, so
-    quantiles carry the same tolerance as the inputs' reservoirs.
-    Neither input is mutated. *)
 
 val merge_summaries : summary -> summary -> summary
 (** Pointwise merge of two exported summaries: count/sum/min/max/mean

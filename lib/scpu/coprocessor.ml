@@ -142,7 +142,7 @@ let emit t ?(attrs = []) name =
 
 let event = emit
 
-let nonce_size = 16
+let nonce_size = Ocb.nonce_size
 
 (* What a [Tamper_detected] message names: the failing read or a fixed
    label.  Formatting a trace entry costs more than the transfer itself,
@@ -159,15 +159,16 @@ let tamper context what =
   raise (Tamper_detected (where ^ what))
 
 (* A sealed blob is [nonce | ciphertext | tag].  Sealing writes its
-   plaintext into the one exact-size output buffer at [nonce_size] and
-   encrypts it there in place; opening decrypts into one buffer the
-   caller parses where it lies.  Both run on every tuple transfer. *)
+   plaintext into the one exact-size output buffer at [nonce_size], the
+   PRF nonce for counter [nonce_index] in front of it, and encrypts it
+   there in place; opening reads the nonce where it lies and decrypts
+   into one buffer the caller parses.  Both run on every tuple
+   transfer. *)
 let seal_buffer len = Bytes.create (nonce_size + len + Ocb.tag_length)
 
-let seal_in_place t ~nonce buf ~len =
-  Bytes.blit_string nonce 0 buf 0 nonce_size;
-  Ocb.seal_into t.key ~nonce ~src:buf ~src_pos:nonce_size ~src_len:len ~dst:buf
-    ~dst_pos:nonce_size;
+let seal_in_place t ~nonce_index buf ~len =
+  Prf.nonce_into t.nonce_prf nonce_index buf ~pos:0;
+  Ocb.seal_blob t.key buf ~pos:0 ~len;
   t.seal_ops <- t.seal_ops + 1;
   t.seal_bytes <- t.seal_bytes + len;
   Bytes.unsafe_to_string buf
@@ -175,13 +176,11 @@ let seal_in_place t ~nonce buf ~len =
 let open_sealed t ciphertext ~context =
   let len = String.length ciphertext in
   if len < nonce_size + Ocb.tag_length then tamper context ": truncated ciphertext";
-  let nonce = String.sub ciphertext 0 nonce_size in
   let out = Bytes.create (len - nonce_size - Ocb.tag_length) in
   if
     not
-      (Ocb.open_into t.key ~nonce
-         ~src:(Bytes.unsafe_of_string ciphertext)
-         ~src_pos:nonce_size ~src_len:(len - nonce_size) ~dst:out ~dst_pos:0)
+      (Ocb.open_blob t.key ~src:(Bytes.unsafe_of_string ciphertext) ~src_pos:0 ~src_len:len
+         ~dst:out ~dst_pos:0)
   then tamper context "";
   t.open_ops <- t.open_ops + 1;
   t.open_bytes <- t.open_bytes + Bytes.length out;
@@ -219,9 +218,9 @@ let seal_slot t region index tuple =
   Bytes.set_int32_be buf (nonce_size + 1 + n) (Int32.of_int index);
   Bytes.set_int32_be buf (nonce_size + 5 + n) (Int32.of_int epoch);
   Bytes.blit_string tuple 0 buf (nonce_size + 9 + n) (String.length tuple);
-  let nonce = Prf.nonce_at t.nonce_prf t.nonce_ctr in
+  let nonce_index = t.nonce_ctr in
   t.nonce_ctr <- t.nonce_ctr + 1;
-  seal_in_place t ~nonce buf ~len
+  seal_in_place t ~nonce_index buf ~len
 
 (* The tuple behind an opened header, once the header is known to fit. *)
 let slot_body plain ~context =
@@ -349,11 +348,10 @@ let take_checkpoint t =
   incr t.nvram;
   let version = !(t.nvram) in
   let blob = encode_saved (saved_of_state t ~version) in
-  let nonce = Prf.nonce_at t.nonce_prf (ckpt_nonce_base + version) in
   let len = String.length blob in
   let buf = seal_buffer len in
   Bytes.blit_string blob 0 buf nonce_size len;
-  let sealed = seal_in_place t ~nonce buf ~len in
+  let sealed = seal_in_place t ~nonce_index:(ckpt_nonce_base + version) buf ~len in
   let (_ : Host.t) = Host.define_region t.host Trace.Checkpoint ~size:1 in
   Trace.record t.trace Trace.Write Trace.Checkpoint 0;
   Host.raw_set t.host Trace.Checkpoint 0 sealed;

@@ -5,6 +5,4 @@
 
 let available = false
 
-let recommended () = 1
-
 let parallel_map f xs = Array.map f xs

@@ -241,6 +241,112 @@ let test_ocb_long_message_l_tab () =
   | Some m -> Alcotest.(check bool) "roundtrip" true (String.equal m msg)
   | None -> Alcotest.fail "long message failed to authenticate"
 
+(* Every message length 0-130 (all padding shapes, 1-9 blocks), sealed
+   at aligned offsets, at unaligned ones and in place.  One digest over
+   the ciphertexts pins the output byte for byte; it was computed with
+   the byte-at-a-time implementation the 64-bit word path replaced.
+   Each length also round-trips and rejects a one-bit flip. *)
+let test_ocb_every_length () =
+  let key = Ocb.key_of_string (of_hex "000102030405060708090a0b0c0d0e0f") in
+  let nonce = of_hex "0f0e0d0c0b0a09080706050403020100" in
+  let all = Buffer.create 20_000 in
+  let src = Bytes.create 192 and dst = Bytes.create 192 and back = Bytes.create 192 in
+  for len = 0 to 130 do
+    let msg = String.init len (fun i -> Char.chr (((31 * len) + (7 * i)) land 0xff)) in
+    let sealed =
+      List.map
+        (fun (src_pos, dst_pos, in_place) ->
+          let dst = if in_place then src else dst in
+          Bytes.blit_string msg 0 src src_pos len;
+          Ocb.seal_into key ~nonce ~src ~src_pos ~src_len:len ~dst ~dst_pos;
+          Bytes.sub_string dst dst_pos (len + Ocb.tag_length))
+        [ (0, 0, false); (3, 13, false); (9, 9, true) ]
+    in
+    let ct = List.hd sealed in
+    List.iter
+      (fun c -> Alcotest.(check string) (Printf.sprintf "same bytes, len %d" len) (hex ct) (hex c))
+      sealed;
+    Buffer.add_string all ct;
+    let opens ct =
+      Bytes.blit_string ct 0 dst 5 (String.length ct);
+      Ocb.open_into key ~nonce ~src:dst ~src_pos:5 ~src_len:(String.length ct) ~dst:back
+        ~dst_pos:1
+    in
+    Alcotest.(check bool) (Printf.sprintf "opens, len %d" len) true (opens ct);
+    Alcotest.(check string) (Printf.sprintf "round trip, len %d" len) (hex msg)
+      (hex (Bytes.sub_string back 1 len));
+    let bit = 13 * len mod (8 * String.length ct) in
+    let flipped =
+      String.mapi
+        (fun i c -> if i = bit / 8 then Char.chr (Char.code c lxor (1 lsl (bit mod 8))) else c)
+        ct
+    in
+    Alcotest.(check bool) (Printf.sprintf "bit %d flip rejected, len %d" bit len) false
+      (opens flipped)
+  done;
+  Alcotest.(check string) "digest of every ciphertext" "d5125e8656ed077ab5574427cdf00e0f"
+    (Digest.to_hex (Digest.string (Buffer.contents all)))
+
+(* The stored-blob entry points read the nonce where it lies in the
+   buffer, and the PRF writes it there: the same bytes as the string
+   nonce through [seal_into]/[open_into]. *)
+let test_ocb_blob_matches_seal_into () =
+  let prf = Prf.of_seed 99 in
+  let buf = Bytes.create 96 and back = Bytes.create 64 in
+  for len = 0 to 40 do
+    let nonce = Prf.nonce_at prf len in
+    let msg = String.init len (fun i -> Char.chr ((len + (5 * i)) land 0xff)) in
+    Prf.nonce_into prf len buf ~pos:3;
+    Alcotest.(check string) "nonce_into = nonce_at" (hex nonce) (hex (Bytes.sub_string buf 3 16));
+    Bytes.blit_string msg 0 buf 19 len;
+    Ocb.seal_blob okey buf ~pos:3 ~len;
+    let blob = Bytes.sub_string buf 3 (Ocb.nonce_size + len + Ocb.tag_length) in
+    Alcotest.(check string) (Printf.sprintf "seal_blob len %d" len)
+      (hex (nonce ^ Ocb.encrypt okey ~nonce msg)) (hex blob);
+    Alcotest.(check bool) (Printf.sprintf "open_blob len %d" len) true
+      (Ocb.open_blob okey ~src:buf ~src_pos:3 ~src_len:(String.length blob) ~dst:back ~dst_pos:2);
+    Alcotest.(check string) (Printf.sprintf "blob round trip len %d" len) (hex msg)
+      (hex (Bytes.sub_string back 2 len));
+    Bytes.set buf 3 (Char.chr (Char.code (Bytes.get buf 3) lxor 0x80));
+    Alcotest.(check bool) (Printf.sprintf "flipped nonce rejected len %d" len) false
+      (Ocb.open_blob okey ~src:buf ~src_pos:3 ~src_len:(String.length blob) ~dst:back ~dst_pos:2)
+  done;
+  Alcotest.(check bool) "shorter than a nonce" false
+    (Ocb.open_blob okey ~src:buf ~src_pos:0 ~src_len:15 ~dst:back ~dst_pos:0)
+
+(* A boxed [int64] or a closure per block would make a long message
+   allocate more than a short one: both seal and open allocate only
+   their per-call scratch. *)
+let test_ocb_allocation_per_block () =
+  let key = Ocb.key_of_string (of_hex "000102030405060708090a0b0c0d0e0f") in
+  let words_per_call blocks =
+    let len = 16 * blocks in
+    let src = Bytes.make len 'p' and sealed = Bytes.create (len + Ocb.tag_length) in
+    let seal () =
+      Ocb.seal_into key ~nonce:nonce0 ~src ~src_pos:0 ~src_len:len ~dst:sealed ~dst_pos:0
+    in
+    let opens () =
+      if
+        not
+          (Ocb.open_into key ~nonce:nonce0 ~src:sealed ~src_pos:0
+             ~src_len:(len + Ocb.tag_length) ~dst:src ~dst_pos:0)
+      then Alcotest.fail "tag rejected"
+    in
+    let per f =
+      f ();
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        f ()
+      done;
+      Float.to_int ((Gc.minor_words () -. before) /. 1000.)
+    in
+    let sealing = per seal in
+    (sealing, per opens)
+  in
+  let seal1, open1 = words_per_call 1 and seal64, open64 = words_per_call 64 in
+  Alcotest.(check int) "seal: 64 blocks allocate as 1" seal1 seal64;
+  Alcotest.(check int) "open: 64 blocks allocate as 1" open1 open64
+
 (* --- constant-time compare --- *)
 
 let test_ct_equal_basic () =
@@ -442,6 +548,9 @@ let () =
             test_ocb_in_place_matches_string_api;
           Alcotest.test_case "open_into rejects tag flip" `Quick test_ocb_open_into_rejects_flip;
           Alcotest.test_case "long message L-table growth" `Quick test_ocb_long_message_l_tab;
+          Alcotest.test_case "every length 0-130, pinned digest" `Quick test_ocb_every_length;
+          Alcotest.test_case "no allocation per block" `Quick test_ocb_allocation_per_block;
+          Alcotest.test_case "blob layout equals seal_into" `Quick test_ocb_blob_matches_seal_into;
           prop_ocb_roundtrip;
           prop_ocb_tamper;
           prop_ocb_offsets_agree;

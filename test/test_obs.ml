@@ -323,92 +323,7 @@ let test_snapshot_union_second_wins () =
   | Some { Snapshot.value = Snapshot.Counter 9; _ } -> ()
   | _ -> Alcotest.fail "union did not prefer the second snapshot"
 
-(* --- Histogram.merge --------------------------------------------------- *)
-
 let observe_all h vs = List.iter (Histogram.observe h) vs
-
-let hist_of vs =
-  let h = Histogram.create () in
-  observe_all h vs;
-  h
-
-let summary_exn h =
-  match Histogram.summary h with Some s -> s | None -> Alcotest.fail "expected a summary"
-
-let test_histogram_merge_exact_when_unsampled () =
-  (* Both sides below the reservoir cap: the merge carries every
-     observation, so its summary equals the summary of one histogram
-     that saw the concatenation. *)
-  let a = hist_of [ 1.; 5.; 9. ] and b = hist_of [ 2.; 4.; 100. ] in
-  let m = summary_exn (Histogram.merge a b) in
-  let oracle = summary_exn (hist_of [ 1.; 5.; 9.; 2.; 4.; 100. ]) in
-  Alcotest.(check int) "count" oracle.Histogram.count m.Histogram.count;
-  Alcotest.(check (float 1e-9)) "sum" oracle.Histogram.sum m.Histogram.sum;
-  Alcotest.(check (float 1e-9)) "min" oracle.Histogram.min m.Histogram.min;
-  Alcotest.(check (float 1e-9)) "max" oracle.Histogram.max m.Histogram.max;
-  Alcotest.(check (float 1e-9)) "p50" oracle.Histogram.p50 m.Histogram.p50;
-  Alcotest.(check (float 1e-9)) "p95" oracle.Histogram.p95 m.Histogram.p95;
-  Alcotest.(check (float 1e-9)) "p99" oracle.Histogram.p99 m.Histogram.p99;
-  Alcotest.(check bool) "exact merge is not sampled" false m.Histogram.sampled
-
-let test_histogram_merge_empty_is_copy () =
-  let a = hist_of [ 3.; 7. ] and e = Histogram.create () in
-  let left = summary_exn (Histogram.merge e a) and right = summary_exn (Histogram.merge a e) in
-  List.iter
-    (fun s ->
-      Alcotest.(check int) "count" 2 s.Histogram.count;
-      Alcotest.(check (float 1e-9)) "sum" 10. s.Histogram.sum)
-    [ left; right ];
-  (* and the merge owns its samples: observing the source later must not
-     mutate the merged copy *)
-  let m = Histogram.merge e a in
-  Histogram.observe a 1000.;
-  Alcotest.(check int) "merged copy unaffected" 2 (Histogram.count m)
-
-let test_histogram_merge_count_sum_property () =
-  let gen =
-    QCheck.Gen.(
-      pair
-        (list_size (int_range 0 200) (float_range 0. 1e6))
-        (list_size (int_range 0 200) (float_range 0. 1e6)))
-  in
-  let cell =
-    QCheck.Test.make_cell ~count:100 ~name:"merge preserves count and sum"
-      (QCheck.make gen) (fun (xs, ys) ->
-        let m = Histogram.merge (hist_of xs) (hist_of ys) in
-        let n = List.length xs + List.length ys in
-        Histogram.count m = n
-        &&
-        let want = List.fold_left ( +. ) 0. xs +. List.fold_left ( +. ) 0. ys in
-        abs_float (Histogram.sum m -. want) <= 1e-6 *. (1. +. abs_float want))
-  in
-  QCheck.Test.check_cell_exn ~rand:(Random.State.make [| 71 |]) cell
-
-let test_histogram_merge_sampled_quantile_tolerance () =
-  (* Sampled reservoirs: the merged quantiles are estimates, but count
-     and sum stay exact, and quantile estimates stay inside the observed
-     range with sane ordering. *)
-  let n = Histogram.cap + 1000 in
-  let a = Histogram.create () and b = Histogram.create () in
-  for i = 1 to n do
-    Histogram.observe a (float_of_int i)
-  done;
-  for i = n + 1 to 2 * n do
-    Histogram.observe b (float_of_int i)
-  done;
-  let s = summary_exn (Histogram.merge a b) in
-  let fn = float_of_int (2 * n) in
-  Alcotest.(check int) "count exact" (2 * n) s.Histogram.count;
-  Alcotest.(check (float 1e-6)) "sum exact" (fn *. (fn +. 1.) /. 2.) s.Histogram.sum;
-  Alcotest.(check bool) "sampled" true s.Histogram.sampled;
-  Alcotest.(check bool) "p50 ordered" true (s.Histogram.p50 <= s.Histogram.p95);
-  Alcotest.(check bool) "p95 ordered" true (s.Histogram.p95 <= s.Histogram.p99);
-  (* both reservoirs are uniform over their half: the median of the union
-     must land near n (loose bound, deterministic seed) *)
-  Alcotest.(check bool) "p50 plausible" true
-    (s.Histogram.p50 > fn /. 4. && s.Histogram.p50 < 3. *. fn /. 4.);
-  Alcotest.(check bool) "p99 in range" true
-    (s.Histogram.p99 >= 1. && s.Histogram.p99 <= fn)
 
 (* --- Snapshot.merge ---------------------------------------------------- *)
 
@@ -624,11 +539,7 @@ let () =
           Alcotest.test_case "union second wins" `Quick test_snapshot_union_second_wins
         ] );
       ( "merge",
-        [ Alcotest.test_case "exact when unsampled" `Quick test_histogram_merge_exact_when_unsampled;
-          Alcotest.test_case "empty is copy" `Quick test_histogram_merge_empty_is_copy;
-          Alcotest.test_case "count/sum property" `Quick test_histogram_merge_count_sum_property;
-          Alcotest.test_case "sampled tolerance" `Quick test_histogram_merge_sampled_quantile_tolerance;
-          Alcotest.test_case "snapshot values" `Quick test_snapshot_merge_values;
+        [ Alcotest.test_case "snapshot values" `Quick test_snapshot_merge_values;
           Alcotest.test_case "kind mismatch raises" `Quick test_snapshot_merge_kind_mismatch_raises;
           Alcotest.test_case "disjoint union laws" `Quick test_snapshot_merge_disjoint_union_laws;
           Alcotest.test_case "relabel" `Quick test_snapshot_relabel

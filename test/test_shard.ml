@@ -450,6 +450,39 @@ let test_parallel_map_joins_before_raising () =
       if Domains_compat.available then
         Alcotest.(check int) "job 1 joined before the raise" 1 (Atomic.get finished)
 
+(* Worker domains outlive a call: job 1 of a second call runs on the
+   domain that ran job 1 of the first (a domain's main thread id names
+   it), not on the caller's.  On 4.14 every job runs on the caller. *)
+let test_parallel_map_reuses_workers () =
+  let where () = Domains_compat.parallel_map (fun _ -> Thread.id (Thread.self ())) [| 0; 1 |] in
+  let first = where () in
+  let second = where () in
+  Alcotest.(check int) "job 1 on the same domain" first.(1) second.(1);
+  Alcotest.(check int) "job 0 on the caller" (Thread.id (Thread.self ())) second.(0);
+  if Domains_compat.available then
+    Alcotest.(check bool) "job 1 off the caller" true (second.(1) <> second.(0))
+
+(* A job that calls back into [parallel_map] would wait for the call it
+   belongs to: it raises instead, from the caller's job and from a
+   worker's.  The sequential 4.14 map cannot deadlock and just runs it. *)
+let test_parallel_map_nested_call_raises () =
+  let nested () = Array.length (Domains_compat.parallel_map Fun.id [| 1; 2 |]) in
+  let calls =
+    [ ("from job 0", fun k -> if k = 0 then nested () else 0);
+      ("from job 1", fun k -> if k = 1 then nested () else 0)
+    ]
+  in
+  List.iter
+    (fun (name, job) ->
+      match Domains_compat.parallel_map job [| 0; 1 |] with
+      | _ -> if Domains_compat.available then Alcotest.failf "nested call %s returned" name
+      | exception Invalid_argument _ ->
+          if not Domains_compat.available then Alcotest.failf "nested call %s raised" name)
+    calls;
+  (* the pool is still usable after a refused nested call *)
+  Alcotest.(check (array int)) "next call" [| 2; 3 |]
+    (Domains_compat.parallel_map succ [| 1; 2 |])
+
 (* Shard 0 runs on the calling domain: its ambient [shard] label must
    still tag exactly its own pad gauge, and be gone again afterwards. *)
 let test_domains_pad_gauge_per_shard () =
@@ -1039,6 +1072,9 @@ let () =
             test_parallel_registry_counters;
           Alcotest.test_case "failing job joins the rest first" `Quick
             test_parallel_map_joins_before_raising;
+          Alcotest.test_case "workers reused across calls" `Quick
+            test_parallel_map_reuses_workers;
+          Alcotest.test_case "nested call raises" `Quick test_parallel_map_nested_call_raises;
           Alcotest.test_case "pad gauge per shard on Domains" `Quick
             test_domains_pad_gauge_per_shard
         ] );
