@@ -31,9 +31,10 @@ let collect inst ?(stats = []) () =
   Coprocessor.observe co reg;
   Host.observe host reg;
   List.iter (fun (k, v) -> Ppj_obs.Registry.set_gauge reg ("stat." ^ k) v) stats;
+  let reads = Trace.reads trace in
   { transfers = Trace.length trace;
-    reads = Trace.reads trace;
-    writes = Trace.writes trace;
+    reads;
+    writes = Trace.length trace - reads;
     disk_tuples = Host.disk_writes host;
     cycles = Coprocessor.cycles co;
     results;

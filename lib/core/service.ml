@@ -40,44 +40,50 @@ let verify_chain chain =
   let expected = List.map Attestation.layer_digest attested_layers in
   Attestation.verify ~device_key ~expected chain
 
+(* [Auto]'s choice: the planner's cheapest Chapter 5 algorithm at the
+   screened S. *)
+let planned ~m ~max_eps inst ~s =
+  match fst (Planner.choose ~l:(Instance.l inst) ~s ~m ~max_eps ()) with
+  | Planner.Use_alg4 -> Alg4
+  | Planner.Use_alg5 -> Alg5
+  | Planner.Use_alg6 { eps } -> Alg6 { eps }
+  | Planner.Use_alg8 ->
+      (* Unreachable: the planner only proposes Algorithm 8 when given
+         [ab], which [Auto] cannot supply (no attrs). *)
+      invalid_arg "Auto: planner proposed Alg8 without attributes"
+
+let coprocessor_seed config =
+  match config.algorithm with
+  | Sharded { k; _ } -> config.seed + (1000 * k)
+  | _ -> config.seed
+
 let rec run_algorithm config inst =
   match config.algorithm with
-  | Sharded { k; p; inner } -> (
+  | Sharded { k; p; inner } ->
       Sharded.check ~k ~p;
       (* The shard holds the full relations (replicate partitioning);
          the public total S comes from the untraced §4.3 screening pass,
          exactly like [Auto]'s planner input. *)
       let s = Instance.oracle_size inst in
-      let stats =
-        [ ("S", float_of_int s); ("shard", float_of_int k); ("p", float_of_int p) ]
+      let inner =
+        match inner with Auto { max_eps } -> planned ~m:config.m ~max_eps inst ~s | i -> i
       in
-      match inner with
-      | Alg4 ->
-          Sharded.alg4 inst ~k ~p ~s;
-          Report.collect inst ~stats ()
-      | Alg5 ->
-          Sharded.alg5 inst ~k ~p ~s;
-          Report.collect inst ~stats ()
-      | Alg6 { eps } ->
-          Sharded.alg6 inst ~k ~p ~s ~shared_seed:(Sharded.shared_seed config.seed) ~eps;
-          Report.collect inst ~stats ()
-      | Alg8 { attr_a; attr_b } ->
-          Sharded.alg8 inst ~k ~p ~attr_a ~attr_b;
-          Report.collect inst ~stats ()
-      | Auto { max_eps } -> (
-          match fst (Planner.choose ~l:(Instance.l inst) ~s ~m:config.m ~max_eps ()) with
-          | Planner.Use_alg4 ->
-              run_algorithm { config with algorithm = Sharded { k; p; inner = Alg4 } } inst
-          | Planner.Use_alg5 ->
-              run_algorithm { config with algorithm = Sharded { k; p; inner = Alg5 } } inst
-          | Planner.Use_alg6 { eps } ->
-              run_algorithm { config with algorithm = Sharded { k; p; inner = Alg6 { eps } } } inst
-          | Planner.Use_alg8 ->
-              (* Unreachable: the planner only proposes Algorithm 8 when
-                 given [ab], which [Auto] cannot supply (no attrs). *)
-              invalid_arg "Sharded: planner proposed Alg8 without attributes")
-      | Alg1 _ | Alg2 _ | Alg3 _ | Alg7 _ | Sharded _ ->
-          invalid_arg "Sharded: inner algorithm must be Alg4, Alg5, Alg6, Alg8 or Auto")
+      (* The ambient shard label: the oblivious layer's pad gauges report
+         one series per slice, even when several slices share a process. *)
+      Ppj_obs.Ambient.with_labels
+        [ ("shard", string_of_int k) ]
+        (fun () ->
+          match inner with
+          | Alg4 -> Sharded.alg4 inst ~k ~p ~s
+          | Alg5 -> Sharded.alg5 inst ~k ~p ~s
+          | Alg6 { eps } ->
+              Sharded.alg6 inst ~k ~p ~s ~shared_seed:(Sharded.shared_seed config.seed) ~eps
+          | Alg8 { attr_a; attr_b } -> Sharded.alg8 inst ~k ~p ~attr_a ~attr_b
+          | Alg1 _ | Alg2 _ | Alg3 _ | Alg7 _ | Auto _ | Sharded _ ->
+              invalid_arg "Sharded: inner algorithm must be Alg4, Alg5, Alg6, Alg8 or Auto");
+      Report.collect inst
+        ~stats:[ ("S", float_of_int s); ("shard", float_of_int k); ("p", float_of_int p) ]
+        ()
   | Alg1 { n } -> Algorithm1.run inst ~n
   | Alg2 { n } -> Algorithm2.run inst ~n ()
   | Alg3 { n; attr_a; attr_b } -> Algorithm3.run inst ~n ~attr_a ~attr_b ()
@@ -86,14 +92,10 @@ let rec run_algorithm config inst =
   | Alg6 { eps } -> fst (Algorithm6.run inst ~eps ())
   | Alg7 { attr_a; attr_b } -> fst (Algorithm7.run inst ~attr_a ~attr_b)
   | Alg8 { attr_a; attr_b } -> fst (Algorithm8.run inst ~attr_a ~attr_b)
-  | Auto { max_eps } -> (
+  | Auto { max_eps } ->
       (* Screening inside T to learn S, then plan. *)
       let s = Instance.oracle_size inst in
-      match fst (Planner.choose ~l:(Instance.l inst) ~s ~m:config.m ~max_eps ()) with
-      | Planner.Use_alg4 -> Algorithm4.run inst ()
-      | Planner.Use_alg5 -> Algorithm5.run inst
-      | Planner.Use_alg6 { eps } -> fst (Algorithm6.run inst ~eps ())
-      | Planner.Use_alg8 -> invalid_arg "Auto: planner proposed Alg8 without attributes")
+      run_algorithm { config with algorithm = planned ~m:config.m ~max_eps inst ~s } inst
 
 exception Join_crashed of { inst : Instance.t; transfer : int }
 
@@ -141,7 +143,7 @@ let execute_join ?faults ?checkpoint_every ?on_checkpoint ?nvram_init ?recorder 
     ?(max_resumes = 0) config ~predicate rels =
   let inst =
     Instance.create ?recorder ?event_batch ?faults ?checkpoint_every ?on_checkpoint ?nvram_init
-      ~m:config.m ~seed:config.seed ~predicate rels
+      ~m:config.m ~seed:(coprocessor_seed config) ~predicate rels
   in
   let rec attempt resumes_left =
     match run_algorithm config inst with

@@ -36,7 +36,11 @@ type algorithm =
           or [Auto] (resolved by the planner into one of the first three).  The
           server holds the full relations — replicate partitioning — and
           executes only its slice; a coordinator ([lib/shard]) merges the
-          [p] sealed results. *)
+          [p] sealed results.  The slice learns S untraced, runs on the
+          coprocessor seeded by {!coprocessor_seed}, and labels the
+          oblivious layer's ambient metrics with [shard=k]; a shard
+          server and the coordinator's in-process backend both run
+          slices through {!execute_join}. *)
 
 type config = { m : int; seed : int; algorithm : algorithm }
 
@@ -72,6 +76,14 @@ exception Join_crashed of { inst : Instance.t; transfer : int }
 
 val algorithm_name : algorithm -> string
 (** Short lowercase tag ("alg5", "auto") for logs, spans and reports. *)
+
+val coprocessor_seed : config -> int
+(** The seed of the coprocessor a config runs on, hence of its storage
+    key and nonce stream: [seed], or [seed + 1000·k] for slice [k] of a
+    [Sharded] job.  Slices of one job must seal under distinct keys, or
+    two shards' hosts would hold equal ciphertexts wherever both slices
+    hold a decoy.  Algorithm 6's shared MLFSR order still derives from
+    [seed] itself. *)
 
 val execute_join :
   ?faults:Ppj_fault.Injector.t ->

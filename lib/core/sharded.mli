@@ -1,11 +1,11 @@
 (** Per-shard slice runners for the multi-coprocessor partitioning of
     Algorithms 4/5/6 (§4.4.4, §5.3.5).
 
-    One implementation serves both deployments of the shard
-    coordinator ([Ppj_shard.Coordinator]): its in-process backend, which
-    runs each slice on its own {!Instance}, and a real shard server
-    hosting a {!Service} whose config names a [Sharded { k; p; inner }]
-    algorithm.  A slice runner executes shard
+    Both deployments of the shard coordinator
+    ([Ppj_shard.Coordinator]) reach these runners the same way: its
+    in-process backend and a real shard server both run a {!Service}
+    config whose algorithm is [Sharded { k; p; inner }].  A slice runner
+    executes shard
     [k] of [p] against an {!Instance} that holds the {e full} relations
     — range ("replicate") partitioning: data placement is
     input-independent, so slices inherit the sequential algorithms'

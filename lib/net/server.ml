@@ -59,12 +59,17 @@ type session = {
          the client was told Unavailable, and a retry over the same
          inputs resumes this instance from its sealed checkpoint instead
          of starting over *)
+  mutable ctx : Ppj_obs.Trace_ctx.t option;
+      (* the trace context this session's spans run under: the one the
+         client stamped into its attest request, else the server's own *)
 }
 
 type t = {
   mac_key : string;
   registry : Registry.t;
   recorder : Recorder.t option;
+  home : Ppj_obs.Trace_ctx.t option;
+      (* the recorder's own context, for sessions that stamped none *)
   log : Log.t;
   rng : Rng.t;
   guard : Channel.Handshake.responder;
@@ -111,15 +116,21 @@ let replay_store t store =
             ~kv:[ ("submissions", string_of_int (Hashtbl.length cs.submissions)) ])
     (Store.contracts store)
 
-let create ?registry ?recorder ?(logger = Log.null) ?(seed = 7) ?(replay_capacity = 4096)
-    ?(max_contracts = 1024) ?faults ?checkpoint_every ?store ~mac_key () =
+let create ?registry ?recorder ?(logger = Log.null) ?(seed = 7) ?(max_contracts = 1024) ?faults
+    ?checkpoint_every ?store ~mac_key () =
   let t =
     { mac_key;
       registry = (match registry with Some r -> r | None -> Registry.create ());
       recorder;
+      home =
+        Option.map
+          (fun r ->
+            Ppj_obs.Trace_ctx.make ~trace_id:(Recorder.trace_id r)
+              ~span_id:Ppj_obs.Trace_ctx.root_span)
+          recorder;
       log = logger;
       rng = Rng.create seed;
-      guard = Channel.Handshake.responder ~capacity:replay_capacity ();
+      guard = Channel.Handshake.responder ~capacity:4096 ();
       contracts = Hashtbl.create 8;
       max_contracts;
       faults;
@@ -157,6 +168,7 @@ let open_session t =
     upload = None;
     result = None;
     crashed = None;
+    ctx = t.home;
   }
 
 let close_session t session =
@@ -203,12 +215,16 @@ let on_attest_request t session v ctx =
     if session.phase = Expect_attest then session.phase <- Expect_hello;
     (* Join the client's trace: subsequent server spans parent under the
        client's stamped span, so both processes export one tree. *)
-    (match (ctx, t.recorder) with
-    | Some c, Some r ->
-        Recorder.adopt r c;
-        Log.info t.log "trace context adopted"
-          ~kv:[ ("trace_id", Ppj_obs.Trace_ctx.trace_id c) ]
-    | _ -> ());
+    (match ctx with
+    | Some c ->
+        session.ctx <- ctx;
+        Option.iter
+          (fun r ->
+            Recorder.adopt r c;
+            Log.info t.log "trace context adopted"
+              ~kv:[ ("trace_id", Ppj_obs.Trace_ctx.trace_id c) ])
+          t.recorder
+    | None -> ());
     [ Wire.Attest_chain (Service.attestation_chain ()) ]
   end
 
@@ -498,19 +514,7 @@ let on_execute t session sealed_config =
                               ?checkpoint_every:t.checkpoint_every ?on_checkpoint ?nvram_init
                               ?recorder:t.recorder config ~predicate rels
                           in
-                          (* A shard server labels the oblivious layer's
-                             ambient metrics (sort pad gauges) with its
-                             slice index, so a federated scrape can tell
-                             the shards apart even when several slices
-                             run in one process. *)
-                          let in_shard_scope f =
-                            match config.Service.algorithm with
-                            | Service.Sharded { k; _ } ->
-                                Ppj_obs.Ambient.with_labels [ ("shard", string_of_int k) ] f
-                            | _ -> f ()
-                          in
                           match
-                            in_shard_scope (fun () ->
                             Registry.span t.registry "net.server.join.seconds" (fun () ->
                                 with_span t "execute" (fun () ->
                                     let inst, report =
@@ -540,7 +544,8 @@ let on_execute t session sealed_config =
                                                   ?faults:t.faults
                                                   ?checkpoint_every:t.checkpoint_every
                                                   ?on_checkpoint ~m:config.Service.m
-                                                  ~seed:config.Service.seed ~predicate rels
+                                                  ~seed:(Service.coprocessor_seed config)
+                                                  ~predicate rels
                                               in
                                               Instance.adopt_checkpoint inst ~image ~nvram:nv;
                                               Log.info t.log "resuming crashed join"
@@ -599,7 +604,7 @@ let on_execute t session sealed_config =
                                       sealed_body;
                                       transfers = report.Report.transfers;
                                       inputs;
-                                    })))
+                                    }))
                           with
                           | result ->
                               session.crashed <- None;
@@ -739,6 +744,9 @@ let handle t session msg =
       err Wire.Bad_state "client-bound message sent to server"
 
 let handle_frame t session frame =
+  (* Sessions interleave on one recorder: put this session's trace
+     context back before any of its spans open. *)
+  (match (t.recorder, session.ctx) with Some r, Some c -> Recorder.adopt r c | _ -> ());
   counter t "net.server.frames.in";
   Ppj_obs.Counter.incr
     ~by:(String.length frame.Frame.payload + Frame.header_bytes)

@@ -22,7 +22,6 @@ val create :
   ?recorder:Ppj_obs.Recorder.t ->
   ?logger:Ppj_obs.Log.t ->
   ?seed:int ->
-  ?replay_capacity:int ->
   ?max_contracts:int ->
   ?faults:Ppj_fault.Injector.t ->
   ?checkpoint_every:int ->
@@ -34,7 +33,7 @@ val create :
     in (what the attestation chain certifies); [seed] drives the
     service-side handshake exponents deterministically.  Long-lived
     server state is bounded: the handshake replay guard remembers the
-    last [replay_capacity] (default 4096) hellos, and at most
+    last 4096 hellos, and at most
     [max_contracts] (default 1024) distinct contracts may be registered —
     binding a fresh contract beyond that is answered with a typed
     [Contract_rejected] error rather than growing without limit.
@@ -44,7 +43,10 @@ val create :
     since the reactor interleaves sessions on one recorder), threads
     the recorder into {!Ppj_core.Service.execute_join}, and adopts the
     trace context a v3 client stamps into its [Attest_request] so both
-    processes' spans share one trace.  [logger] (default
+    processes' spans share one trace.  Each session keeps its own
+    context, re-adopted before each of its frames is handled, so the
+    spans of interleaved sessions carry their own sessions' trace ids
+    (a session that sent none runs under the server's own id).  [logger] (default
     {!Ppj_obs.Log.null}) receives structured key=value lines for session
     lifecycle, handshakes, contract binding, uploads, joins and fetches.
 

@@ -11,7 +11,10 @@ type actor = {
   mutable dead : bool;  (* reactor side torn down *)
 }
 
-let run ?limits ?(max_steps = 500_000) ?(max_slice = 64) ~seed ~server flows =
+let max_steps = 500_000
+let max_slice = 64
+
+let run ?limits ~seed ~server flows =
   let reactor = Reactor.create ?limits server in
   let rng = Rng.create seed in
   let steps = ref 0 in

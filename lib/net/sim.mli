@@ -18,21 +18,18 @@
 type result = {
   outcomes : Flow.outcome option list;
       (** per flow, in input order; [None] = still unfinished when
-          [max_steps] ran out (a hang, made visible) *)
+          the step budget ran out (a hang, made visible) *)
   steps : int;  (** scheduler steps actually taken *)
 }
 
 val run :
   ?limits:Reactor.limits ->
-  ?max_steps:int ->
-  ?max_slice:int ->
   seed:int ->
   server:Server.t ->
   Flow.t list ->
   result
-(** Drive the flows to completion (or [max_steps], default 500_000)
-    against a fresh reactor over [server].  [max_slice] (default 64)
-    bounds how many bytes one step may move — small values force frames
-    through many partial deliveries.  Deterministic: same seed, same
+(** Drive the flows to completion (or 500_000 steps) against a fresh
+    reactor over [server].  One step moves at most 64 bytes, so frames
+    arrive through many partial deliveries.  Deterministic: same seed, same
     server configuration and same flows give byte-identical schedules,
     outcomes, and server flight-recorder timelines. *)

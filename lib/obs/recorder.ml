@@ -27,6 +27,7 @@ type attrs = (string * value) list
 type item =
   | I_span of {
       seq : int;
+      trace_id : string;
       id : string;
       parent : string option;
       depth : int;
@@ -37,6 +38,7 @@ type item =
     }
   | I_event of {
       seq : int;
+      trace_id : string;
       parent : string option;
       depth : int;
       name : string;
@@ -45,6 +47,7 @@ type item =
     }
 
 type open_span = {
+  o_trace : string;
   o_id : string;
   o_seq : int;
   o_name : string;
@@ -129,7 +132,8 @@ let start_span t ?parent ?(attrs = []) sname =
   let id = Printf.sprintf "%s-%d" t.name t.next_span in
   t.next_span <- t.next_span + 1;
   let sp =
-    { o_id = id;
+    { o_trace = t.trace_id;
+      o_id = id;
       o_seq = next_seq t;
       o_name = sname;
       o_attrs = attrs;
@@ -149,6 +153,7 @@ let end_span t =
       record t
         (I_span
            { seq = sp.o_seq;
+             trace_id = sp.o_trace;
              id = sp.o_id;
              parent = sp.o_parent;
              depth = sp.o_depth;
@@ -170,7 +175,15 @@ let event t ?(attrs = []) ename =
     | [] -> (t.remote_parent, 0)
   in
   record t
-    (I_event { seq = next_seq t; parent; depth; name = ename; attrs; ts = Clock.now () })
+    (I_event
+       { seq = next_seq t;
+         trace_id = t.trace_id;
+         parent;
+         depth;
+         name = ename;
+         attrs;
+         ts = Clock.now ();
+       })
 
 let items t =
   let collected = ref [] in
@@ -189,8 +202,8 @@ let value_to_json = function
   | Bool b -> Json.Bool b
   | Sym s -> Json.Str s
 
-let args_json t ~span_id ~parent attrs =
-  ("trace_id", Json.Str t.trace_id)
+let args_json ~trace_id ~span_id ~parent attrs =
+  ("trace_id", Json.Str trace_id)
   :: (match span_id with Some id -> [ ("span_id", Json.Str id) ] | None -> [])
   @ (match parent with Some p -> [ ("parent_id", Json.Str p) ] | None -> [])
   @ List.map (fun (k, v) -> (k, value_to_json v)) attrs
@@ -207,7 +220,9 @@ let item_to_json t = function
           ("dur", usec (s.end_ts -. s.start_ts));
           ("pid", Json.Int t.pid);
           ("tid", Json.Int 1);
-          ("args", Json.Obj (args_json t ~span_id:(Some s.id) ~parent:s.parent s.attrs))
+          ( "args",
+            Json.Obj
+              (args_json ~trace_id:s.trace_id ~span_id:(Some s.id) ~parent:s.parent s.attrs) )
         ]
   | I_event e ->
       Json.Obj
@@ -218,7 +233,8 @@ let item_to_json t = function
           ("pid", Json.Int t.pid);
           ("tid", Json.Int 1);
           ("s", Json.Str "t");
-          ("args", Json.Obj (args_json t ~span_id:None ~parent:e.parent e.attrs))
+          ( "args",
+            Json.Obj (args_json ~trace_id:e.trace_id ~span_id:None ~parent:e.parent e.attrs) )
         ]
 
 let to_perfetto t =

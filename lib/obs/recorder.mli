@@ -50,7 +50,9 @@ val ctx : t -> Trace_ctx.t
 
 val adopt : t -> Trace_ctx.t -> unit
 (** Join the peer's trace: take over its trace id and parent all
-    subsequent root spans under the context's span. *)
+    subsequent root spans under the context's span.  Spans and events
+    keep the trace id that was current when they started, so a later
+    adoption does not relabel them. *)
 
 val start_span : t -> ?parent:string -> ?attrs:attrs -> string -> string
 (** Open a span and return its id.  Parent defaults to the innermost
@@ -73,7 +75,8 @@ val event : t -> ?attrs:attrs -> string -> unit
 val to_perfetto : t -> Json.t
 (** Chrome/Perfetto trace-event JSON: [{"traceEvents": [...]}] with a
     process-name metadata record, ["ph":"X"] complete events for spans
-    (ids in [args]) and ["ph":"i"] instants for events. *)
+    (ids in [args]) and ["ph":"i"] instants for events.  Each names, in
+    [args.trace_id], the trace id current when it started. *)
 
 val merge : Json.t list -> (Json.t, string) result
 (** Concatenate the [traceEvents] of several exported traces (e.g. the

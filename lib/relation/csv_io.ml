@@ -92,7 +92,7 @@ let print r =
 
 let save r ~path = Out_channel.with_open_text path (fun oc -> output_string oc (print r))
 
-let infer_schema ?(str_width = 16) ?(set_capacity = 8) text =
+let infer_schema text =
   match split_lines text with
   | [] -> Error "empty input"
   | header :: rows ->
@@ -114,10 +114,10 @@ let infer_schema ?(str_width = 16) ?(set_capacity = 8) text =
           let cap =
             List.fold_left (fun acc c -> max acc (List.length (parse_set c))) 1 col
           in
-          { Schema.name; ty = Schema.TSet (max cap set_capacity) }
+          { Schema.name; ty = Schema.TSet (max cap 8) }
         else
           let w = List.fold_left (fun acc c -> max acc (String.length c)) 1 col in
-          { Schema.name; ty = Schema.TStr (max w str_width) }
+          { Schema.name; ty = Schema.TStr (max w 16) }
       in
       (try Ok (Schema.make (List.map2 field names columns))
        with Invalid_argument e -> Error e)

@@ -15,9 +15,8 @@ val print : Relation.t -> string
 
 val save : Relation.t -> path:string -> unit
 
-val infer_schema :
-  ?str_width:int -> ?set_capacity:int -> string -> (Schema.t, string) result
+val infer_schema : string -> (Schema.t, string) result
 (** Guess a schema from CSV text: a column whose every value parses as an
     integer is [TInt]; every value a ';'-separated integer list, [TSet];
-    otherwise [TStr].  Widths/capacities are sized to the data, floored by
-    the optional minimums. *)
+    otherwise [TStr].  Widths/capacities are sized to the data, floored at
+    16 bytes per string and 8 elements per set. *)

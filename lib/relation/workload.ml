@@ -1,12 +1,10 @@
 module Rng = Ppj_crypto.Rng
 
-let default_payload_width = 12
-
-let keyed_schema ?(payload_width = default_payload_width) () =
+let keyed_schema () =
   Schema.make
     [ { Schema.name = "id"; ty = Schema.TInt };
       { Schema.name = "key"; ty = Schema.TInt };
-      { Schema.name = "info"; ty = Schema.TStr payload_width }
+      { Schema.name = "info"; ty = Schema.TStr 12 }
     ]
 
 let payload rng id = Printf.sprintf "p%08d-%02x" id (Rng.int rng 256)

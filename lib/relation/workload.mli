@@ -8,8 +8,8 @@
 
 module Rng = Ppj_crypto.Rng
 
-val keyed_schema : ?payload_width:int -> unit -> Schema.t
-(** [(id : int, key : int, info : str[w])]. *)
+val keyed_schema : unit -> Schema.t
+(** [(id : int, key : int, info : str[12])]. *)
 
 val uniform : Rng.t -> name:string -> n:int -> key_domain:int -> Relation.t
 (** [n] tuples with keys uniform in [0, key_domain). *)

@@ -529,9 +529,11 @@ module Obs_counter = Ppj_obs.Counter
 
 let observe ?(labels = []) t reg =
   let set name v = Obs_counter.set_to (Registry.counter ~labels reg name) v in
+  let regions = Trace.by_region t.trace in
+  let reads = List.fold_left (fun n (_, (r, _)) -> n + r) 0 regions in
   set "scpu.transfers" (Trace.length t.trace);
-  set "scpu.reads" (Trace.reads t.trace);
-  set "scpu.writes" (Trace.writes t.trace);
+  set "scpu.reads" reads;
+  set "scpu.writes" (Trace.length t.trace - reads);
   set "scpu.cycles" t.cycles;
   List.iter
     (fun (region, (r, w)) ->
@@ -539,7 +541,7 @@ let observe ?(labels = []) t reg =
       Obs_counter.set_to (Registry.counter ~labels reg "scpu.region.reads") r;
       Obs_counter.set_to (Registry.counter ~labels reg "scpu.region.writes") w;
       Obs_counter.set_to (Registry.counter ~labels reg "scpu.region.transfers") (r + w))
-    (Trace.by_region t.trace);
+    regions;
   Registry.set_gauge ~labels reg "scpu.mem_limit" (float_of_int t.m);
   Registry.set_gauge ~labels reg "scpu.mem_in_use" (float_of_int t.mem_in_use);
   Registry.set_gauge ~labels reg "scpu.mem_peak" (float_of_int t.mem_peak);

@@ -72,15 +72,34 @@ let region_of_name s =
         Table (String.sub s pl (String.length s - pl))
       else invalid_arg ("Trace.region_of_name: " ^ s)
 
+(* Non-table regions are constants, so physical equality decides them. *)
+let same_region a b =
+  a == b || match (a, b) with Table x, Table y -> String.equal x y | _ -> false
+
+type tally = { region : region; mutable reads : int; mutable writes : int }
+
+(* A trace visits few regions, in long runs: the last region's tally is
+   checked first, then the few seen so far. *)
 let by_region t =
-  let order = ref [] in
-  let tbl = Hashtbl.create 8 in
-  for i = 0 to t.len - 1 do
-    let e = t.entries.(i) in
-    let r, w = match Hashtbl.find_opt tbl e.region with Some c -> c | None -> order := e.region :: !order; (0, 0) in
-    Hashtbl.replace tbl e.region (match e.op with Read -> (r + 1, w) | Write -> (r, w + 1))
-  done;
-  List.rev_map (fun region -> (region, Hashtbl.find tbl region)) !order
+  let seen = ref [] in
+  let find region =
+    match List.find_opt (fun c -> same_region c.region region) !seen with
+    | Some c -> c
+    | None ->
+        let c = { region; reads = 0; writes = 0 } in
+        seen := c :: !seen;
+        c
+  in
+  if t.len > 0 then begin
+    let last = ref (find t.entries.(0).region) in
+    for i = 0 to t.len - 1 do
+      let e = t.entries.(i) in
+      if not (same_region !last.region e.region) then last := find e.region;
+      let c = !last in
+      match e.op with Read -> c.reads <- c.reads + 1 | Write -> c.writes <- c.writes + 1
+    done
+  end;
+  List.rev_map (fun c -> (c.region, (c.reads, c.writes))) !seen
 
 let concat ts =
   let out = create () in

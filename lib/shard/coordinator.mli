@@ -3,14 +3,15 @@
     Two backends share the partition → execute → obliviously-merge state
     machine:
 
-    - {!run_local} — in-process: p {!Ppj_core.Instance}s, each executing
-      its {!Ppj_core.Sharded} slice; on OCaml 5 the slices run on
-      [Domain]s (true parallelism; metrics flow through the
+    - {!run_local} — in-process: slice [k] is the
+      {!Ppj_core.Service.execute_join} of [Sharded { k; p; inner }] that
+      a shard server runs, on its own coprocessor; on OCaml 5 the slices
+      run on [Domain]s (true parallelism; metrics flow through the
       Mutex-guarded {!Metrics} sink), on 4.x sequentially.  With
       [~backend:Sequential] this is the paper's multi-coprocessor model
-      (§4.4.4, §5.3.5): the coordinator learns [S] untraced, so each
-      shard's transfer count is its slice's alone, exactly as
-      {!run_wire}'s shard servers report theirs.
+      (§4.4.4, §5.3.5): each slice learns [S] untraced, so each shard's
+      transfer count is its slice's alone, exactly as {!run_wire}'s
+      shard servers report theirs.
     - {!run_wire} — distribution: each shard is a full Reactor-hosted
       server spoken to over the existing wire protocol; the coordinator
       submits every provider's relation to every shard (replicate
@@ -34,7 +35,7 @@ type config = {
   p : int;
   m : int;  (** per-shard coprocessor memory *)
   seed : int;
-  inner : Service.algorithm;  (** [Alg4], [Alg5] or [Alg6 _] *)
+  inner : Service.algorithm;  (** [Alg4], [Alg5], [Alg6 _] or [Alg8 _] *)
   strategy : Partitioner.strategy;
 }
 
@@ -48,7 +49,6 @@ type outcome = {
           shard did any work *)
   merge : Merge.stats;
   backend : string;  (** "domains" or "sequential" — what actually ran *)
-  padded : int;  (** pad tuples the hash partitioner inserted *)
 }
 
 type wire_outcome = {
@@ -60,8 +60,8 @@ type wire_outcome = {
 }
 
 val validate : config -> (unit, string) result
-(** [Alg5 × Hash] and non-4/5/6 inner algorithms are rejected here,
-    before any work. *)
+(** A non-positive [p] and inner algorithms other than 4, 5, 6 and 8
+    are rejected here, before any work. *)
 
 val run_local :
   ?metrics:Metrics.t ->
@@ -106,9 +106,9 @@ val fetch_wire :
   (wire_outcome, string) result
 (** As the contract's recipient: execute [Sharded { k; p; inner }] on
     every shard, fetch the p sealed results and merge them obliviously.
-    Replicate strategy only (a hash shard cannot learn the global filter
-    budget from its bucket).  [seed] derives the per-session handshake
-    RNGs.  Errors are prefixed ["shard-unavailable: shard k: ..."] — the
+    Every shard is sent [config.seed] and derives its slice's own
+    coprocessor seed ({!Ppj_core.Service.coprocessor_seed}).  [seed]
+    derives the per-session handshake RNGs.  Errors are prefixed ["shard-unavailable: shard k: ..."] — the
     typed refusal the chaos harness asserts on. *)
 
 val run_wire :
@@ -145,5 +145,4 @@ val stats :
 (** Federated scrape: one [Stats_request] session per shard (no
     handshake — the server answers stats in any phase), merged as
     described on {!fleet_stats}.  A shard that cannot be scraped fails
-    the whole call with the typed ["shard-unavailable"] prefix and is
-    marked unhealthy in the registry. *)
+    the whole call with the typed ["shard-unavailable"] prefix. *)

@@ -1,120 +1,1 @@
-module Relation = Ppj_relation.Relation
-module Tuple = Ppj_relation.Tuple
-module Schema = Ppj_relation.Schema
-module Value = Ppj_relation.Value
-
-type strategy =
-  | Replicate
-  | Hash of { key : string; slack : float }
-
-type shard_input = { shard : int; relations : Relation.t list; padded : int }
-
-let strategy_name = function
-  | Replicate -> "replicate"
-  | Hash _ -> "hash"
-
-let bucket_of ~p v = Hashtbl.hash (Value.norm v) mod p
-
-(* The public per-relation bucket bound: hash partitioning must hand
-   every shard a relation of the {e same} (shape-derived) cardinality,
-   or bucket sizes leak the key distribution.  slack ≥ 1 scales the
-   expected n/p bucket; a bucket over the bound is a typed refusal —
-   the one admitted leak of the hash strategy (cf. the ε-blemish of
-   Algorithm 6: the deviation event itself is observable). *)
-let bound ~slack ~n ~p =
-  if p = 1 then n
-  else min n (int_of_float (ceil (slack *. float_of_int n /. float_of_int p)))
-
-(* Pad tuples must join with nothing: not with either relation's real
-   tuples in the same bucket, and not with the other relations' pads.
-   Relation [ir]'s pad key for bucket [k] is the first integer
-   v ≡ ir (mod nrels) whose hash falls outside bucket k:
-   - pad vs real: bucket-k reals hash to k, the pad key does not, and
-     equal keys hash equally — no match;
-   - pad vs pad: pads of different relations lie in disjoint residue
-     classes mod nrels, so their keys differ — no match. *)
-let pad_key ~nrels ~ir ~p ~k =
-  let rec search v =
-    if bucket_of ~p (Value.Int v) <> k then v else search (v + nrels)
-  in
-  search ir
-
-let pad_tuple schema ~key ~key_value =
-  Tuple.make schema
-    (List.map
-       (fun (f : Schema.field) ->
-         if String.equal f.name key then Value.Int key_value
-         else
-           match f.ty with
-           | Schema.TInt -> Value.Int 0
-           | Schema.TStr _ -> Value.Str ""
-           | Schema.TSet _ -> Value.Set [])
-       (Schema.fields schema))
-
-let key_field schema key =
-  match List.find_opt (fun (f : Schema.field) -> String.equal f.name key) (Schema.fields schema) with
-  | None -> Error (Printf.sprintf "hash partitioner: no attribute %S in schema" key)
-  | Some { ty = Schema.TInt; _ } -> Ok ()
-  | Some _ -> Error (Printf.sprintf "hash partitioner: key %S must be an integer attribute" key)
-
-let ( let* ) = Result.bind
-
-let hash_one ~key ~slack ~p ~nrels ~ir (rel : Relation.t) =
-  let* () = key_field rel.Relation.schema key in
-  let n = Relation.cardinality rel in
-  let b = bound ~slack ~n ~p in
-  let buckets = Array.make p [] in
-  Array.iter
-    (fun t ->
-      let k = bucket_of ~p (Tuple.get t key) in
-      buckets.(k) <- t :: buckets.(k))
-    rel.Relation.tuples;
-  let rec build k acc =
-    if k < 0 then Ok acc
-    else
-      let tuples = List.rev buckets.(k) in
-      let count = List.length tuples in
-      if count > b then
-        Error
-          (Printf.sprintf
-             "hash partition overflow: relation %s bucket %d holds %d tuples, bound %d \
-              (raise slack or use replicate)"
-             rel.Relation.name k count b)
-      else
-        (* [pad_key] searches for a key hashing outside bucket [k]; at
-           p = 1 no such key exists, but then the bound is n and no
-           bucket ever needs a pad — so only search when pads > 0. *)
-        let pads =
-          if count = b then []
-          else
-            let kv = pad_key ~nrels ~ir ~p ~k in
-            List.init (b - count) (fun _ -> pad_tuple rel.Relation.schema ~key ~key_value:kv)
-        in
-        build (k - 1) ((Relation.make ~name:rel.Relation.name rel.Relation.schema (tuples @ pads), b - count) :: acc)
-  in
-  build (p - 1) []
-
-let plan strategy ~p rels =
-  if p < 1 then Error "partitioner: p must be positive"
-  else
-    match strategy with
-    | Replicate ->
-        Ok (Array.init p (fun shard -> { shard; relations = rels; padded = 0 }))
-    | Hash { key; slack } ->
-        if slack < 1. then Error "partitioner: slack must be >= 1"
-        else
-          let nrels = List.length rels in
-          let rec split ir acc = function
-            | [] -> Ok (List.rev acc)
-            | rel :: tl ->
-                let* shards = hash_one ~key ~slack ~p ~nrels ~ir rel in
-                split (ir + 1) (shards :: acc) tl
-          in
-          let* per_rel = split 0 [] rels in
-          Ok
-            (Array.init p (fun shard ->
-                 let picks = List.map (fun shards -> List.nth shards shard) per_rel in
-                 { shard;
-                   relations = List.map fst picks;
-                   padded = List.fold_left (fun a (_, c) -> a + c) 0 picks;
-                 }))
+type strategy = Replicate

@@ -1,42 +1,8 @@
-(** Input partitioning for sharded joins.
+(** Input placement for sharded joins.
 
-    Two strategies:
+    [Replicate] is the one strategy: every shard holds the full
+    relations and executes slice [k] of [p] of the work
+    ({!Ppj_core.Sharded}).  Data placement is input-independent, so the
+    per-shard traces inherit the sequential Definition 1/3 guarantees. *)
 
-    - [Replicate] — every shard receives the full relations and executes
-      slice [k] of [p] of the work ({!Ppj_core.Sharded}).  Data placement
-      is input-independent, so the per-shard traces inherit the
-      sequential Definition 1/3 guarantees exactly.  The default.
-
-    - [Hash { key; slack }] — equijoin-only data partitioning: tuples are
-      bucketed by the hash of their integer [key] attribute, and every
-      bucket is padded up to the public bound
-      [min(n, ceil(slack * n / p))] with pad tuples engineered to join
-      with nothing (pads hash outside their own bucket, and pads of
-      different relations occupy disjoint key residue classes, so
-      pad–real and pad–pad matches are both impossible).  A bucket
-      exceeding the bound is a {e typed refusal} — the hash strategy's
-      one admitted leak, confined to that overflow event. *)
-
-module Relation = Ppj_relation.Relation
-
-type strategy =
-  | Replicate
-  | Hash of { key : string; slack : float }
-
-type shard_input = {
-  shard : int;
-  relations : Relation.t list;
-  padded : int;  (** pad tuples added across this shard's relations *)
-}
-
-val strategy_name : strategy -> string
-
-val bucket_of : p:int -> Ppj_relation.Value.t -> int
-(** The bucket a key value hashes to. *)
-
-val bound : slack:float -> n:int -> p:int -> int
-(** The public per-relation bucket bound described above. *)
-
-val plan : strategy -> p:int -> Relation.t list -> (shard_input array, string) result
-(** Build the [p] shard inputs.  Errors: non-integer or missing hash
-    key, [slack < 1], or a bucket overflowing its bound. *)
+type strategy = Replicate

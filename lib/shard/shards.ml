@@ -1,52 +1,11 @@
 module Transport = Ppj_net.Transport
 
-type health = Healthy | Unhealthy of string
-
-type slot = {
-  id : int;
-  connect : unit -> (Transport.t, string) result;
-  mutable health : health;
-  mutable failures : int;
-}
-
-type t = { slots : slot array; lock : Mutex.t }
-
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+type t = { connect : int -> (Transport.t, string) result; p : int }
 
 let create ~p ~connect =
   if p < 1 then invalid_arg "Shards.create: p must be positive";
-  { slots =
-      Array.init p (fun id ->
-          { id; connect = (fun () -> connect id); health = Healthy; failures = 0 });
-    lock = Mutex.create ();
-  }
+  { connect; p }
 
-let p t = Array.length t.slots
+let p t = t.p
 
-let mark_unhealthy t k reason =
-  locked t (fun () ->
-      t.slots.(k).health <- Unhealthy reason;
-      t.slots.(k).failures <- t.slots.(k).failures + 1)
-
-let mark_healthy t k = locked t (fun () -> t.slots.(k).health <- Healthy)
-
-let health t k = locked t (fun () -> t.slots.(k).health)
-
-let failures t k = locked t (fun () -> t.slots.(k).failures)
-
-let healthy_count t =
-  locked t (fun () ->
-      Array.fold_left
-        (fun n s -> match s.health with Healthy -> n + 1 | Unhealthy _ -> n)
-        0 t.slots)
-
-let connect t k =
-  match t.slots.(k).connect () with
-  | Ok transport ->
-      mark_healthy t k;
-      Ok transport
-  | Error e ->
-      mark_unhealthy t k e;
-      Error e
+let connect t k = t.connect k

@@ -1,13 +1,7 @@
-(** Shard server registry and health.
-
-    One slot per shard server, each with a connect function (loopback,
-    reactor, or Unix socket), a health flag, and a failure counter.  All
-    mutation is behind one mutex so coordinator retries and parallel
-    shard jobs can share the registry. *)
+(** Shard server registry: one connect function per shard server
+    (loopback, reactor, or Unix socket). *)
 
 module Transport = Ppj_net.Transport
-
-type health = Healthy | Unhealthy of string
 
 type t
 
@@ -18,17 +12,4 @@ val create : p:int -> connect:(int -> (Transport.t, string) result) -> t
 val p : t -> int
 
 val connect : t -> int -> (Transport.t, string) result
-(** Dial shard [k], recording the outcome: success marks it healthy,
-    failure marks it unhealthy with the error text. *)
-
-val mark_unhealthy : t -> int -> string -> unit
-(** Record a mid-session failure (e.g. the peer died after connect). *)
-
-val mark_healthy : t -> int -> unit
-
-val health : t -> int -> health
-
-val failures : t -> int -> int
-(** How many times shard [k] has been marked unhealthy. *)
-
-val healthy_count : t -> int
+(** Dial shard [k]. *)

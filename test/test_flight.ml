@@ -112,6 +112,20 @@ let test_ctx_adopt_links_processes () =
     (Some span) (arg_str "parent_id" hs);
   Alcotest.(check (option string)) "trace id exported" (Some "tid-1") (arg_str "trace_id" hs)
 
+let test_adopt_keeps_earlier_ids () =
+  (* A span names the trace that was current when it started: adopting
+     a second context must not relabel the first context's spans. *)
+  let r = Recorder.create ~name:"srv" () in
+  let adopt id = Recorder.adopt r (Trace_ctx.make ~trace_id:id ~span_id:Trace_ctx.root_span) in
+  adopt "tid-a";
+  Recorder.with_span r "first" (fun () -> ());
+  adopt "tid-b";
+  Recorder.with_span r "second" (fun () -> ());
+  let events = ok (Recorder.events_of (Recorder.to_perfetto r)) in
+  Alcotest.(check (list (option string)))
+    "A, then B" [ Some "tid-a"; Some "tid-b" ]
+    (List.map (fun n -> arg_str "trace_id" (find_span events n)) [ "first"; "second" ])
+
 let test_ctx_without_open_span_is_root () =
   let cli = Recorder.create ~trace_id:"tid-2" ~name:"cli" () in
   let ctx = Recorder.ctx cli in
@@ -356,6 +370,34 @@ let test_two_process_crash_resume_trace () =
             (List.length cli + List.length srv)
             (List.length (ok (Recorder.events_of merged))))
 
+(* Two sessions on one server, interleaved message by message: each
+   server span carries its own session's trace id and parent, not those
+   of the session that attested last. *)
+let test_interleaved_sessions_keep_their_ids () =
+  let srv = Recorder.create ~name:"server" () in
+  let reactor = Reactor.create (Server.create ~recorder:srv ~mac_key ~seed:5 ()) in
+  let session id =
+    let recorder = Recorder.create ~trace_id:("tid-" ^ id) ~name:id () in
+    let span = Recorder.start_span recorder "session" in
+    (Client.create ~recorder (Transport.loopback reactor), span)
+  in
+  let alice, alice_span = session "alice" and bob, bob_span = session "bob" in
+  ok (Client.attest alice);
+  ok (Client.attest bob);
+  ok (Client.handshake alice ~rng:(Rng.create 1) ~id:"alice" ~mac_key);
+  ok (Client.handshake bob ~rng:(Rng.create 2) ~id:"bob" ~mac_key);
+  Client.close alice;
+  Client.close bob;
+  let handshakes =
+    List.filter
+      (fun e -> name_of e = Some "handshake")
+      (ok (Recorder.events_of (Recorder.to_perfetto srv)))
+  in
+  Alcotest.(check (list (pair (option string) (option string))))
+    "each handshake span in its own session's trace"
+    [ (Some "tid-alice", Some alice_span); (Some "tid-bob", Some bob_span) ]
+    (List.map (fun e -> (arg_str "trace_id" e, arg_str "parent_id" e)) handshakes)
+
 (* --- recorder-level privacy: timelines are data-independent ---------- *)
 
 (* Mirror of test_privacy_prop, one level up: instead of the
@@ -466,6 +508,7 @@ let () =
           Alcotest.test_case "ring drops oldest" `Quick test_ring_drops_oldest;
           Alcotest.test_case "attribute whitelist" `Quick test_attr_whitelist;
           Alcotest.test_case "ctx/adopt links processes" `Quick test_ctx_adopt_links_processes;
+          Alcotest.test_case "adopt keeps earlier ids" `Quick test_adopt_keeps_earlier_ids;
           Alcotest.test_case "idle ctx is root" `Quick test_ctx_without_open_span_is_root;
           Alcotest.test_case "explicit resume parent" `Quick test_explicit_parent_for_resume;
           Alcotest.test_case "perfetto shape and merge" `Quick test_perfetto_shape_and_merge
@@ -478,7 +521,9 @@ let () =
       ( "wire-ctx",
         [ Alcotest.test_case "roundtrip" `Quick test_wire_ctx_roundtrip;
           Alcotest.test_case "bare v2 payload tolerated" `Quick test_wire_accepts_bare_v2_payload;
-          Alcotest.test_case "bad ctx ids rejected" `Quick test_wire_rejects_bad_ctx_ids
+          Alcotest.test_case "bad ctx ids rejected" `Quick test_wire_rejects_bad_ctx_ids;
+          Alcotest.test_case "interleaved sessions keep their ids" `Quick
+            test_interleaved_sessions_keep_their_ids
         ] );
       ( "two-process",
         [ Alcotest.test_case "crash-resume is one connected trace" `Quick

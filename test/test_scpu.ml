@@ -58,6 +58,38 @@ let test_trace_growth () =
   Alcotest.(check int) "last index" 9999
     (match List.rev (Trace.to_list t) with e :: _ -> e.Trace.index | [] -> -1)
 
+(* by_region against a plain fold, over traces built from runs of a few
+   regions.  Table names are fresh strings, so regions that are equal
+   are not always physically equal. *)
+let test_by_region_matches_fold =
+  let region = function
+    | 0 -> Trace.Table (String.make 1 'A')
+    | 1 -> Trace.Table (String.make 1 'B')
+    | 2 -> Trace.Cartesian
+    | 3 -> Trace.Output
+    | 4 -> Trace.Scratch
+    | _ -> Trace.Disk
+  in
+  let runs = QCheck.(list (triple bool (int_range 0 5) (int_range 1 20))) in
+  qtest "by_region = plain fold" runs (fun runs ->
+      let t = Trace.create () in
+      List.iter
+        (fun (read, r, len) ->
+          for i = 0 to len - 1 do
+            Trace.record t (if read then Trace.Read else Trace.Write) (region r) i
+          done)
+        runs;
+      let fold =
+        List.fold_left
+          (fun acc (e : Trace.entry) ->
+            let bump (r, w) = if e.Trace.op = Trace.Read then (r + 1, w) else (r, w + 1) in
+            if List.mem_assoc e.Trace.region acc then
+              List.map (fun (k, c) -> if k = e.Trace.region then (k, bump c) else (k, c)) acc
+            else acc @ [ (e.Trace.region, bump (0, 0)) ])
+          [] (Trace.to_list t)
+      in
+      Trace.by_region t = fold)
+
 (* --- Host --- *)
 
 let test_host_regions () =
@@ -470,7 +502,8 @@ let () =
     [ ( "trace",
         [ Alcotest.test_case "record and count" `Quick test_trace_record;
           Alcotest.test_case "equality and divergence" `Quick test_trace_equal_and_divergence;
-          Alcotest.test_case "growth" `Quick test_trace_growth
+          Alcotest.test_case "growth" `Quick test_trace_growth;
+          test_by_region_matches_fold
         ] );
       ( "host",
         [ Alcotest.test_case "regions" `Quick test_host_regions;

@@ -575,6 +575,82 @@ let test_doctored_checkpoint_quarantined () =
       Client.close c2;
       Store.close store2)
 
+(* A shard's durable checkpoint sealed under the job seed itself, as
+   every slice was before slices got their own coprocessor seeds: the
+   upgraded server cannot open it, so it takes the quarantine path and
+   recomputes the slice instead of failing the join. *)
+let test_shared_seed_checkpoint_quarantined () =
+  with_dir (fun dir ->
+      let slice =
+        { service_config with
+          Service.algorithm = Service.Sharded { k = 1; p = 2; inner = Service.Alg5 }
+        }
+      in
+      let crash () = inj "crash@t=60" in
+      let store1, _ = opened (Store.open_dir ~mac_key dir) in
+      let server1 =
+        Reactor.create
+          (Server.create ~mac_key ~seed:5 ~faults:(crash ()) ~checkpoint_every:16
+             ~store:store1 ())
+      in
+      let a, b = workload () in
+      submit_over server1 "alice" a;
+      submit_over server1 "bob" b;
+      let c1 = loop_client ~config:{ no_sleep with max_retries = 0 } server1 in
+      (match Client.fetch_result c1 ~rng:(Rng.create 99) ~id:"carol" ~mac_key ~contract slice with
+      | Ok _ -> Alcotest.fail "join survived without retries despite injected crash"
+      | Error _ -> ());
+      Client.close c1;
+      Store.close store1;
+      (* The same slice's checkpoint as the old derivation sealed it:
+         coprocessor seed = the job seed. *)
+      let old_image = ref None in
+      let inst =
+        Ppj_core.Instance.create ~faults:(crash ()) ~checkpoint_every:16
+          ~on_checkpoint:(fun ~version ~image -> old_image := Some (version, image))
+          ~m:slice.Service.m ~seed:slice.Service.seed ~predicate:(P.equijoin2 "key" "key")
+          (* named as the server names an accepted submission *)
+          [ { a with Ppj_relation.Relation.name = "alice" };
+            { b with Ppj_relation.Relation.name = "bob" } ]
+      in
+      (match
+         Ppj_core.Sharded.alg5 inst ~k:1 ~p:2 ~s:(Ppj_core.Instance.oracle_size inst)
+       with
+      | () -> Alcotest.fail "the old-seed run should crash too"
+      | exception Ppj_scpu.Coprocessor.Crashed _ -> ());
+      let version, image = Option.get !old_image in
+      let store2, _ = opened (Store.open_dir ~mac_key dir) in
+      let name =
+        match Store.nvram_all store2 with
+        | [ (n, _) ] -> n
+        | l -> Alcotest.failf "expected one nvram counter, found %d" (List.length l)
+      in
+      ok (Store.nvram_set store2 ~name version);
+      ok
+        (Store.put_checkpoint store2 ~contract:(Ch.contract_digest contract)
+           ~config:(Ppj_scpu.Attestation.hash (Wire.config_to_string slice))
+           (Persist.checkpoint_to_string image));
+      let reg2 = Registry.create () in
+      let server2 =
+        Reactor.create (Server.create ~registry:reg2 ~mac_key ~seed:6 ~store:store2 ())
+      in
+      let c2 = loop_client ~config:no_sleep server2 in
+      let _, tuples =
+        match
+          Client.fetch_result c2 ~rng:(Rng.create 100) ~id:"carol" ~mac_key ~contract slice
+        with
+        | Ok v -> v
+        | Error e -> Alcotest.fail e
+      in
+      let _, want = Service.execute_join slice ~predicate:(P.equijoin2 "key" "key") [ a; b ] in
+      Alcotest.(check (list string))
+        "recomputed slice" (List.map T.encode want.Ppj_core.Report.results)
+        (List.map T.encode tuples);
+      Alcotest.(check int) "old-seed checkpoint quarantined" 1
+        (counter_value reg2 "net.server.checkpoints.quarantined");
+      Client.close c2;
+      Store.close store2)
+
 (* A sealed (full-device) store sheds state-changing requests with a
    typed Unavailable instead of acknowledging writes it cannot keep. *)
 let test_sealed_store_sheds () =
@@ -741,6 +817,8 @@ let () =
             test_durable_result_across_servers;
           Alcotest.test_case "doctored checkpoint quarantined" `Quick
             test_doctored_checkpoint_quarantined;
+          Alcotest.test_case "shared-seed shard checkpoint quarantined" `Quick
+            test_shared_seed_checkpoint_quarantined;
           Alcotest.test_case "sealed store sheds uploads" `Quick test_sealed_store_sheds;
           Alcotest.test_case "re-upload supersedes cached joins" `Quick
             test_reupload_supersedes_results;
