@@ -33,6 +33,11 @@ let registry = Obs.Registry.default
    exported as the "trace" section of the JSON document. *)
 let recorder = Obs.Recorder.create ~name:"bench" ()
 
+(* The chaos soak's server records apart from its clients: a corrupted
+   attest frame hands the server a mangled trace id, which must not
+   rename the clients' items.  A chaos export merges it into "trace". *)
+let chaos_server_recorder = Obs.Recorder.create ~name:"bench-chaos-server" ()
+
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
@@ -404,12 +409,15 @@ let parallel () =
 (* End-to-end run of the lib/shard coordinator: replicate partitioning
    over p in-process shards executing Algorithm 4 slices, pad-to-max
    oblivious merge.  Every shard's transfer count must equal its exact
-   closed form, so a trace-shape change fails the run instead of
-   drifting inside a band.  The transfer-model speedup (total transfers
-   / slowest shard) is deterministic and hardware-independent, as in
-   the parallel experiment; wall-clock seconds per p are recorded
-   informationally (a single-core CI runner cannot show real Domains
-   parallelism). *)
+   closed form, and the merge's comparator count its own, so a
+   trace-shape change fails the run instead of drifting inside a band.
+   The transfer-model speedup (total transfers / slowest shard) is
+   deterministic and hardware-independent, as in the parallel
+   experiment; wall-clock seconds per p, one run each, are recorded
+   with the core count, informationally.  Warm repetitions would give
+   steadier seconds, but every run adds its padding to the sorts'
+   process-wide oblivious.sort.pad_slots_total, which would then count
+   the repetitions too (ROADMAP item 2). *)
 let shard () =
   header "Sharded coordinator (lib/shard): one submit across p shards";
   let a, b = measured_workload () in
@@ -423,6 +431,9 @@ let shard () =
     let lk = hi - lo in
     (2 * lk) + Cost.filter_exact ~omega:lk ~mu:(min lk s)
   in
+  let cores = Shard.Domains_compat.cores () in
+  Obs.Registry.set_gauge registry "bench.shard.cores" (float_of_int cores);
+  row "(%d cores)\n" cores;
   row "%-4s %-12s %9s %9s %8s %6s  %s\n" "p" "backend" "seconds" "speedup" "merge" "exact"
     "per-shard transfers (measured/formula)";
   let misses = ref [] in
@@ -462,19 +473,25 @@ let shard () =
                      (float_of_int measured /. float_of_int f);
                    Printf.sprintf "%d/%d" measured f)
           in
+          let comparators = o.Shard.Coordinator.merge.Shard.Merge.comparators in
+          if comparators <> Cost.merge_exact ~p ~l ~s then begin
+            all_ok := false;
+            misses := Printf.sprintf "p=%d merge" p :: !misses
+          end;
           Obs.Registry.set_gauge ~labels registry "bench.shard.within_tolerance"
             (if !all_ok then 1. else 0.);
           row "%-4d %-12s %9.4f %8.2fx %8d %6s  %s\n" p o.Shard.Coordinator.backend seconds
-            o.Shard.Coordinator.speedup o.Shard.Coordinator.merge.Shard.Merge.comparators
+            o.Shard.Coordinator.speedup comparators
             (if !all_ok then "ok" else "FAIL")
             (String.concat " " cells))
     [ 1; 2; 4 ];
   row "(speedup = total transfers / slowest shard; per-shard formula, exact:\n";
-  row " 2*l_k + filter_exact(l_k, min(l_k, S)).\n";
+  row " 2*l_k + filter_exact(l_k, min(l_k, S)); merge comparators, exact:\n";
+  row " Cost.merge_exact = comparators(next_pow2(p * min(ceil(l/p), S))).\n";
   row " CI gates on bench.shard.speedup{p=4} >= 1.5 in BENCH_shard.json.)\n";
   if !misses <> [] then
     failwith
-      ("shard: transfers differ from the exact form: " ^ String.concat ", " (List.rev !misses))
+      ("shard: counts differ from the exact forms: " ^ String.concat ", " (List.rev !misses))
 
 (* --- Aggregation ablation --- *)
 
@@ -683,7 +700,8 @@ let chaos () =
      of this experiment is the machine-readable soak verdict. *)
   let results =
     Obs.Registry.span ~labels:[ ("phase", "chaos") ] registry "bench.chaos.seconds" (fun () ->
-        Chaos.soak ~registry ~seed0:1 ~runs:60 (Chaos.printing (Chaos.wire ~recorder)))
+        Chaos.soak ~registry ~seed0:1 ~runs:60
+          (Chaos.printing (Chaos.wire ~recorder ~server_recorder:chaos_server_recorder)))
   in
   Chaos.pp_report ~name:"chaos" Format.std_formatter results;
   if (Chaos.tally results).Chaos.wrong > 0 then failwith "chaos soak produced a wrong answer"
@@ -787,7 +805,7 @@ let loadtest () =
 (* --- Crypto hot path --- *)
 
 let crypto_bench () =
-  header "Crypto hot path: T-table AES, allocation-free OCB, streaming hash";
+  header "Crypto hot path: AES rounds, allocation-free OCB, streaming hash";
   let module Aes = Ppj_crypto.Aes in
   let module Block = Ppj_crypto.Block in
   let module Ocb = Ppj_crypto.Ocb in
@@ -851,13 +869,20 @@ let crypto_bench () =
         [ ( "crypto.aes.ttable.blocks_per_sec",
             [],
             fun () ->
-              rate (fun () -> Aes.encrypt_into key ~src:buf ~src_pos:0 ~dst:buf ~dst_pos:0) );
+              rate (fun () -> Aes.Table.encrypt_into key ~src:buf ~src_pos:0 ~dst:buf ~dst_pos:0)
+          );
           ( "crypto.aes.reference.blocks_per_sec",
             [],
             fun () -> rate (fun () -> ignore (Aes.Reference.encrypt key blk)) );
           ( "crypto.aes.key_schedules_per_sec",
             [],
-            fun () -> rate (fun () -> ignore (Aes.expand_bytes kb ~pos:0)) )
+            fun () -> rate (fun () -> ignore (Aes.expand_bytes kb ~pos:0)) );
+          (* the path every caller takes: the AES instructions where the
+             CPU has them, else the T-table rounds again *)
+          ( "crypto.aes.hw.blocks_per_sec",
+            [],
+            fun () ->
+              rate (fun () -> Aes.encrypt_into key ~src:buf ~src_pos:0 ~dst:buf ~dst_pos:0) )
         ]
         @ List.concat_map ocb sizes
         @ [ ( "crypto.hash.mb_per_sec",
@@ -882,10 +907,14 @@ let crypto_bench () =
       and reference = value "crypto.aes.reference.blocks_per_sec" [] in
       let speedup = median (List.map2 ( /. ) samples.(0) samples.(1)) in
       gauge "crypto.aes.speedup_vs_reference" speedup;
+      gauge "crypto.aes.hw" (if Aes.hardware then 1. else 0.);
       row "(medians of %d interleaved passes)\n" passes;
+      row "AES-128 encrypt (dispatched): %12.3e blocks/s  (%s)\n"
+        (value "crypto.aes.hw.blocks_per_sec" [])
+        (if Aes.hardware then "AES instructions" else "no AES instructions: T-table");
       row "AES-128 encrypt (T-table)   : %12.3e blocks/s\n" ttable;
       row "AES-128 encrypt (reference) : %12.3e blocks/s\n" reference;
-      row "speedup                     : %12.1fx %s\n" speedup
+      row "T-table speedup             : %12.1fx %s\n" speedup
         (if speedup >= 5. then "(>= 5x: ok)" else "(< 5x: FAIL)");
       row "AES-128 key schedule        : %12.3e expands/s\n"
         (value "crypto.aes.key_schedules_per_sec" []);
@@ -1334,6 +1363,13 @@ let write_json path ~deterministic ran =
   (* build.info only: the full stamp's uptime gauge would break
      [--deterministic] artifact diffing *)
   Obs.Buildinfo.stamp_build registry;
+  let trace =
+    if List.mem "chaos" ran then
+      Result.get_ok
+        (Obs.Recorder.merge
+           (List.map Obs.Recorder.to_perfetto [ recorder; chaos_server_recorder ]))
+    else Obs.Recorder.to_perfetto recorder
+  in
   let doc =
     Obs.Json.Obj
       [ ("schema", Obs.Json.Str "ppj.bench/1");
@@ -1342,7 +1378,7 @@ let write_json path ~deterministic ran =
         ("metrics", Obs.Snapshot.to_json (Obs.Registry.snapshot registry));
         (* Perfetto-loadable span tree of the networked experiments (empty
            when none of them ran). *)
-        ("trace", Obs.Recorder.to_perfetto recorder)
+        ("trace", trace)
       ]
   in
   let oc = open_out path in

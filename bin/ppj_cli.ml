@@ -31,11 +31,14 @@ let trace_out_arg =
 (* A recorder only when the user asked for an export. *)
 let make_recorder ~name trace_out = Option.map (fun _ -> Recorder.create ~name ()) trace_out
 
-let write_trace trace_out recorder =
-  match (trace_out, recorder) with
-  | Some path, Some r ->
+(* One file for all of a command's recorders (a chaos soak records its
+   client and server sides apart). *)
+let write_trace trace_out recorders =
+  match (trace_out, recorders) with
+  | Some path, _ :: _ ->
+      let json = Result.get_ok (Recorder.merge (List.map Recorder.to_perfetto recorders)) in
       Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc (Json.to_string (Recorder.to_perfetto r));
+          Out_channel.output_string oc (Json.to_string json);
           Out_channel.output_char oc '\n');
       Format.printf "trace -> %s@." path
   | _ -> ()
@@ -173,7 +176,7 @@ let run_cmd =
               attempt 8)
     in
     let r = run_join () in
-    write_trace trace_out recorder;
+    write_trace trace_out (Option.to_list recorder);
     if Instance.resumes inst > 0 then
       Format.printf "(join completed after %d crash-resume(s))@.@." (Instance.resumes inst);
     Format.printf "@[<v>%a@,@,results:@," Report.pp r;
@@ -488,7 +491,7 @@ let serve_cmd =
       ?max_sessions ();
     Format.printf "ppj serve: done after %d session(s)@." (Net.Server.sessions_closed server);
     Option.iter Store.close store;
-    write_trace trace_out recorder;
+    write_trace trace_out (Option.to_list recorder);
     if metrics then
       print_metrics
         ~sessions_active:(Net.Server.sessions_active server)
@@ -597,7 +600,7 @@ let submit_cmd =
                 in
                 if metrics then print_client_metrics client;
                 Net.Client.close client;
-                write_trace trace_out recorder;
+                write_trace trace_out (Option.to_list recorder);
                 (match outcome with Ok () -> report () | Error e -> die "%s" e))
         | `Sharded paths -> (
             let sh = make_shards ~wait paths in
@@ -656,7 +659,7 @@ let fetch_cmd =
             let outcome = Net.Client.fetch_result client ~rng ~id ~mac_key ~contract config in
             if metrics then print_client_metrics client;
             Net.Client.close client;
-            write_trace trace_out recorder;
+            write_trace trace_out (Option.to_list recorder);
             match outcome with
             | Error e -> die "%s" e
             | Ok (schema, tuples) -> deliver schema tuples))
@@ -718,12 +721,13 @@ let chaos_cmd =
   let run runs seed0 verbose trace_out =
     let reg = Ppj_obs.Registry.create () in
     let recorder = make_recorder ~name:"chaos" trace_out in
+    let server_recorder = make_recorder ~name:"chaos-server" trace_out in
     let results =
       Net.Chaos.soak ~registry:reg ~seed0 ~runs
-        (Net.Chaos.printing ~verbose (Net.Chaos.wire ?recorder))
+        (Net.Chaos.printing ~verbose (Net.Chaos.wire ?recorder ?server_recorder))
     in
     Format.printf "%a" (Net.Chaos.pp_report ~name:"chaos") results;
-    write_trace trace_out recorder;
+    write_trace trace_out (Option.to_list recorder @ Option.to_list server_recorder);
     if (Net.Chaos.tally results).Net.Chaos.wrong > 0 then exit 1
   in
   let runs_arg = Arg.(value & opt int 50 & info [ "runs" ] ~doc:"Seeded fault plans to soak.") in

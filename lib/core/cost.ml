@@ -122,6 +122,11 @@ let filter_exact ~omega ~mu =
     + ((rounds * delta) - refill)
   end
 
+let merge_exact ~p ~l ~s =
+  if p < 1 then invalid_arg "Cost.merge_exact: p must be >= 1";
+  let longest = min ((l + p - 1) / p) s in
+  Bitonic.comparator_count (Bitonic.next_pow2 (p * longest))
+
 let alg7 ~a ~b ~s =
   require_pos "Cost.alg7: a" a;
   require_pos "Cost.alg7: b" b;

@@ -75,6 +75,15 @@ val filter_exact : omega:int -> mu:int -> int
     trace records, unlike the paper's approximation {!filter_cost}.
     Returns 0 when [mu = 0] or [omega = 0] (the filter is skipped). *)
 
+val merge_exact : p:int -> l:int -> s:int -> int
+(** Exact compare-exchanges of the shard merge ([Ppj_shard.Merge.run])
+    over p Algorithm 4 slices of an l-pair product with S results.
+    Slice k holds l_k = ⌊(k+1)l/p⌋ − ⌊kl/p⌋ pairs and delivers
+    min(l_k, S) oTuples; every stream is padded to the longest,
+    min(⌈l/p⌉, S), and the p streams together to a power of two, so the
+    count is the bitonic network's on next_pow2(p · min(⌈l/p⌉, S)) slots.
+    @raise Invalid_argument if [p < 1]. *)
+
 val alg7 : a:int -> b:int -> s:int -> float
 (** Exact transfers of {!Algorithm7.run}: staging the tagged union, the
     padded network sort, the PK–FK scan and the oblivious filter.

@@ -12,18 +12,24 @@ let gmul a b =
 let rotl8 x n = ((x lsl n) lor (x lsr (8 - n))) land 0xff
 
 (* The S-box is GF(2^8) inversion followed by the affine transform; building
-   it from the definition avoids transcription errors in a 256-entry table. *)
+   it from the definition avoids transcription errors in a 256-entry table.
+   3 generates the multiplicative group, so tabulating its powers and their
+   logs gives every inverse as inv(a) = 3^(255 - log a) in 255 steps:
+   every process builds the boxes at start-up, and a search over all
+   products takes milliseconds. *)
 let sbox, inv_sbox =
-  let inv = Array.make 256 0 in
-  for a = 1 to 255 do
-    for b = 1 to 255 do
-      if gmul a b = 1 then inv.(a) <- b
-    done
+  let exp = Array.make 255 0 and log = Array.make 256 0 in
+  let x = ref 1 in
+  for i = 0 to 254 do
+    exp.(i) <- !x;
+    log.(!x) <- i;
+    x := gmul !x 3
   done;
+  let inv a = if a = 0 then 0 else exp.((255 - log.(a)) mod 255) in
   let s = Array.make 256 0 in
   let si = Array.make 256 0 in
   for x = 0 to 255 do
-    let b = inv.(x) in
+    let b = inv x in
     let v = b lxor rotl8 b 1 lxor rotl8 b 2 lxor rotl8 b 3 lxor rotl8 b 4 lxor 0x63 in
     s.(x) <- v;
     si.(v) <- x
@@ -90,40 +96,71 @@ let rcon =
   done;
   t
 
+(* Round-key words are stored as big-endian 32-bit words; the mask drops
+   the sign extension of [Int32.to_int]. *)
+let get32 b pos = Int32.to_int (Bytes.get_int32_be b pos) land 0xFFFFFFFF
+let put32 b pos w = Bytes.set_int32_be b pos (Int32.of_int w)
+
+(* A schedule is held twice: as words for the T-table rounds and as the
+   same words' bytes, round r at offset 16 r, for the AES instructions. *)
+type schedule = { words : int array; bytes : bytes }
+
 type key = {
   rounds : int;
   rk : int array; (* 4 words per round, flat: rk.(4*r + c) *)
-  mutable drk : int array option;
+  rk_bytes : bytes; (* rk's bytes *)
+  mutable drk : schedule option;
       (* InvMixColumns-transformed round keys for the equivalent inverse
          cipher, built on first decryption (most keys — the PRF, the
          hash's per-block keys — only ever encrypt) *)
 }
 
+(* S-box indices are masked bytes, so unsafe_get is in bounds. *)
 let sub_word x =
-  (sbox.((x lsr 24) land 0xff) lsl 24)
-  lor (sbox.((x lsr 16) land 0xff) lsl 16)
-  lor (sbox.((x lsr 8) land 0xff) lsl 8)
-  lor sbox.(x land 0xff)
+  (Array.unsafe_get sbox ((x lsr 24) land 0xff) lsl 24)
+  lor (Array.unsafe_get sbox ((x lsr 16) land 0xff) lsl 16)
+  lor (Array.unsafe_get sbox ((x lsr 8) land 0xff) lsl 8)
+  lor Array.unsafe_get sbox (x land 0xff)
 
 let rot_word x = ((x lsl 8) lor (x lsr 24)) land 0xFFFFFFFF
 
+(* Each word is written to both forms as it is computed: a second pass
+   converting words to bytes would cost the key schedule a third of its
+   rate, and the MMO hash expands a key per block. *)
+let store w kb i v =
+  Array.unsafe_set w i v;
+  put32 kb (4 * i) v
+
+(* One round key (four words) per iteration, carried in registers: word
+   4r is the previous round's last word through RotWord, SubWord and the
+   round constant, and each later word chains on the one before. *)
 let expand_of get len =
   if len <> 16 then invalid_arg "Aes.expand: key must be 16 bytes";
-  let nk = 4 and nr = 10 in
+  let nr = 10 in
   let w = Array.make (4 * (nr + 1)) 0 in
-  for i = 0 to nk - 1 do
-    w.(i) <-
-      (get (4 * i) lsl 24)
-      lor (get ((4 * i) + 1) lsl 16)
-      lor (get ((4 * i) + 2) lsl 8)
-      lor get ((4 * i) + 3)
+  let kb = Bytes.create (16 * (nr + 1)) in
+  let word i =
+    (get (4 * i) lsl 24)
+    lor (get ((4 * i) + 1) lsl 16)
+    lor (get ((4 * i) + 2) lsl 8)
+    lor get ((4 * i) + 3)
+  in
+  let w0 = ref (word 0) and w1 = ref (word 1) and w2 = ref (word 2) and w3 = ref (word 3) in
+  store w kb 0 !w0;
+  store w kb 1 !w1;
+  store w kb 2 !w2;
+  store w kb 3 !w3;
+  for r = 1 to nr do
+    w0 := !w0 lxor sub_word (rot_word !w3) lxor Array.unsafe_get rcon r;
+    w1 := !w1 lxor !w0;
+    w2 := !w2 lxor !w1;
+    w3 := !w3 lxor !w2;
+    store w kb (4 * r) !w0;
+    store w kb ((4 * r) + 1) !w1;
+    store w kb ((4 * r) + 2) !w2;
+    store w kb ((4 * r) + 3) !w3
   done;
-  for i = nk to (4 * (nr + 1)) - 1 do
-    let temp = w.(i - 1) in
-    let temp = if i mod nk = 0 then sub_word (rot_word temp) lxor rcon.(i / nk) else temp in
-    w.(i) <- w.(i - nk) lxor temp
-  done;
-  { rounds = nr; rk = w; drk = None }
+  { rounds = nr; rk = w; rk_bytes = kb; drk = None }
 
 let expand raw = expand_of (fun i -> Char.code (String.unsafe_get raw i)) (String.length raw)
 
@@ -144,29 +181,31 @@ let dkeys k =
   match k.drk with
   | Some d -> d
   | None ->
-      let nr = k.rounds in
+      let nr = k.rounds and rk = k.rk in
       let d = Array.make (4 * (nr + 1)) 0 in
       for c = 0 to 3 do
-        d.(c) <- k.rk.((4 * nr) + c);
-        d.((4 * nr) + c) <- k.rk.(c)
+        d.(c) <- rk.((4 * nr) + c);
+        d.((4 * nr) + c) <- rk.(c)
       done;
       for r = 1 to nr - 1 do
         for c = 0 to 3 do
-          d.((4 * r) + c) <- inv_mix_word k.rk.((4 * (nr - r)) + c)
+          d.((4 * r) + c) <- inv_mix_word rk.((4 * (nr - r)) + c)
         done
       done;
-      k.drk <- Some d;
-      d
-
-(* State words are loaded and stored as big-endian 32-bit words; the
-   mask drops the sign extension of [Int32.to_int]. *)
-let get32 b pos = Int32.to_int (Bytes.get_int32_be b pos) land 0xFFFFFFFF
-let put32 b pos w = Bytes.set_int32_be b pos (Int32.of_int w)
+      let db = Bytes.create (16 * (nr + 1)) in
+      Array.iteri (fun i v -> put32 db (4 * i) v) d;
+      let s = { words = d; bytes = db } in
+      k.drk <- Some s;
+      s
 
 let check_range name buf pos =
   if pos < 0 || pos + 16 > Bytes.length buf then invalid_arg name
 
-(* All table indices below are a masked byte (0..255) plus the offset of
+(* --- T-table rounds ---------------------------------------------------
+   The software cipher: the path on CPUs without the AES instructions,
+   and the reference the hardware path is tested against.
+
+   All table indices below are a masked byte (0..255) plus the offset of
    one of the four 256-entry quarters (state words never exceed 32 bits),
    so unsafe_get is in bounds by construction. *)
 let tbl (t : int array) i = Array.unsafe_get t i
@@ -183,9 +222,8 @@ let final_enc rk i a b c d =
   lor tbl sbox (d land 0xff))
   lxor Array.unsafe_get rk i
 
-let encrypt_into k ~src ~src_pos ~dst ~dst_pos =
-  check_range "Aes.encrypt_into: src" src src_pos;
-  check_range "Aes.encrypt_into: dst" dst dst_pos;
+(* Unchecked: callers have checked both ranges. *)
+let table_encrypt k src src_pos dst dst_pos =
   let rk = k.rk in
   let s0 = ref (get32 src src_pos lxor rk.(0)) in
   let s1 = ref (get32 src (src_pos + 4) lxor rk.(1)) in
@@ -233,10 +271,8 @@ let final_dec rk i a b c d =
   lor tbl inv_sbox (d land 0xff))
   lxor Array.unsafe_get rk i
 
-let decrypt_into k ~src ~src_pos ~dst ~dst_pos =
-  check_range "Aes.decrypt_into: src" src src_pos;
-  check_range "Aes.decrypt_into: dst" dst dst_pos;
-  let rk = dkeys k in
+let table_decrypt k src src_pos dst dst_pos =
+  let rk = (dkeys k).words in
   let s0 = ref (get32 src src_pos lxor rk.(0)) in
   let s1 = ref (get32 src (src_pos + 4) lxor rk.(1)) in
   let s2 = ref (get32 src (src_pos + 8) lxor rk.(2)) in
@@ -275,6 +311,42 @@ let decrypt_into k ~src ~src_pos ~dst ~dst_pos =
   put32 dst (dst_pos + 4) (final_dec rk (b + 1) s1 s0 s3 s2);
   put32 dst (dst_pos + 8) (final_dec rk (b + 2) s2 s1 s0 s3);
   put32 dst (dst_pos + 12) (final_dec rk (b + 3) s3 s2 s1 s0)
+
+module Table = struct
+  let encrypt_into k ~src ~src_pos ~dst ~dst_pos =
+    check_range "Aes.Table.encrypt_into: src" src src_pos;
+    check_range "Aes.Table.encrypt_into: dst" dst dst_pos;
+    table_encrypt k src src_pos dst dst_pos
+
+  let decrypt_into k ~src ~src_pos ~dst ~dst_pos =
+    check_range "Aes.Table.decrypt_into: src" src src_pos;
+    check_range "Aes.Table.decrypt_into: dst" dst dst_pos;
+    table_decrypt k src src_pos dst dst_pos
+end
+
+(* --- AES instructions (aes_stubs.c) -----------------------------------
+   The stubs read the schedule's bytes and check no ranges. *)
+external hw_available : unit -> bool = "ppj_aes_hw_available"
+
+external hw_encrypt : bytes -> bytes -> int -> bytes -> int -> unit = "ppj_aes_hw_encrypt"
+[@@noalloc]
+
+external hw_decrypt : bytes -> bytes -> int -> bytes -> int -> unit = "ppj_aes_hw_decrypt"
+[@@noalloc]
+
+let hardware = hw_available ()
+
+let encrypt_into k ~src ~src_pos ~dst ~dst_pos =
+  check_range "Aes.encrypt_into: src" src src_pos;
+  check_range "Aes.encrypt_into: dst" dst dst_pos;
+  if hardware then hw_encrypt k.rk_bytes src src_pos dst dst_pos
+  else table_encrypt k src src_pos dst dst_pos
+
+let decrypt_into k ~src ~src_pos ~dst ~dst_pos =
+  check_range "Aes.decrypt_into: src" src src_pos;
+  check_range "Aes.decrypt_into: dst" dst dst_pos;
+  if hardware then hw_decrypt (dkeys k).bytes src src_pos dst dst_pos
+  else table_decrypt k src src_pos dst dst_pos
 
 let encrypt k b =
   let dst = Bytes.create 16 in
@@ -376,3 +448,6 @@ module Reference = struct
     add_round_key st k.rk 0;
     block_of_state st
 end
+
+let sbox x = sbox.(x)
+let inv_sbox x = inv_sbox.(x)

@@ -1,18 +1,25 @@
-(** AES-128 block cipher (FIPS-197), implemented from scratch.
+(** AES-128 block cipher (FIPS-197): key schedule and software rounds
+    implemented from scratch, hardware rounds where the CPU has them.
 
-    The IBM 4758/4764 coprocessors provide a hardware block cipher; the
-    simulator uses this software AES both as the OCB tweakable core and as
+    The IBM 4758/4764 coprocessors seal transfers with a hardware crypto
+    engine; the simulator uses AES both as the OCB tweakable core and as
     the PRF underlying random-order generation.  The S-box is derived from
     GF(2{^8}) inversion at initialisation time rather than pasted as a
     table, and the implementation is validated against the FIPS-197 test
     vectors in the test suite.
 
-    The hot path is a 32-bit T-table cipher: SubBytes, ShiftRows and
-    MixColumns fuse into four u32 table lookups per column per round
-    (one 1024-entry table per direction), operating on four ints loaded
-    as big-endian words instead of a 16-int state array (see
-    DESIGN.md).  The original byte-wise implementation is retained as
-    {!Reference} and cross-checked property-wise in the test suite. *)
+    The key schedule is expanded in OCaml.  The block rounds take one of
+    two paths, chosen once at module initialisation from CPUID:
+    - where the CPU has the AES instructions (AES-NI), a C stub runs
+      AESENC/AESDEC over the schedule ({!hardware} is [true]) — the
+      closer analogue of the 4758's engine, and constant-time;
+    - elsewhere, a 32-bit T-table cipher: SubBytes, ShiftRows and
+      MixColumns fuse into four u32 table lookups per column per round
+      (one 1024-entry table per direction), operating on four ints
+      loaded as big-endian words (see DESIGN.md).
+    Nothing else selects the path.  The T-table rounds stay reachable as
+    {!Table} on every CPU, and the original byte-wise implementation is
+    retained as {!Reference}; the test suite cross-checks all three. *)
 
 type key
 (** Expanded AES-128 key schedule (11 round keys). *)
@@ -39,10 +46,31 @@ val encrypt_into : key -> src:bytes -> src_pos:int -> dst:bytes -> dst_pos:int -
 val decrypt_into : key -> src:bytes -> src_pos:int -> dst:bytes -> dst_pos:int -> unit
 (** Inverse of {!encrypt_into}, same aliasing guarantee. *)
 
+val hardware : bool
+(** [true] when {!encrypt_into} and {!decrypt_into} (and so everything
+    built on them) run on the CPU's AES instructions, [false] when they
+    run the T-table rounds. *)
+
+(** The T-table rounds, whichever path {!encrypt_into} takes: the path
+    on CPUs without the AES instructions, and the reference the hardware
+    path is tested against.  Same contract as {!encrypt_into}. *)
+module Table : sig
+  val encrypt_into : key -> src:bytes -> src_pos:int -> dst:bytes -> dst_pos:int -> unit
+
+  val decrypt_into : key -> src:bytes -> src_pos:int -> dst:bytes -> dst_pos:int -> unit
+end
+
+val sbox : int -> int
+(** [sbox x] is the S-box entry S[x], for [x] in 0..255 (exposed so the
+    test suite can check the table against its definition). *)
+
+val inv_sbox : int -> int
+(** The inverse S-box entry S{^-1}[x]. *)
+
 (** The original byte-wise path (explicit SubBytes/ShiftRows/MixColumns
-    passes over a 16-int state).  Kept as the oracle the T-table rounds
+    passes over a 16-int state).  Kept as the oracle the other paths
     are cross-checked against, and as the crypto bench's speedup
-    baseline.  Shares {!key}: both paths use the identical schedule. *)
+    baseline.  Shares {!key}: all paths use the identical schedule. *)
 module Reference : sig
   val encrypt : key -> Block.t -> Block.t
 

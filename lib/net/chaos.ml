@@ -174,7 +174,7 @@ let play ?recorder ~client_registry ~faults reactor seed =
         ~rng:(Rng.create (seed + 99))
         ~id:"carol" ~mac_key ~contract config)
 
-let wire ?recorder seed =
+let wire ?recorder ?server_recorder seed =
   let plan = Plan.random ~seed in
   let faults = Injector.create plan in
   let server_registry = Registry.create () in
@@ -182,13 +182,16 @@ let wire ?recorder seed =
   (* The client stamps the recorder's trace id into the attest request,
      where a corrupt-frame event can land on it.  A recorder's own id
      comes from the wall clock and the pid, so give each run one derived
-     from its seed: a recorded soak then replays seed for seed. *)
-  Option.iter
-    (fun r ->
-      Recorder.adopt r
-        (Trace_ctx.make ~trace_id:(Printf.sprintf "chaos-%d" seed) ~span_id:Trace_ctx.root_span))
-    recorder;
-  let server = Server.create ~registry:server_registry ?recorder ~mac_key ~seed:5 ~faults () in
+     from its seed: a recorded soak then replays seed for seed.  The
+     server adopts whatever id arrives, mangled or not, on its own
+     recorder, so the client's items keep the run's id. *)
+  let own =
+    Trace_ctx.make ~trace_id:(Printf.sprintf "chaos-%d" seed) ~span_id:Trace_ctx.root_span
+  in
+  List.iter (fun r -> Option.iter (fun r -> Recorder.adopt r own) r) [ recorder; server_recorder ];
+  let server =
+    Server.create ~registry:server_registry ?recorder:server_recorder ~mac_key ~seed:5 ~faults ()
+  in
   let expected =
     let a, b = workload seed in
     match oracle config ~contract [ (schema, a); (schema, b) ] with

@@ -79,7 +79,7 @@ val printing : ?verbose:bool -> (int -> run) -> int -> run
 val pp_report : name:string -> Format.formatter -> run list -> unit
 (** The summary line [name: N runs — ...]. *)
 
-val wire : ?recorder:Ppj_obs.Recorder.t -> int -> run
+val wire : ?recorder:Ppj_obs.Recorder.t -> ?server_recorder:Ppj_obs.Recorder.t -> int -> run
 (** The networked trial for one seed: draw [Plan.random ~seed], arm one
     injector with it and thread it through the server's coprocessor
     (crash / ciphertext corruption / replay), the {!Transport.loopback}
@@ -88,12 +88,15 @@ val wire : ?recorder:Ppj_obs.Recorder.t -> int -> run
     two providers upload, the recipient executes and fetches — every
     session through the server's one {!Reactor} — and {!judge} compares
     the delivery with {!oracle}.  Deterministic per seed.
-    [recorder] is handed to both client and server, so a soak exports
-    one flight-recorder trace of every crash, resume and retry.  The
-    client stamps the recorder's context into the attest request, where
-    a frame-corruption event can land on it, so each run first adopts
-    the trace id [chaos-<seed>] instead of the recorder's clock-derived
-    one.  The context also names the client's open span, numbered by
+    [recorder] records the client's side and [server_recorder] the
+    server's, so a soak exports a flight-recorder trace of every crash,
+    resume and retry (merge the two exports with
+    {!Ppj_obs.Recorder.merge}).  Each run first adopts the trace id
+    [chaos-<seed>] on both, instead of the recorders' clock-derived
+    ones.  The client stamps its context into the attest request, where
+    a frame-corruption event can land on it: the server then records
+    that session under the mangled id, and the client keeps the run's
+    own.  The context also names the client's open span, numbered by
     what the recorder has seen, so under a recorder a run is
     reproducible given the same recorder history (a soak from the same
-    first seed on a fresh recorder). *)
+    first seed on fresh recorders). *)

@@ -1,7 +1,27 @@
+(* Regions ordered as polymorphic compare orders them (constant
+   constructors in declaration order, then tables by name), which fixes
+   the order of exported checkpoint images.  Every transfer looks its
+   region up here, so the map compares regions itself instead of
+   calling polymorphic compare at each node. *)
 module Region_map = Map.Make (struct
   type t = Trace.region
 
-  let compare = Stdlib.compare
+  let rank : t -> int = function
+    | Cartesian -> 0
+    | Scratch -> 1
+    | Joined -> 2
+    | Buffer -> 3
+    | Output -> 4
+    | Oram_store -> 5
+    | Oram_shelter -> 6
+    | Disk -> 7
+    | Checkpoint -> 8
+    | Table _ -> 9
+
+  let compare a b =
+    match (a, b) with
+    | Trace.Table x, Trace.Table y -> String.compare x y
+    | _ -> Int.compare (rank a) (rank b)
 end)
 
 type image = {
@@ -79,10 +99,12 @@ let define_region t region ~size =
   t.regions <- Region_map.add region (Array.make size None) t.regions;
   t
 
+(* [find], not [find_opt]: every transfer comes through here, and the
+   option would be allocated on each. *)
 let slots t region =
-  match Region_map.find_opt region t.regions with
-  | Some a -> a
-  | None -> invalid_arg "Host: undefined region"
+  match Region_map.find region t.regions with
+  | a -> a
+  | exception Not_found -> invalid_arg "Host: undefined region"
 
 let region_size t region = Array.length (slots t region)
 

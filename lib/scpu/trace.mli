@@ -5,7 +5,13 @@
     preserving iff this object is identically distributed across inputs of
     the same shape.  Making the trace a first-class value lets the test
     suite check the definitions mechanically and lets the cost module
-    count transfers exactly. *)
+    count transfers exactly.
+
+    Recording runs on every transfer, so a trace stores each entry as
+    one int (op bit, region id, index), the regions interned in
+    first-appearance order; {!record} allocates nothing once the array
+    has grown.  {!entry} values are built only by the functions that
+    return them ({!to_list}, {!first_divergence}, {!pp}). *)
 
 type op = Read | Write
 
@@ -59,7 +65,8 @@ val concat : t list -> t
 
 val equal : t -> t -> bool
 (** Exact equality of ordered location lists — the check for
-    deterministic-schedule algorithms. *)
+    deterministic-schedule algorithms.  Regions compare by value, not
+    by their ids in either trace. *)
 
 val first_divergence : t -> t -> (int * entry option * entry option) option
 (** Diagnostic: position and entries where two traces first differ. *)

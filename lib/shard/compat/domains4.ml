@@ -5,4 +5,7 @@
 
 let available = false
 
+(* Jobs run one at a time here, whatever the machine has. *)
+let cores () = 1
+
 let parallel_map f xs = Array.map f xs

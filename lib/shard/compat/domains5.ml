@@ -20,6 +20,9 @@
 
 let available = true
 
+(* The cores the runtime would run domains on in parallel. *)
+let cores () = Domain.recommended_domain_count ()
+
 let run f x =
   match f x with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ())
 

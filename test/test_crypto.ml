@@ -98,14 +98,100 @@ let test_aes_bad_key () =
   Alcotest.check_raises "short key" (Invalid_argument "Aes.expand: key must be 16 bytes")
     (fun () -> ignore (Aes.expand "short"))
 
+(* One block through [f] (an [_into] function) into a fresh string. *)
+let block_via f key m =
+  let dst = Bytes.create 16 in
+  f key ~src:(Bytes.of_string (Block.to_string m)) ~src_pos:0 ~dst ~dst_pos:0;
+  Bytes.to_string dst
+
 let prop_aes_ttable_matches_reference =
   (* The fused T-table rounds against the retained byte-wise oracle:
      1k random key/block pairs, both directions. *)
   qtest "T-table agrees with Aes.Reference" ~count:1000 (QCheck.pair arb_block arb_block)
     (fun (k, m) ->
       let key = Aes.expand (Block.to_string k) in
-      Block.equal (Aes.encrypt key m) (Aes.Reference.encrypt key m)
-      && Block.equal (Aes.decrypt key m) (Aes.Reference.decrypt key m))
+      block_via Aes.Table.encrypt_into key m = Block.to_string (Aes.Reference.encrypt key m)
+      && block_via Aes.Table.decrypt_into key m = Block.to_string (Aes.Reference.decrypt key m))
+
+let prop_aes_paths_agree =
+  (* The dispatched path (the AES instructions where the CPU has them),
+     the T-table rounds and Aes.Reference on 1k random key/block pairs,
+     both directions, each [_into] path both in place and between
+     buffers at non-zero offsets. *)
+  let arb = QCheck.(triple arb_block arb_block (pair (int_range 0 7) (int_range 0 7))) in
+  qtest "dispatched, T-table and Reference agree" ~count:1000 arb (fun (k, m, (sp, dp)) ->
+      let key = Aes.expand (Block.to_string k) in
+      let m_s = Block.to_string m in
+      (* each returns the output block and the 4 bytes after it, which
+         must be untouched *)
+      let apart f =
+        let src = Bytes.make (sp + 16) '\x5a' and dst = Bytes.make (dp + 20) '\xa5' in
+        Bytes.blit_string m_s 0 src sp 16;
+        f key ~src ~src_pos:sp ~dst ~dst_pos:dp;
+        Bytes.sub_string dst dp 20
+      in
+      let in_place f =
+        let buf = Bytes.make (sp + 20) '\xa5' in
+        Bytes.blit_string m_s 0 buf sp 16;
+        f key ~src:buf ~src_pos:sp ~dst:buf ~dst_pos:sp;
+        Bytes.sub_string buf sp 20
+      in
+      let agree want paths =
+        let want = want ^ "\xa5\xa5\xa5\xa5" in
+        List.for_all (fun f -> apart f = want && in_place f = want) paths
+      in
+      agree
+        (Block.to_string (Aes.Reference.encrypt key m))
+        [ Aes.encrypt_into; Aes.Table.encrypt_into ]
+      && agree
+           (Block.to_string (Aes.Reference.decrypt key m))
+           [ Aes.decrypt_into; Aes.Table.decrypt_into ])
+
+let test_aes_fips_both_paths () =
+  (* FIPS-197 Appendix C.1 on each [_into] path; the dispatched one is
+     the hardware path only where the CPU has the instructions. *)
+  let key = Aes.expand (of_hex "000102030405060708090a0b0c0d0e0f") in
+  let pt = Block.of_string (of_hex "00112233445566778899aabbccddeeff") in
+  let ct = Block.of_string (of_hex "69c4e0d86a7b0430d8cdb78070b4c55a") in
+  let paths =
+    ("T-table", Aes.Table.encrypt_into, Aes.Table.decrypt_into)
+    :: (if Aes.hardware then [ ("hardware", Aes.encrypt_into, Aes.decrypt_into) ] else [])
+  in
+  List.iter
+    (fun (name, enc, dec) ->
+      Alcotest.(check string) (name ^ " encrypt") (hex (Block.to_string ct))
+        (hex (block_via enc key pt));
+      Alcotest.(check string) (name ^ " decrypt") (hex (Block.to_string pt))
+        (hex (block_via dec key ct)))
+    paths
+
+(* GF(2^8) product by shift-and-add, and the inverse by search over
+   every product: the definition the S-box tables are checked against,
+   kept here only (the library tabulates logarithms instead). *)
+let gf_mul a b =
+  let rec go a b acc =
+    if b = 0 then acc
+    else
+      let acc = if b land 1 = 1 then acc lxor a else acc in
+      let a = if a land 0x80 <> 0 then ((a lsl 1) lxor 0x11b) land 0xff else (a lsl 1) land 0xff in
+      go a (b lsr 1) acc
+  in
+  go a b 0
+
+let test_aes_sbox_definition () =
+  let inverse a =
+    let rec find b = if b > 255 then 0 else if gf_mul a b = 1 then b else find (b + 1) in
+    if a = 0 then 0 else find 1
+  in
+  let rotl8 x n = ((x lsl n) lor (x lsr (8 - n))) land 0xff in
+  for x = 0 to 255 do
+    let b = inverse x in
+    let want = b lxor rotl8 b 1 lxor rotl8 b 2 lxor rotl8 b 3 lxor rotl8 b 4 lxor 0x63 in
+    Alcotest.(check int) (Printf.sprintf "S[%02x]" x) want (Aes.sbox x);
+    Alcotest.(check int) (Printf.sprintf "S^-1[S[%02x]]" x) x (Aes.inv_sbox want)
+  done;
+  Alcotest.(check (list int)) "FIPS-197 S[00], S[53], S[ff]" [ 0x63; 0xed; 0x16 ]
+    [ Aes.sbox 0x00; Aes.sbox 0x53; Aes.sbox 0xff ]
 
 let test_aes_encrypt_into_aliasing () =
   (* In-place use (src == dst at the same offset) must match the pure API. *)
@@ -504,6 +590,11 @@ let test_group_key_of_deterministic () =
   Alcotest.(check bool) "distinct" true (Group.key_of 7 <> Group.key_of 8)
 
 let () =
+  (* Where the CPU lacks the AES instructions the dispatched path is the
+     table, so the hardware cases have nothing to check: say so before
+     the run, where the output is not captured. *)
+  if not Aes.hardware then
+    print_endline "note: no AES instructions on this CPU; hardware-path cases skipped";
   Alcotest.run "crypto"
     [ ( "block",
         [ Alcotest.test_case "size and zero" `Quick test_block_size;
@@ -529,8 +620,11 @@ let () =
           Alcotest.test_case "bad key" `Quick test_aes_bad_key;
           Alcotest.test_case "encrypt_into aliasing" `Quick test_aes_encrypt_into_aliasing;
           Alcotest.test_case "expand_bytes" `Quick test_aes_expand_bytes;
+          Alcotest.test_case "FIPS-197 vector, both paths" `Quick test_aes_fips_both_paths;
+          Alcotest.test_case "S-boxes match their definition" `Quick test_aes_sbox_definition;
           prop_aes_roundtrip;
-          prop_aes_ttable_matches_reference
+          prop_aes_ttable_matches_reference;
+          prop_aes_paths_agree
         ] );
       ( "ocb",
         [ Alcotest.test_case "ciphertext length" `Quick test_ocb_length;

@@ -283,6 +283,23 @@ let in_process_delivery () =
 let trace_ids events =
   List.sort_uniq compare (List.filter_map (arg_str "trace_id") events)
 
+let test_chaos_corrupt_attest_keeps_client_id () =
+  (* Seed 1's plan corrupts the attest frame where the client stamped its
+     trace context.  The server adopts the mangled id on its own
+     recorder; every client item keeps the run's id. *)
+  let recorder = Recorder.create ~name:"chaos" () in
+  let server_recorder = Recorder.create ~name:"chaos-server" () in
+  let run = Chaos.wire ~recorder ~server_recorder 1 in
+  let ids r =
+    match Recorder.events_of (Recorder.to_perfetto r) with
+    | Ok events -> trace_ids events
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check string) "the run's outcome" "correct" (Chaos.outcome_to_string run.Chaos.outcome);
+  Alcotest.(check bool) "the server saw a mangled id" true
+    (List.exists (fun id -> id <> "chaos-1") (ids server_recorder));
+  Alcotest.(check (list string)) "client items" [ "chaos-1" ] (ids recorder)
+
 let test_two_process_crash_resume_trace () =
   let tmp name =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -523,7 +540,9 @@ let () =
           Alcotest.test_case "bare v2 payload tolerated" `Quick test_wire_accepts_bare_v2_payload;
           Alcotest.test_case "bad ctx ids rejected" `Quick test_wire_rejects_bad_ctx_ids;
           Alcotest.test_case "interleaved sessions keep their ids" `Quick
-            test_interleaved_sessions_keep_their_ids
+            test_interleaved_sessions_keep_their_ids;
+          Alcotest.test_case "chaos: corrupted attest keeps the client's id" `Quick
+            test_chaos_corrupt_attest_keeps_client_id
         ] );
       ( "two-process",
         [ Alcotest.test_case "crash-resume is one connected trace" `Quick

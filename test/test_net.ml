@@ -543,11 +543,12 @@ let test_chaos_runs_are_reproducible () =
 let test_chaos_recorded_runs_reproducible () =
   (* Under a flight recorder the client stamps a trace id into every
      attest request, where a corrupt-frame event can land on it.  Two
-     recorders with different ids of the same length must still see the
-     same soak, seed for seed. *)
+     pairs of recorders with different ids of the same length must still
+     see the same soak, seed for seed. *)
   let soak trace_id =
     let recorder = Ppj_obs.Recorder.create ~name:"chaos" ~trace_id () in
-    Chaos.soak ~seed0:1 ~runs:60 (Chaos.wire ~recorder)
+    let server_recorder = Ppj_obs.Recorder.create ~name:"chaos-server" ~trace_id () in
+    Chaos.soak ~seed0:1 ~runs:60 (Chaos.wire ~recorder ~server_recorder)
   in
   let once = soak "63f1a2b3c4d5e-0001" and again = soak "7000000000000-abcd" in
   List.iter2

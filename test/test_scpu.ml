@@ -90,6 +90,107 @@ let test_by_region_matches_fold =
       in
       Trace.by_region t = fold)
 
+(* The packed trace against a plain list of entries.  Table regions are
+   built fresh for every record, as Instance.relation_region builds
+   them, so equal regions are rarely physically equal; indices reach
+   2^31.  The second trace is the first one rebuilt, a fresh sequence,
+   the first with one entry changed, or a prefix of it, so [equal] is
+   exercised both ways. *)
+let trace_model_region = function
+  | 0 -> Trace.Table (String.make 1 'A')
+  | 1 -> Trace.Table (String.make 1 'B')
+  | 2 -> Trace.Cartesian
+  | 3 -> Trace.Output
+  | 4 -> Trace.Scratch
+  | _ -> Trace.Disk
+
+let test_trace_model =
+  let open QCheck.Gen in
+  let step = triple bool (int_range 0 5) (oneof [ int_range 0 40; int_range 0 (1 lsl 31) ]) in
+  let steps = list_size (int_range 0 60) step in
+  let variant a =
+    let n = List.length a in
+    oneof
+      ([ return a; steps; map (fun k -> List.filteri (fun j _ -> j < k) a) (int_range 0 n) ]
+      @
+      if n = 0 then []
+      else
+        [ map2
+            (fun i s -> List.mapi (fun j x -> if j = i then s else x) a)
+            (int_range 0 (n - 1))
+            step
+        ])
+  in
+  let print =
+    QCheck.Print.(pair (list (triple bool int int)) (list (triple bool int int)))
+  in
+  let arb = QCheck.make ~print (steps >>= fun a -> map (fun b -> (a, b)) (variant a)) in
+  qtest "packed trace = plain list" ~count:300 arb (fun (a, b) ->
+      let build steps =
+        let t = Trace.create () in
+        List.iter
+          (fun (read, r, i) ->
+            Trace.record t (if read then Trace.Read else Trace.Write) (trace_model_region r) i)
+          steps;
+        t
+      in
+      let model steps =
+        List.map
+          (fun (read, r, index) ->
+            { Trace.op = (if read then Trace.Read else Trace.Write);
+              region = trace_model_region r;
+              index
+            })
+          steps
+      in
+      let t = build a and u = build b in
+      let ma = model a and mb = model b in
+      let count p l = List.length (List.filter p l) in
+      let fold =
+        List.fold_left
+          (fun acc (e : Trace.entry) ->
+            let bump (r, w) = if e.Trace.op = Trace.Read then (r + 1, w) else (r, w + 1) in
+            if List.mem_assoc e.Trace.region acc then
+              List.map (fun (k, c) -> if k = e.Trace.region then (k, bump c) else (k, c)) acc
+            else acc @ [ (e.Trace.region, bump (0, 0)) ])
+          [] ma
+      in
+      let rec divergence i xs ys =
+        match (xs, ys) with
+        | [], [] -> None
+        | x :: xs', y :: ys' when x = y -> divergence (i + 1) xs' ys'
+        | _ -> Some (i, List.nth_opt xs 0, List.nth_opt ys 0)
+      in
+      Trace.to_list t = ma
+      && Trace.length t = List.length ma
+      && Trace.reads t = count (fun e -> e.Trace.op = Trace.Read) ma
+      && Trace.writes t = count (fun e -> e.Trace.op = Trace.Write) ma
+      && Trace.by_region t = fold
+      && List.for_all
+           (fun r ->
+             let region = trace_model_region r in
+             Trace.transfers_to_region t region = count (fun e -> e.Trace.region = region) ma)
+           [ 0; 1; 2; 3; 4; 5 ]
+      && Trace.to_list (Trace.concat [ t; u ]) = ma @ mb
+      && Trace.equal t u = (ma = mb)
+      && Trace.first_divergence t u = divergence 0 ma mb)
+
+let test_trace_interning_order () =
+  (* Each trace numbers regions in its own first-appearance order, so
+     these two pack to the same ints and must still differ. *)
+  let mk regions =
+    let t = Trace.create () in
+    List.iter (fun r -> Trace.record t Trace.Read r 0) regions;
+    t
+  in
+  let a = Trace.Table "A" and b = Trace.Table "B" in
+  let ab = mk [ a; b ] and ba = mk [ b; a ] in
+  Alcotest.(check bool) "unequal" false (Trace.equal ab ba);
+  match Trace.first_divergence ab ba with
+  | Some (0, Some e, Some e') ->
+      Alcotest.(check bool) "A then B" true (e.Trace.region = a && e'.Trace.region = b)
+  | _ -> Alcotest.fail "expected a divergence at 0"
+
 (* --- Host --- *)
 
 let test_host_regions () =
@@ -120,6 +221,66 @@ let test_host_persist () =
   Host.persist host Trace.Output ~count:2;
   Alcotest.(check (list string)) "disk" [ "x"; "y" ] (Host.disk host);
   Alcotest.(check int) "count" 2 (Host.disk_writes host)
+
+let test_host_replaced_regions () =
+  (* Whatever replaces a region's array -- restore_checkpoint,
+     define_region, reset -- is what raw_get reads next. *)
+  let host = Host.define_region (Host.create ()) Trace.Scratch ~size:2 in
+  Host.raw_set host Trace.Scratch 0 "old";
+  Alcotest.(check string) "read" "old" (Host.raw_get host Trace.Scratch 0);
+  Host.save_checkpoint host;
+  Host.raw_set host Trace.Scratch 0 "new";
+  Alcotest.(check string) "written" "new" (Host.raw_get host Trace.Scratch 0);
+  Host.restore_checkpoint host;
+  Alcotest.(check string) "after restore_checkpoint" "old" (Host.raw_get host Trace.Scratch 0);
+  let (_ : Host.t) = Host.define_region host Trace.Scratch ~size:3 in
+  Alcotest.(check (option string)) "after define_region" None (Host.peek host Trace.Scratch 0);
+  Alcotest.(check int) "redefined size" 3 (Host.region_size host Trace.Scratch);
+  Alcotest.check_raises "after define_region: slot empty"
+    (Invalid_argument "Host: empty slot R scratch[0]") (fun () ->
+      ignore (Host.raw_get host Trace.Scratch 0));
+  Host.raw_set host Trace.Scratch 1 "x";
+  Host.reset host;
+  Alcotest.check_raises "after reset" (Invalid_argument "Host: undefined region") (fun () ->
+      ignore (Host.raw_get host Trace.Scratch 1))
+
+(* The host orders regions with a compare of its own; an exported
+   checkpoint lists them as polymorphic compare orders them, and each
+   region, looked up through a fresh value, reads its own slots. *)
+let test_host_region_order =
+  let all =
+    [| Trace.Cartesian; Scratch; Joined; Buffer; Output; Oram_store; Oram_shelter; Disk;
+       Checkpoint |]
+  in
+  let region = function
+    | `C i -> all.(i)
+    | `T name -> Trace.Table (name ^ "")
+  in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 14)
+        (oneof
+           [ map (fun i -> `C i) (int_range 0 (Array.length all - 1));
+             map (fun s -> `T s) (string_size ~gen:(char_range 'A' 'C') (int_range 0 3))
+           ]))
+  in
+  let print =
+    QCheck.Print.list (function `C i -> Trace.region_name all.(i) | `T s -> "table:" ^ s)
+  in
+  qtest "checkpoint regions in compare order" (QCheck.make ~print gen) (fun regions ->
+      let host = Host.create () in
+      List.iter (fun r -> ignore (Host.define_region host (region r) ~size:1)) regions;
+      List.iter (fun r -> Host.raw_set host (region r) 0 (Trace.region_name (region r))) regions;
+      Host.save_checkpoint host;
+      let exported =
+        match Host.export_checkpoint host with
+        | Some e -> List.map fst e.Host.e_regions
+        | None -> []
+      in
+      exported = List.sort_uniq Stdlib.compare (List.map region regions)
+      && List.for_all
+           (fun r -> Host.raw_get host (region r) 0 = Trace.region_name (region r))
+           regions)
 
 (* --- Coprocessor --- *)
 
@@ -230,13 +391,40 @@ let test_co_transfer_allocation () =
   if words > 150. then Alcotest.failf "%.0f minor words per get+put pair (budget 150)" words
 
 let test_aes_into_allocation () =
-  let k = Ppj_crypto.Aes.expand (String.make 16 'k') in
+  (* Both the dispatched path (the AES instructions where the CPU has
+     them) and the T-table rounds. *)
+  let module Aes = Ppj_crypto.Aes in
+  let k = Aes.expand (String.make 16 'k') in
   let buf = Bytes.make 16 'b' in
-  let enc _ = Ppj_crypto.Aes.encrypt_into k ~src:buf ~src_pos:0 ~dst:buf ~dst_pos:0 in
-  let dec _ = Ppj_crypto.Aes.decrypt_into k ~src:buf ~src_pos:0 ~dst:buf ~dst_pos:0 in
-  ignore (minor_words_per 10 dec);
-  Alcotest.(check int) "encrypt_into words per call" 0 (Float.to_int (minor_words_per 1000 enc));
-  Alcotest.(check int) "decrypt_into words per call" 0 (Float.to_int (minor_words_per 1000 dec))
+  List.iter
+    (fun (path, encrypt_into, decrypt_into) ->
+      let enc _ = encrypt_into k ~src:buf ~src_pos:0 ~dst:buf ~dst_pos:0 in
+      let dec _ = decrypt_into k ~src:buf ~src_pos:0 ~dst:buf ~dst_pos:0 in
+      ignore (minor_words_per 10 dec);
+      Alcotest.(check int) (path ^ " encrypt_into words per call") 0
+        (Float.to_int (minor_words_per 1000 enc));
+      Alcotest.(check int) (path ^ " decrypt_into words per call") 0
+        (Float.to_int (minor_words_per 1000 dec)))
+    [ ("dispatched", Aes.encrypt_into, Aes.decrypt_into);
+      ("T-table", Aes.Table.encrypt_into, Aes.Table.decrypt_into)
+    ]
+
+let test_trace_record_allocation () =
+  (* Once its array has grown, recording allocates nothing: an entry is
+     one int, its regions interned once. *)
+  let t = Trace.create () in
+  let a = Trace.Table (String.make 1 'A') and out = Trace.Output in
+  for i = 0 to 4999 do
+    Trace.record t Trace.Read a i
+  done;
+  let step i =
+    Trace.record t
+      (if i land 1 = 0 then Trace.Read else Trace.Write)
+      (if i land 2 = 0 then a else out)
+      i
+  in
+  ignore (minor_words_per 100 step);
+  Alcotest.(check int) "record words per call" 0 (Float.to_int (minor_words_per 1000 step))
 
 (* --- Attestation --- *)
 
@@ -503,13 +691,18 @@ let () =
         [ Alcotest.test_case "record and count" `Quick test_trace_record;
           Alcotest.test_case "equality and divergence" `Quick test_trace_equal_and_divergence;
           Alcotest.test_case "growth" `Quick test_trace_growth;
-          test_by_region_matches_fold
+          Alcotest.test_case "interning order" `Quick test_trace_interning_order;
+          test_by_region_matches_fold;
+          test_trace_model
         ] );
       ( "host",
         [ Alcotest.test_case "regions" `Quick test_host_regions;
           Alcotest.test_case "undefined region" `Quick test_host_undefined_region;
           Alcotest.test_case "empty slot" `Quick test_host_empty_slot;
-          Alcotest.test_case "persist" `Quick test_host_persist
+          Alcotest.test_case "persist" `Quick test_host_persist;
+          Alcotest.test_case "redefine/restore/reset read new slots" `Quick
+            test_host_replaced_regions;
+          test_host_region_order
         ] );
       ( "coprocessor",
         [ Alcotest.test_case "get/put roundtrip" `Quick test_co_roundtrip;
@@ -522,6 +715,7 @@ let () =
           Alcotest.test_case "seeded determinism" `Quick test_co_seed_determinism;
           Alcotest.test_case "transfer allocation budget" `Quick test_co_transfer_allocation;
           Alcotest.test_case "AES _into allocates nothing" `Quick test_aes_into_allocation;
+          Alcotest.test_case "trace record allocates nothing" `Quick test_trace_record_allocation;
           prop_co_tamper_any_byte
         ] );
       ( "attestation",

@@ -434,6 +434,20 @@ let test_local_speedup_accounting () =
   Alcotest.(check bool) "p=4 speeds up" true (o.Coordinator.speedup > 1.5);
   Alcotest.(check bool) "merge slots cover shards" true (o.Coordinator.merge.Merge.slots > 0)
 
+let test_merge_comparators_exact () =
+  (* The merge's compare-exchanges against Cost.merge_exact: p slices of
+     the l-pair product, each padded to min(ceil(l/p), S) oTuples. *)
+  let a, b = workload () in
+  let l = Relation.cardinality a * Relation.cardinality b in
+  let s = List.length (oracle_of [ a; b ]) in
+  List.iter
+    (fun p ->
+      let o = local ~p Service.Alg4 [ a; b ] in
+      Alcotest.(check int) (Printf.sprintf "p=%d" p)
+        (Ppj_core.Cost.merge_exact ~p ~l ~s)
+        o.Coordinator.merge.Merge.comparators)
+    [ 1; 2; 3; 4; 5 ]
+
 (* --- the multi-coprocessor model (§4.4.4, §5.3.5) ----------------------- *)
 
 let slice_algorithms =
@@ -908,6 +922,8 @@ let () =
           Alcotest.test_case "bad inner rejected" `Quick test_bad_inner_rejected;
           Alcotest.test_case "domains = sequential" `Quick test_domains_matches_sequential;
           Alcotest.test_case "speedup accounting" `Quick test_local_speedup_accounting;
+          Alcotest.test_case "merge comparators exact, p=1..5" `Quick
+            test_merge_comparators_exact;
           Alcotest.test_case "slices seal under distinct keys" `Quick
             test_slices_seal_under_distinct_keys
         ] );
