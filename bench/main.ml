@@ -861,7 +861,22 @@ let crypto_bench () =
                 then failwith "bench: OCB tag rejected") );
           ( "crypto.ocb.string_api.mb_per_sec",
             labels,
-            mb (fun () -> ignore (Ocb.encrypt okey ~nonce msg)) )
+            mb (fun () -> ignore (Ocb.encrypt okey ~nonce msg)) );
+          (* the OCaml core, the path on CPUs without the AES
+             instructions, timed on every CPU *)
+          ( "crypto.ocb.portable.seal.mb_per_sec",
+            labels,
+            mb (fun () ->
+                Ocb.Portable.seal_into okey ~nonce ~src ~src_pos:0 ~src_len:size ~dst:sealed
+                  ~dst_pos:0) );
+          ( "crypto.ocb.portable.open.mb_per_sec",
+            labels,
+            mb (fun () ->
+                if
+                  not
+                    (Ocb.Portable.open_into okey ~nonce ~src:sealed ~src_pos:0
+                       ~src_len:(size + Ocb.tag_length) ~dst:opened ~dst_pos:0)
+                then failwith "bench: OCB tag rejected") )
         ]
       in
       let hash_msg = String.make 4096 'h' in
@@ -918,19 +933,24 @@ let crypto_bench () =
         (if speedup >= 5. then "(>= 5x: ok)" else "(< 5x: FAIL)");
       row "AES-128 key schedule        : %12.3e expands/s\n"
         (value "crypto.aes.key_schedules_per_sec" []);
-      row "\n%-8s %16s %16s %16s\n" "bytes" "seal MB/s" "open MB/s" "string-API MB/s";
+      row "\n%-8s %12s %12s %16s %12s %12s\n" "bytes" "seal MB/s" "open MB/s" "string-API MB/s"
+        "core seal" "core open";
       List.iter
         (fun size ->
           let labels = [ ("size", string_of_int size) ] in
-          row "%-8d %16.1f %16.1f %16.1f\n" size
+          row "%-8d %12.1f %12.1f %16.1f %12.1f %12.1f\n" size
             (value "crypto.ocb.seal.mb_per_sec" labels)
             (value "crypto.ocb.open.mb_per_sec" labels)
-            (value "crypto.ocb.string_api.mb_per_sec" labels))
+            (value "crypto.ocb.string_api.mb_per_sec" labels)
+            (value "crypto.ocb.portable.seal.mb_per_sec" labels)
+            (value "crypto.ocb.portable.open.mb_per_sec" labels))
         sizes;
       row "\nMMO hash (4 KiB messages)   : %12.1f MB/s\n" (value "crypto.hash.mb_per_sec" []);
       row "\n(seal/open run in caller-reused buffers — the coprocessor's\n";
-      row " per-transfer path; the string API column pays the wrapper's\n";
-      row " allocations.  crypto.* gauges land in the --json export.)\n")
+      row " per-transfer path, one C call per message where the CPU has the\n";
+      row " AES instructions; the string API column pays the wrapper's\n";
+      row " allocations; the core columns time the OCaml core, the path\n";
+      row " without the instructions.  crypto.* gauges land in the --json export.)\n")
 
 (* --- Bechamel microbenches --- *)
 

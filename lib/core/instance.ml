@@ -27,6 +27,7 @@ type t = {
   predicate : Predicate.t;
   fixed_time : bool;
   rels : Relation.t array;
+  encoded : string array array;  (* [encoded.(k).(j)]: tuple j of relation k, encoded *)
   widths : int array;
   sizes : int array;
   l : int;
@@ -39,20 +40,24 @@ type t = {
 
 let match_cycles = 4
 
+let encode_tables rels =
+  Array.map
+    (fun r -> Array.init (Relation.cardinality r) (fun j -> Tuple.encode (Relation.get r j)))
+    rels
+
 (* The providers' submissions, re-playable: loading is deterministic in
    (relations, seed), so a resumed coprocessor's ghost replay re-seals
    byte-identical ciphertexts.  Regions are padded to the next power of
    two so that oblivious sorting of a whole relation (Algorithm 3) needs
    no re-allocation. *)
-let load_tables co ~rels ~sizes ~widths =
+let load_tables co ~rels ~encoded ~widths =
   Array.iteri
     (fun i r ->
-      let n = sizes.(i) in
+      let n = Array.length encoded.(i) in
       let padded = Bitonic.next_pow2 n in
       let slots =
         Array.init padded (fun j ->
-            if j < n then Tuple.encode (Relation.get r j)
-            else Sort.sentinel ~width:widths.(i))
+            if j < n then encoded.(i).(j) else Sort.sentinel ~width:widths.(i))
       in
       Coprocessor.load_region co (Trace.Table r.Relation.name) slots)
     rels
@@ -77,7 +82,8 @@ let create ?(fixed_time = true) ?recorder ?event_batch ?faults ?checkpoint_every
   let widths = Array.map (fun r -> Schema.width r.Relation.schema) rels in
   let sizes = Array.map Relation.cardinality rels in
   let l = Array.fold_left ( * ) 1 sizes in
-  load_tables co ~rels ~sizes ~widths;
+  let encoded = encode_tables rels in
+  load_tables co ~rels ~encoded ~widths;
   { co;
     host;
     m;
@@ -92,6 +98,7 @@ let create ?(fixed_time = true) ?recorder ?event_batch ?faults ?checkpoint_every
     predicate;
     fixed_time;
     rels;
+    encoded;
     widths;
     sizes;
     l;
@@ -121,7 +128,7 @@ let recover t =
         ~host ~m ~seed ()
     end
   in
-  load_tables co ~rels:t.rels ~sizes:t.sizes ~widths:t.widths;
+  load_tables co ~rels:t.rels ~encoded:t.encoded ~widths:t.widths;
   t.co <- co;
   t.cartesian <- false;
   t.resume_count <- t.resume_count + 1
@@ -177,7 +184,8 @@ let join2 _t ea eb = Decoy.real (ea ^ eb)
 let decoy t = Decoy.decoy ~payload:t.payload_width
 
 (* iTuple idx decomposes row-major: the last relation's index varies
-   fastest (§5.2.1's logical-index convention, matching Join.multiway). *)
+   fastest (§5.2.1's logical-index convention, matching Join.multiway).
+   Its plaintext concatenates the components' encodings, as loaded. *)
 let component_indices t idx =
   let j = Array.length t.rels in
   let out = Array.make j 0 in
@@ -190,9 +198,7 @@ let component_indices t idx =
 
 let ituple_plaintext t idx =
   let ids = component_indices t idx in
-  String.concat ""
-    (List.init (Array.length t.rels) (fun k ->
-         Tuple.encode (Relation.get t.rels.(k) ids.(k))))
+  String.concat "" (List.init (Array.length t.rels) (fun k -> t.encoded.(k).(ids.(k))))
 
 let ensure_cartesian t =
   if not t.cartesian then begin

@@ -336,6 +336,9 @@ external hw_decrypt : bytes -> bytes -> int -> bytes -> int -> unit = "ppj_aes_h
 
 let hardware = hw_available ()
 
+let round_key_bytes k = k.rk_bytes
+let inverse_round_key_bytes k = (dkeys k).bytes
+
 let encrypt_into k ~src ~src_pos ~dst ~dst_pos =
   check_range "Aes.encrypt_into: src" src src_pos;
   check_range "Aes.encrypt_into: dst" dst dst_pos;

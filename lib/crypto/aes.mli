@@ -51,6 +51,15 @@ val hardware : bool
     built on them) run on the CPU's AES instructions, [false] when they
     run the T-table rounds. *)
 
+val round_key_bytes : key -> bytes
+(** The encryption schedule as the AES-instruction stubs read it: 176
+    bytes, round r at offset 16 r.  The key's own bytes, not a copy, for
+    {!Ocb}'s message stubs; callers must not write to them. *)
+
+val inverse_round_key_bytes : key -> bytes
+(** The equivalent-inverse schedule in the same layout, the form AESDEC
+    expects: the bytes {!decrypt_into} uses, built on first use. *)
+
 (** The T-table rounds, whichever path {!encrypt_into} takes: the path
     on CPUs without the AES instructions, and the reference the hardware
     path is tested against.  Same contract as {!encrypt_into}. *)

@@ -22,16 +22,18 @@ let xor a b =
   Bytes.unsafe_to_string r
 
 (* Reduction polynomial x^128 + x^7 + x^2 + x + 1: the carry out of the top
-   bit folds back as 0x87 into the low byte. *)
+   bit folds back as 0x87 into the low byte.  The shift runs on the
+   block's two big-endian 64-bit halves, in place: every OCB key doubles
+   L once for each offset a message can reach. *)
+let double_into b ~src ~dst =
+  let hi = Bytes.get_int64_be b src and lo = Bytes.get_int64_be b (src + 8) in
+  Bytes.set_int64_be b dst (Int64.logor (Int64.shift_left hi 1) (Int64.shift_right_logical lo 63));
+  Bytes.set_int64_be b (dst + 8)
+    (Int64.logxor (Int64.shift_left lo 1) (Int64.mul 0x87L (Int64.shift_right_logical hi 63)))
+
 let double a =
-  let r = Bytes.create size in
-  let carry = ref 0 in
-  for i = size - 1 downto 0 do
-    let v = (Char.code a.[i] lsl 1) lor !carry in
-    carry := (v lsr 8) land 1;
-    Bytes.set r i (Char.chr (v land 0xff))
-  done;
-  if !carry = 1 then Bytes.set r (size - 1) (Char.chr (Char.code (Bytes.get r (size - 1)) lxor 0x87));
+  let r = Bytes.of_string a in
+  double_into r ~src:0 ~dst:0;
   Bytes.unsafe_to_string r
 
 let halve a =

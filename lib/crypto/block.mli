@@ -24,6 +24,12 @@ val xor : t -> t -> t
 val double : t -> t
 (** Multiplication by x in GF(2{^128}) ("L(i+1) from L(i)" in OCB). *)
 
+val double_into : bytes -> src:int -> dst:int -> unit
+(** [double_into b ~src ~dst] writes {!double} of the block at
+    [b.[src..src+15]] to [b.[dst..dst+15]] without allocating; the two
+    may be the same block.  @raise Invalid_argument if either is out of
+    bounds. *)
+
 val halve : t -> t
 (** Multiplication by x{^-1} in GF(2{^128}) (OCB's L(-1)). *)
 

@@ -5,14 +5,38 @@ type key = {
   mutable l_tab : Block.t array; (* L(j) = L * x^j, grown on demand *)
   mutable f_apps : int;
   mutable cipher_calls : int;
+  ctx : bytes;
+      (* L(-1), L(0), L(1), ... as one table, 16 bytes each, for the
+         message stubs where the CPU has the AES instructions; empty
+         elsewhere *)
 }
 
 let tag_length = Block.size
 
+let blocks_for len = if len = 0 then 1 else (len + Block.size - 1) / Block.size
+
+(* Block i of a message uses L(ntz i), and ntz i < bits i, so a message
+   of the longest length [Bytes] allows reaches L(j) only for
+   j < bits (its block count). *)
+let l_entries =
+  let rec bits n = if n = 0 then 0 else 1 + bits (n lsr 1) in
+  bits (blocks_for Sys.max_string_length)
+
+let context (l0 : Block.t) (l_inv : Block.t) =
+  let ctx = Bytes.create (Block.size * (l_entries + 1)) in
+  Bytes.blit_string (l_inv :> string) 0 ctx 0 Block.size;
+  Bytes.blit_string (l0 :> string) 0 ctx Block.size Block.size;
+  for j = 2 to l_entries do
+    Block.double_into ctx ~src:(Block.size * (j - 1)) ~dst:(Block.size * j)
+  done;
+  ctx
+
 let key_of_string raw =
   let aes = Aes.expand raw in
   let l0 = Aes.encrypt aes Block.zero in
-  { aes; l0; l_inv = Block.halve l0; l_tab = [| l0 |]; f_apps = 0; cipher_calls = 1 }
+  let l_inv = Block.halve l0 in
+  let ctx = if Aes.hardware then context l0 l_inv else Bytes.empty in
+  { aes; l0; l_inv; l_tab = [| l0 |]; f_apps = 0; cipher_calls = 1; ctx }
 
 let f_applications k = k.f_apps
 let reset_f_applications k = k.f_apps <- 0
@@ -143,8 +167,6 @@ let xor_partial d dp a ap b len =
     incr j
   done
 
-let blocks_for len = if len = 0 then 1 else (len + Block.size - 1) / Block.size
-
 let check_span name buf pos len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then invalid_arg name
 
@@ -227,32 +249,96 @@ let open_core k nb np ~src ~src_pos ~src_len ~dst ~dst_pos =
        (Int64.logxor (get64 sum 0) (get64 src tag))
        (Int64.logxor (get64 sum 8) (get64 src (tag + 8))))
 
-let seal_into k ~nonce ~src ~src_pos ~src_len ~dst ~dst_pos =
+(* --- the message loop on the AES instructions (aes_stubs.c) ----------
+   One C call seals or opens a message, running the cipher calls for its
+   blocks and the final pad interleaved, on [Aes]'s own schedule bytes.
+   The stubs check nothing, so every span is checked here first, as for
+   the core above; they count nothing, so the caller charges the m + 2
+   cipher calls and m [f] applications the core counts one by one. *)
+
+external hw_seal : bytes -> bytes -> bytes -> int -> bytes -> int -> int -> bytes -> int -> unit
+  = "ppj_ocb_hw_seal_byte" "ppj_ocb_hw_seal"
+[@@noalloc]
+
+external hw_open :
+  bytes -> bytes -> bytes -> bytes -> int -> bytes -> int -> int -> bytes -> int -> bool
+  = "ppj_ocb_hw_open_byte" "ppj_ocb_hw_open"
+[@@noalloc]
+
+let charge k m =
+  k.cipher_calls <- k.cipher_calls + m + 2;
+  k.f_apps <- k.f_apps + m
+
+(* The entry points run the stubs when [hw], the core above otherwise:
+   [Aes.hardware] for the public ones, [false] for {!Portable}. *)
+let seal hw k nb np ~src ~src_pos ~src_len ~dst ~dst_pos =
+  if hw then begin
+    charge k (blocks_for src_len);
+    hw_seal (Aes.round_key_bytes k.aes) k.ctx nb np src src_pos src_len dst dst_pos
+  end
+  else seal_core k nb np ~src ~src_pos ~src_len ~dst ~dst_pos
+
+(* [src_len >= tag_length] here. *)
+let open_ hw k nb np ~src ~src_pos ~src_len ~dst ~dst_pos =
+  if hw then begin
+    let body_len = src_len - tag_length in
+    check_span "Ocb.open_into/open_blob: dst" dst dst_pos body_len;
+    charge k (blocks_for body_len);
+    hw_open (Aes.inverse_round_key_bytes k.aes) (Aes.round_key_bytes k.aes) k.ctx nb np src
+      src_pos body_len dst dst_pos
+  end
+  else open_core k nb np ~src ~src_pos ~src_len ~dst ~dst_pos
+
+let seal_into_on hw k ~nonce ~src ~src_pos ~src_len ~dst ~dst_pos =
   check_span "Ocb.seal_into: src" src src_pos src_len;
   check_span "Ocb.seal_into: dst" dst dst_pos (src_len + tag_length);
   check_nonce nonce;
-  seal_core k (Bytes.unsafe_of_string nonce) 0 ~src ~src_pos ~src_len ~dst ~dst_pos
+  seal hw k (Bytes.unsafe_of_string nonce) 0 ~src ~src_pos ~src_len ~dst ~dst_pos
 
-let open_into k ~nonce ~src ~src_pos ~src_len ~dst ~dst_pos =
+let open_into_on hw k ~nonce ~src ~src_pos ~src_len ~dst ~dst_pos =
   check_span "Ocb.open_into: src" src src_pos src_len;
   src_len >= tag_length
   && begin
        check_nonce nonce;
-       open_core k (Bytes.unsafe_of_string nonce) 0 ~src ~src_pos ~src_len ~dst ~dst_pos
+       open_ hw k (Bytes.unsafe_of_string nonce) 0 ~src ~src_pos ~src_len ~dst ~dst_pos
      end
 
 let nonce_size = Block.size
 
-let seal_blob k buf ~pos ~len =
+let seal_blob_on hw k buf ~pos ~len =
   check_span "Ocb.seal_blob" buf pos (nonce_size + len + tag_length);
   let body = pos + nonce_size in
-  seal_core k buf pos ~src:buf ~src_pos:body ~src_len:len ~dst:buf ~dst_pos:body
+  seal hw k buf pos ~src:buf ~src_pos:body ~src_len:len ~dst:buf ~dst_pos:body
 
-let open_blob k ~src ~src_pos ~src_len ~dst ~dst_pos =
+let open_blob_on hw k ~src ~src_pos ~src_len ~dst ~dst_pos =
   check_span "Ocb.open_blob: src" src src_pos src_len;
   src_len >= nonce_size + tag_length
-  && open_core k src src_pos ~src:src ~src_pos:(src_pos + nonce_size)
+  && open_ hw k src src_pos ~src ~src_pos:(src_pos + nonce_size)
        ~src_len:(src_len - nonce_size) ~dst ~dst_pos
+
+let seal_into k ~nonce ~src ~src_pos ~src_len ~dst ~dst_pos =
+  seal_into_on Aes.hardware k ~nonce ~src ~src_pos ~src_len ~dst ~dst_pos
+
+let open_into k ~nonce ~src ~src_pos ~src_len ~dst ~dst_pos =
+  open_into_on Aes.hardware k ~nonce ~src ~src_pos ~src_len ~dst ~dst_pos
+
+let seal_blob k buf ~pos ~len = seal_blob_on Aes.hardware k buf ~pos ~len
+
+let open_blob k ~src ~src_pos ~src_len ~dst ~dst_pos =
+  open_blob_on Aes.hardware k ~src ~src_pos ~src_len ~dst ~dst_pos
+
+module Portable = struct
+  let seal_into k ~nonce ~src ~src_pos ~src_len ~dst ~dst_pos =
+    seal_into_on false k ~nonce ~src ~src_pos ~src_len ~dst ~dst_pos
+
+  let open_into k ~nonce ~src ~src_pos ~src_len ~dst ~dst_pos =
+    open_into_on false k ~nonce ~src ~src_pos ~src_len ~dst ~dst_pos
+
+  let seal_blob k buf ~pos ~len = seal_blob_on false k buf ~pos ~len
+
+  let open_blob k ~src ~src_pos ~src_len ~dst ~dst_pos =
+    open_blob_on false k ~src ~src_pos ~src_len ~dst ~dst_pos
+end
 
 (* --- string API (thin wrappers over the in-place core) --------------- *)
 

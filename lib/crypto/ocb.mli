@@ -8,7 +8,20 @@
     [f(z, i) = z xor L(ntz i)]; {!offset_sequential} walks the recurrence
     (counting [f] applications, the quantity analysed in §4.4.1 for
     non-sequential access during oblivious sorting) and {!offset_direct}
-    computes the same offset in closed form via the Gray-code identity. *)
+    computes the same offset in closed form via the Gray-code identity.
+
+    A message runs on one of two paths, chosen by {!Aes.hardware} and
+    nothing else:
+    - where the CPU has the AES instructions, one C call per seal or
+      open ([lib/crypto/aes_stubs.c]) walks the offsets, whitens the
+      blocks, sums the checksum, pads the final block and computes the
+      tag, running the cipher calls for the message blocks and the final
+      pad interleaved, as the paper's reason for choosing OCB allows:
+      they do not depend on each other;
+    - elsewhere, the OCaml core, which stays reachable as {!Portable} on
+      every CPU and is the oracle the C path is tested against.
+    Both produce the same bytes and charge the same counters: [m + 2]
+    cipher calls and [m] [f] applications per [m]-block message. *)
 
 type key
 
@@ -89,6 +102,37 @@ val open_blob :
     [dst.[dst_pos..]].  [false] exactly when {!open_into} with that
     nonce would return [false], or when the blob is shorter than a
     nonce. *)
+
+(** The OCaml core, whichever path the functions above take: the path
+    on CPUs without the AES instructions, and the oracle the C path is
+    tested against.  Same contracts, bytes and counters as {!seal_into},
+    {!open_into}, {!seal_blob} and {!open_blob}. *)
+module Portable : sig
+  val seal_into :
+    key ->
+    nonce:string ->
+    src:bytes ->
+    src_pos:int ->
+    src_len:int ->
+    dst:bytes ->
+    dst_pos:int ->
+    unit
+
+  val open_into :
+    key ->
+    nonce:string ->
+    src:bytes ->
+    src_pos:int ->
+    src_len:int ->
+    dst:bytes ->
+    dst_pos:int ->
+    bool
+
+  val seal_blob : key -> bytes -> pos:int -> len:int -> unit
+
+  val open_blob :
+    key -> src:bytes -> src_pos:int -> src_len:int -> dst:bytes -> dst_pos:int -> bool
+end
 
 val offset_sequential : key -> nonce:string -> int -> Block.t
 (** [offset_sequential k ~nonce i] computes Z[i] (i ≥ 1) by applying

@@ -3,7 +3,17 @@ module Trace = Ppj_scpu.Trace
 
 let sentinel ~width = String.make width '\xFF'
 
-let is_sentinel s = s <> "" && String.for_all (Char.equal '\xFF') s
+external sget64 : string -> int -> int64 = "%caml_string_get64u"
+
+(* Every byte of [s] from [i] on is 0xFF: a word at a time while eight
+   bytes remain, then bytes.  Top-level, so a test builds no closure;
+   the sort tests both operands of every compare-exchange. *)
+let rec all_ff s i =
+  let len = String.length s in
+  if i + 8 <= len then Int64.equal (sget64 s i) (-1L) && all_ff s (i + 8)
+  else i = len || (Char.equal (String.unsafe_get s i) '\xFF' && all_ff s (i + 1))
+
+let is_sentinel s = String.length s > 0 && all_ff s 0
 
 let with_sentinels compare a b =
   match (is_sentinel a, is_sentinel b) with

@@ -24,7 +24,7 @@ type mode = Normal | Ghost of { until : int; target : saved }
 
 (* One region's slot epochs, indexed by slot (0 = never written), and
    the region name its slot headers carry. *)
-type region_epochs = { name : string; mutable slots : int array }
+type region_epochs = { region : Trace.region; name : string; mutable slots : int array }
 
 type t = {
   host : Host.t;
@@ -54,14 +54,20 @@ type t = {
       (* monotonic checkpoint version in [T]'s battery-backed NVRAM (the
          4758 keeps such a counter across power loss): a host replaying
          an older sealed checkpoint is caught by version mismatch *)
-  epochs : (Trace.region, region_epochs) Hashtbl.t;
+  mutable epochs : region_epochs array;
+  mutable n_epochs : int;
+  mutable last_epochs : int;
       (* per-slot write epoch, [T]-private.  A stale-but-authentic
          ciphertext replayed into a slot carries an older epoch in its
          sealed header and is rejected.  Stands in for the Merkle tree a
          real deployment would use; not charged to the M-tuple ledger,
          like the paper's own bookkeeping state.  Epochs only grow:
          redefining a host region keeps them, so a ciphertext from before
-         the redefinition stays stale. *)
+         the redefinition stays stale.  One entry per region sealed into
+         ([n_epochs] of them, in first-write order) and the index of the
+         last one found, -1 before any: every seal and open finds its
+         region by [Trace.same_region] among these few, the last hit
+         first, with no polymorphic hash. *)
   replay_stash : (Trace.region * int, string) Hashtbl.t;
       (* host-side memory of overwritten ciphertexts, kept only while the
          fault plan still owes a replay event *)
@@ -100,7 +106,9 @@ let make_t ?recorder ?(event_batch = 64) ?faults ?checkpoint_every ?on_checkpoin
     checkpoint_every;
     on_checkpoint;
     nvram = (match nvram with Some r -> r | None -> ref 0);
-    epochs = Hashtbl.create 8;
+    epochs = Array.make 8 { region = Trace.Disk; name = ""; slots = [||] };
+    n_epochs = 0;
+    last_epochs = -1;
     replay_stash = Hashtbl.create 16;
     ops = 0;
     last_checkpoint = -1;
@@ -194,15 +202,41 @@ let open_sealed t ciphertext ~context =
 
      len(name):u8 | name | index:i32be | epoch:i32be | tuple *)
 
+(* The index of [region]'s epochs from [i] on, or [n_epochs] if it has
+   none.  Top-level: a local recursive function would allocate its
+   closure on every call. *)
+let rec find_epochs t region i =
+  if i = t.n_epochs || Trace.same_region t.epochs.(i).region region then i
+  else find_epochs t region (i + 1)
+
+(* The index of [region]'s epochs, or [n_epochs] if it has none. *)
+let epochs_index t region =
+  let last = t.last_epochs in
+  if last >= 0 && Trace.same_region (Array.unsafe_get t.epochs last).region region then last
+  else begin
+    let i = find_epochs t region 0 in
+    if i < t.n_epochs then t.last_epochs <- i;
+    i
+  end
+
+let epochs_for_write t region =
+  let i = epochs_index t region in
+  if i < t.n_epochs then Array.unsafe_get t.epochs i
+  else begin
+    if i = Array.length t.epochs then begin
+      let bigger = Array.make (2 * i) t.epochs.(0) in
+      Array.blit t.epochs 0 bigger 0 i;
+      t.epochs <- bigger
+    end;
+    let r = { region; name = Trace.region_name region; slots = [||] } in
+    t.epochs.(i) <- r;
+    t.n_epochs <- i + 1;
+    t.last_epochs <- i;
+    r
+  end
+
 let seal_slot t region index tuple =
-  let r =
-    match Hashtbl.find t.epochs region with
-    | r -> r
-    | exception Not_found ->
-        let r = { name = Trace.region_name region; slots = [||] } in
-        Hashtbl.add t.epochs region r;
-        r
-  in
+  let r = epochs_for_write t region in
   if index >= Array.length r.slots then begin
     let grown = Array.make (max (index + 1) (2 * Array.length r.slots)) 0 in
     Array.blit r.slots 0 grown 0 (Array.length r.slots);
@@ -240,18 +274,19 @@ let open_slot t region index ciphertext =
   let context = Slot (region, index) in
   let plain = open_sealed t ciphertext ~context in
   let body = slot_body plain ~context in
+  let i = epochs_index t region in
   let fresh =
-    match Hashtbl.find t.epochs region with
-    | exception Not_found -> false
-    | r ->
-        let n = String.length r.name in
-        (* 0, which no sealed header carries: never written, also past
-           the array's end *)
-        let epoch = if index < Array.length r.slots then r.slots.(index) else 0 in
-        Bytes.get_uint8 plain 0 = n
-        && name_at plain r.name 0
-        && Int32.to_int (Bytes.get_int32_be plain (1 + n)) = index
-        && Int32.to_int (Bytes.get_int32_be plain (5 + n)) = epoch
+    i < t.n_epochs
+    &&
+    let r = Array.unsafe_get t.epochs i in
+    let n = String.length r.name in
+    (* 0, which no sealed header carries: never written, also past the
+       array's end *)
+    let epoch = if index < Array.length r.slots then r.slots.(index) else 0 in
+    Bytes.get_uint8 plain 0 = n
+    && name_at plain r.name 0
+    && Int32.to_int (Bytes.get_int32_be plain (1 + n)) = index
+    && Int32.to_int (Bytes.get_int32_be plain (5 + n)) = epoch
   in
   if not fresh then tamper context ": stale or relocated ciphertext";
   body
@@ -324,15 +359,14 @@ let decode_saved s ~context =
   { s_version; s_ops; s_nonce_ctr; s_cycles; s_mem_in_use; s_mem_peak; s_epochs }
 
 let sorted_epochs t =
-  Hashtbl.fold
-    (fun _ r acc ->
-      let acc = ref acc in
-      Array.iteri
-        (fun index epoch -> if epoch > 0 then acc := (r.name, index, epoch) :: !acc)
-        r.slots;
-      !acc)
-    t.epochs []
-  |> List.sort compare
+  let acc = ref [] in
+  for i = 0 to t.n_epochs - 1 do
+    let r = t.epochs.(i) in
+    Array.iteri
+      (fun index epoch -> if epoch > 0 then acc := (r.name, index, epoch) :: !acc)
+      r.slots
+  done;
+  List.sort compare !acc
 
 let saved_of_state t ~version =
   { s_version = version;

@@ -27,6 +27,10 @@ type region =
   | Disk  (** host disk (final results) *)
   | Checkpoint  (** sealed coprocessor recovery state (one slot) *)
 
+val same_region : region -> region -> bool
+(** Region equality without polymorphic compare: [Table]s by name, the
+    constant regions by constructor. *)
+
 type entry = { op : op; region : region; index : int }
 
 type t

@@ -222,6 +222,53 @@ let nonce0 = String.make 16 '\001'
 
 let arb_msg = QCheck.string_of_size QCheck.Gen.(int_range 0 200)
 
+(* The two message paths: the entry points as dispatched (one C call per
+   message where the CPU has the AES instructions) and the OCaml core.
+   Where the CPU lacks the instructions the dispatched path is the core,
+   so only the core is listed. *)
+type ocb_path = {
+  name : string;
+  seal_into :
+    Ocb.key ->
+    nonce:string ->
+    src:bytes ->
+    src_pos:int ->
+    src_len:int ->
+    dst:bytes ->
+    dst_pos:int ->
+    unit;
+  open_into :
+    Ocb.key ->
+    nonce:string ->
+    src:bytes ->
+    src_pos:int ->
+    src_len:int ->
+    dst:bytes ->
+    dst_pos:int ->
+    bool;
+  seal_blob : Ocb.key -> bytes -> pos:int -> len:int -> unit;
+  open_blob :
+    Ocb.key -> src:bytes -> src_pos:int -> src_len:int -> dst:bytes -> dst_pos:int -> bool;
+}
+
+let portable =
+  { name = "portable";
+    seal_into = Ocb.Portable.seal_into;
+    open_into = Ocb.Portable.open_into;
+    seal_blob = Ocb.Portable.seal_blob;
+    open_blob = Ocb.Portable.open_blob;
+  }
+
+let hardware_ocb =
+  { name = "AES instructions";
+    seal_into = Ocb.seal_into;
+    open_into = Ocb.open_into;
+    seal_blob = Ocb.seal_blob;
+    open_blob = Ocb.open_blob;
+  }
+
+let ocb_paths = portable :: (if Aes.hardware then [ hardware_ocb ] else [])
+
 let prop_ocb_roundtrip =
   qtest "ocb roundtrip" arb_msg (fun m ->
       match Ocb.decrypt okey ~nonce:nonce0 (Ocb.encrypt okey ~nonce:nonce0 m) with
@@ -255,11 +302,42 @@ let test_ocb_nonce_matters () =
 
 let test_ocb_cipher_calls () =
   (* OCB costs m + 2 block-cipher calls per m-block message (why the paper
-     picked it over XCBC/IAPM): offset setup + m blocks + tag. *)
+     picked it over XCBC/IAPM): offset setup + m blocks + tag, and m [f]
+     applications, one per offset.  Both paths charge them through every
+     entry point. *)
   let key = Ocb.key_of_string (of_hex "2b7e151628aed2a6abf7158809cf4f3c") in
   Ocb.reset_block_cipher_calls key;
   ignore (Ocb.encrypt key ~nonce:nonce0 (String.make (16 * 7) 'q'));
-  Alcotest.(check int) "m+2 calls" (7 + 2) (Ocb.block_cipher_calls key)
+  Alcotest.(check int) "m+2 calls" (7 + 2) (Ocb.block_cipher_calls key);
+  let buf = Bytes.create 256 and back = Bytes.create 256 in
+  List.iter
+    (fun p ->
+      for len = 0 to 100 do
+        let m = if len = 0 then 1 else (len + 15) / 16 in
+        let charged what f =
+          Ocb.reset_block_cipher_calls key;
+          Ocb.reset_f_applications key;
+          if not (f ()) then Alcotest.failf "%s %s len %d: tag rejected" p.name what len;
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s %s len %d: cipher calls, f applications" p.name what len)
+            (m + 2, m)
+            (Ocb.block_cipher_calls key, Ocb.f_applications key)
+        in
+        charged "seal_into" (fun () ->
+            p.seal_into key ~nonce:nonce0 ~src:buf ~src_pos:0 ~src_len:len ~dst:buf ~dst_pos:0;
+            true);
+        charged "open_into" (fun () ->
+            p.open_into key ~nonce:nonce0 ~src:buf ~src_pos:0 ~src_len:(len + Ocb.tag_length)
+              ~dst:back ~dst_pos:0);
+        charged "seal_blob" (fun () ->
+            p.seal_blob key buf ~pos:0 ~len;
+            true);
+        charged "open_blob" (fun () ->
+            p.open_blob key ~src:buf ~src_pos:0
+              ~src_len:(Ocb.nonce_size + len + Ocb.tag_length)
+              ~dst:back ~dst_pos:0)
+      done)
+    ocb_paths
 
 let prop_ocb_offsets_agree =
   qtest "sequential and Gray-code offsets agree" QCheck.(int_range 1 2000) (fun i ->
@@ -316,62 +394,172 @@ let test_ocb_open_into_rejects_flip () =
 
 let test_ocb_long_message_l_tab () =
   (* A multi-hundred-block message walks l_at through the geometric
-     growth path; the result must still roundtrip and match a
-     freshly-keyed encryption (same L table contents). *)
+     growth path, and the C path through L(0)..L(8) of its key's table;
+     the result must still roundtrip and match a freshly-keyed
+     encryption (same L table contents) and the OCaml core's bytes. *)
   let msg = String.init (16 * 300) (fun i -> Char.chr (i land 0xff)) in
   let fresh = Ocb.key_of_string (of_hex "000102030405060708090a0b0c0d0e0f") in
   let c1 = Ocb.encrypt okey ~nonce:nonce0 msg in
   let c2 = Ocb.encrypt fresh ~nonce:nonce0 msg in
   Alcotest.(check bool) "same ciphertext" true (String.equal c1 c2);
+  let core = Bytes.create (String.length c1) in
+  Ocb.Portable.seal_into fresh ~nonce:nonce0 ~src:(Bytes.of_string msg) ~src_pos:0
+    ~src_len:(String.length msg) ~dst:core ~dst_pos:0;
+  Alcotest.(check bool) "OCaml core's ciphertext" true (String.equal c1 (Bytes.to_string core));
   match Ocb.decrypt okey ~nonce:nonce0 c1 with
   | Some m -> Alcotest.(check bool) "roundtrip" true (String.equal m msg)
   | None -> Alcotest.fail "long message failed to authenticate"
 
 (* Every message length 0-130 (all padding shapes, 1-9 blocks), sealed
-   at aligned offsets, at unaligned ones and in place.  One digest over
-   the ciphertexts pins the output byte for byte; it was computed with
-   the byte-at-a-time implementation the 64-bit word path replaced.
-   Each length also round-trips and rejects a one-bit flip. *)
+   at aligned offsets, at unaligned ones and in place, on each path.
+   One digest over the ciphertexts pins the output byte for byte; it was
+   computed with the byte-at-a-time implementation the 64-bit word path
+   replaced.  Each length also round-trips and rejects a one-bit flip. *)
 let test_ocb_every_length () =
   let key = Ocb.key_of_string (of_hex "000102030405060708090a0b0c0d0e0f") in
   let nonce = of_hex "0f0e0d0c0b0a09080706050403020100" in
-  let all = Buffer.create 20_000 in
   let src = Bytes.create 192 and dst = Bytes.create 192 and back = Bytes.create 192 in
-  for len = 0 to 130 do
-    let msg = String.init len (fun i -> Char.chr (((31 * len) + (7 * i)) land 0xff)) in
-    let sealed =
-      List.map
-        (fun (src_pos, dst_pos, in_place) ->
-          let dst = if in_place then src else dst in
-          Bytes.blit_string msg 0 src src_pos len;
-          Ocb.seal_into key ~nonce ~src ~src_pos ~src_len:len ~dst ~dst_pos;
-          Bytes.sub_string dst dst_pos (len + Ocb.tag_length))
-        [ (0, 0, false); (3, 13, false); (9, 9, true) ]
-    in
-    let ct = List.hd sealed in
-    List.iter
-      (fun c -> Alcotest.(check string) (Printf.sprintf "same bytes, len %d" len) (hex ct) (hex c))
-      sealed;
-    Buffer.add_string all ct;
-    let opens ct =
-      Bytes.blit_string ct 0 dst 5 (String.length ct);
-      Ocb.open_into key ~nonce ~src:dst ~src_pos:5 ~src_len:(String.length ct) ~dst:back
-        ~dst_pos:1
-    in
-    Alcotest.(check bool) (Printf.sprintf "opens, len %d" len) true (opens ct);
-    Alcotest.(check string) (Printf.sprintf "round trip, len %d" len) (hex msg)
-      (hex (Bytes.sub_string back 1 len));
-    let bit = 13 * len mod (8 * String.length ct) in
-    let flipped =
-      String.mapi
-        (fun i c -> if i = bit / 8 then Char.chr (Char.code c lxor (1 lsl (bit mod 8))) else c)
-        ct
-    in
-    Alcotest.(check bool) (Printf.sprintf "bit %d flip rejected, len %d" bit len) false
-      (opens flipped)
-  done;
-  Alcotest.(check string) "digest of every ciphertext" "d5125e8656ed077ab5574427cdf00e0f"
-    (Digest.to_hex (Digest.string (Buffer.contents all)))
+  List.iter
+    (fun p ->
+      let all = Buffer.create 20_000 in
+      for len = 0 to 130 do
+        let what = Printf.sprintf "%s, len %d" p.name len in
+        let msg = String.init len (fun i -> Char.chr (((31 * len) + (7 * i)) land 0xff)) in
+        let sealed =
+          List.map
+            (fun (src_pos, dst_pos, in_place) ->
+              let dst = if in_place then src else dst in
+              Bytes.blit_string msg 0 src src_pos len;
+              p.seal_into key ~nonce ~src ~src_pos ~src_len:len ~dst ~dst_pos;
+              Bytes.sub_string dst dst_pos (len + Ocb.tag_length))
+            [ (0, 0, false); (3, 13, false); (9, 9, true) ]
+        in
+        let ct = List.hd sealed in
+        List.iter (fun c -> Alcotest.(check string) ("same bytes, " ^ what) (hex ct) (hex c)) sealed;
+        Buffer.add_string all ct;
+        let opens ct =
+          Bytes.blit_string ct 0 dst 5 (String.length ct);
+          p.open_into key ~nonce ~src:dst ~src_pos:5 ~src_len:(String.length ct) ~dst:back
+            ~dst_pos:1
+        in
+        Alcotest.(check bool) ("opens, " ^ what) true (opens ct);
+        Alcotest.(check string) ("round trip, " ^ what) (hex msg)
+          (hex (Bytes.sub_string back 1 len));
+        let bit = 13 * len mod (8 * String.length ct) in
+        let flipped =
+          String.mapi
+            (fun i c -> if i = bit / 8 then Char.chr (Char.code c lxor (1 lsl (bit mod 8))) else c)
+            ct
+        in
+        Alcotest.(check bool) (Printf.sprintf "bit %d flip rejected, %s" bit what) false
+          (opens flipped)
+      done;
+      Alcotest.(check string) ("digest of every ciphertext, " ^ p.name)
+        "d5125e8656ed077ab5574427cdf00e0f"
+        (Digest.to_hex (Digest.string (Buffer.contents all))))
+    ocb_paths
+
+(* The C message loop against the OCaml core at every length 0-300
+   (every block boundary up to 19 blocks, so every final-group width),
+   under random keys, nonces and messages: [seal_into]/[open_into]
+   between buffers at non-zero offsets and in place, [seal_blob]/
+   [open_blob] at non-zero offsets.  Both paths must write the same
+   bytes and nothing past them. *)
+let prop_ocb_paths_agree =
+  qtest "C path and OCaml core agree, lengths 0-300" ~count:25
+    QCheck.(triple (int_range 0 1_000_000) (int_range 1 9) (int_range 1 9))
+    (fun (seed, sp, dp) ->
+      (not Aes.hardware)
+      ||
+      let rng = Random.State.make [| seed |] in
+      let random n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+      let key = Ocb.key_of_string (random 16) and nonce = random 16 in
+      (* each returns the bytes written and the 4 after them, which must
+         be untouched *)
+      let apart seal_or_open input ~out_len =
+        let src = Bytes.make (sp + String.length input) '\x5a' in
+        let dst = Bytes.make (dp + out_len + 4) '\xa5' in
+        Bytes.blit_string input 0 src sp (String.length input);
+        let ok = seal_or_open ~src ~dst in
+        (ok, Bytes.sub_string dst dp (out_len + 4))
+      in
+      let in_place seal_or_open input ~out_len =
+        let buf = Bytes.make (sp + max (String.length input) out_len + 4) '\xa5' in
+        Bytes.blit_string input 0 buf sp (String.length input);
+        let ok = seal_or_open ~src:buf ~dst:buf in
+        (ok, Bytes.sub_string buf sp out_len)
+      in
+      let seal p ~src ~dst ~src_len ~dst_pos =
+        p.seal_into key ~nonce ~src ~src_pos:sp ~src_len ~dst ~dst_pos;
+        true
+      in
+      let open_ p ~src ~dst ~src_len ~dst_pos =
+        p.open_into key ~nonce ~src ~src_pos:sp ~src_len ~dst ~dst_pos
+      in
+      let blob p len msg =
+        let buf = Bytes.make (sp + Ocb.nonce_size + len + Ocb.tag_length + 4) '\xa5' in
+        Bytes.blit_string nonce 0 buf sp Ocb.nonce_size;
+        Bytes.blit_string msg 0 buf (sp + Ocb.nonce_size) len;
+        p.seal_blob key buf ~pos:sp ~len;
+        Bytes.sub_string buf sp (Ocb.nonce_size + len + Ocb.tag_length + 4)
+      in
+      let open_blob p b ~len =
+        let b_len = String.length b - 4 in
+        apart
+          (fun ~src ~dst -> p.open_blob key ~src ~src_pos:sp ~src_len:b_len ~dst ~dst_pos:dp)
+          (String.sub b 0 b_len) ~out_len:len
+      in
+      List.for_all
+        (fun len ->
+          let msg = random len in
+          let ct_len = len + Ocb.tag_length in
+          let sealed p =
+            [ apart (seal p ~src_len:len ~dst_pos:dp) msg ~out_len:ct_len;
+              in_place (seal p ~src_len:len ~dst_pos:sp) msg ~out_len:ct_len
+            ]
+          in
+          let want = sealed portable in
+          let ct = String.sub (snd (List.hd want)) 0 ct_len in
+          let opened p =
+            [ apart (open_ p ~src_len:ct_len ~dst_pos:dp) ct ~out_len:len;
+              in_place (open_ p ~src_len:ct_len ~dst_pos:sp) ct ~out_len:len
+            ]
+          in
+          let b = blob portable len msg in
+          sealed hardware_ocb = want
+          && opened hardware_ocb = opened portable
+          && List.for_all (fun (ok, pt) -> ok && String.sub pt 0 len = msg) (opened hardware_ocb)
+          && blob hardware_ocb len msg = b
+          && open_blob hardware_ocb b ~len = open_blob portable b ~len
+          && fst (open_blob hardware_ocb b ~len))
+        (List.init 301 Fun.id))
+
+(* Flipping one bit of any byte of a stored blob — nonce, ciphertext or
+   tag — fails the open on both paths. *)
+let test_ocb_tamper_every_byte () =
+  let key = Ocb.key_of_string (of_hex "000102030405060708090a0b0c0d0e0f") in
+  List.iter
+    (fun len ->
+      let blob = Bytes.create (Ocb.nonce_size + len + Ocb.tag_length) in
+      Bytes.blit_string (of_hex "0f0e0d0c0b0a09080706050403020100") 0 blob 0 Ocb.nonce_size;
+      Bytes.fill blob Ocb.nonce_size len 'p';
+      Ocb.Portable.seal_blob key blob ~pos:0 ~len;
+      let back = Bytes.create (max 1 len) in
+      List.iter
+        (fun p ->
+          let opens b =
+            p.open_blob key ~src:b ~src_pos:0 ~src_len:(Bytes.length b) ~dst:back ~dst_pos:0
+          in
+          Alcotest.(check bool) (Printf.sprintf "%s opens, len %d" p.name len) true (opens blob);
+          for i = 0 to Bytes.length blob - 1 do
+            let t = Bytes.copy blob in
+            Bytes.set t i (Char.chr (Char.code (Bytes.get t i) lxor (1 lsl (i mod 8))));
+            if opens t then
+              Alcotest.failf "%s: flipped byte %d of a %d-byte message's blob accepted" p.name i
+                len
+          done)
+        ocb_paths)
+    [ 0; 1; 15; 16; 17; 31; 32; 33; 64; 76; 80; 81; 130 ]
 
 (* The stored-blob entry points read the nonce where it lies in the
    buffer, and the PRF writes it there: the same bytes as the string
@@ -401,37 +589,45 @@ let test_ocb_blob_matches_seal_into () =
     (Ocb.open_blob okey ~src:buf ~src_pos:0 ~src_len:15 ~dst:back ~dst_pos:0)
 
 (* A boxed [int64] or a closure per block would make a long message
-   allocate more than a short one: both seal and open allocate only
-   their per-call scratch. *)
+   allocate more than a short one: on each path, seal and open allocate
+   only their per-call scratch, and the C path none at all. *)
 let test_ocb_allocation_per_block () =
   let key = Ocb.key_of_string (of_hex "000102030405060708090a0b0c0d0e0f") in
-  let words_per_call blocks =
+  let words_per_call p blocks =
     let len = 16 * blocks in
     let src = Bytes.make len 'p' and sealed = Bytes.create (len + Ocb.tag_length) in
     let seal () =
-      Ocb.seal_into key ~nonce:nonce0 ~src ~src_pos:0 ~src_len:len ~dst:sealed ~dst_pos:0
+      p.seal_into key ~nonce:nonce0 ~src ~src_pos:0 ~src_len:len ~dst:sealed ~dst_pos:0
     in
     let opens () =
       if
         not
-          (Ocb.open_into key ~nonce:nonce0 ~src:sealed ~src_pos:0
-             ~src_len:(len + Ocb.tag_length) ~dst:src ~dst_pos:0)
+          (p.open_into key ~nonce:nonce0 ~src:sealed ~src_pos:0 ~src_len:(len + Ocb.tag_length)
+             ~dst:src ~dst_pos:0)
       then Alcotest.fail "tag rejected"
     in
+    (* words in 1000 calls *)
     let per f =
       f ();
       let before = Gc.minor_words () in
       for _ = 1 to 1000 do
         f ()
       done;
-      Float.to_int ((Gc.minor_words () -. before) /. 1000.)
+      Float.to_int (Gc.minor_words () -. before)
     in
     let sealing = per seal in
     (sealing, per opens)
   in
-  let seal1, open1 = words_per_call 1 and seal64, open64 = words_per_call 64 in
-  Alcotest.(check int) "seal: 64 blocks allocate as 1" seal1 seal64;
-  Alcotest.(check int) "open: 64 blocks allocate as 1" open1 open64
+  List.iter
+    (fun p ->
+      let seal1, open1 = words_per_call p 1 and seal64, open64 = words_per_call p 64 in
+      Alcotest.(check int) (p.name ^ " seal: 64 blocks allocate as 1") seal1 seal64;
+      Alcotest.(check int) (p.name ^ " open: 64 blocks allocate as 1") open1 open64;
+      if p == hardware_ocb then begin
+        Alcotest.(check int) (p.name ^ " seal: words in 1000 calls") 0 seal1;
+        Alcotest.(check int) (p.name ^ " open: words in 1000 calls") 0 open1
+      end)
+    ocb_paths
 
 (* --- constant-time compare --- *)
 
@@ -645,6 +841,9 @@ let () =
           Alcotest.test_case "every length 0-130, pinned digest" `Quick test_ocb_every_length;
           Alcotest.test_case "no allocation per block" `Quick test_ocb_allocation_per_block;
           Alcotest.test_case "blob layout equals seal_into" `Quick test_ocb_blob_matches_seal_into;
+          Alcotest.test_case "any flipped blob byte rejected, both paths" `Quick
+            test_ocb_tamper_every_byte;
+          prop_ocb_paths_agree;
           prop_ocb_roundtrip;
           prop_ocb_tamper;
           prop_ocb_offsets_agree;

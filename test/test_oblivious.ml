@@ -246,6 +246,25 @@ let test_is_sentinel () =
   Alcotest.(check bool) "sentinel" true (Sort.is_sentinel (Sort.sentinel ~width:5));
   Alcotest.(check bool) "not sentinel" false (Sort.is_sentinel "hello")
 
+(* The word-at-a-time test against its definition (non-empty, every
+   byte 0xFF): the empty string, all-0xFF strings of every length 1-70,
+   and each of those with one byte changed at each position. *)
+let test_is_sentinel_definition () =
+  let defined s = s <> "" && String.for_all (Char.equal '\xFF') s in
+  let agrees s =
+    Alcotest.(check bool) (Printf.sprintf "%S" s) (defined s) (Sort.is_sentinel s)
+  in
+  agrees "";
+  for len = 1 to 70 do
+    let s = Sort.sentinel ~width:len in
+    agrees s;
+    for i = 0 to len - 1 do
+      List.iter
+        (fun c -> agrees (String.mapi (fun j x -> if j = i then c else x) s))
+        [ '\x00'; '\x7F'; '\xFE' ]
+    done
+  done
+
 (* --- Buffered decoy filter --- *)
 
 let filter_case ~src_len ~reals ~delta () =
@@ -490,7 +509,9 @@ let () =
           Alcotest.test_case "pad overhead gauge" `Quick test_sort_padded_gauge;
           Alcotest.test_case "trace data-independence + cost" `Quick test_sort_trace_data_independent;
           Alcotest.test_case "sentinels last" `Quick test_sentinels_sort_last;
-          Alcotest.test_case "is_sentinel" `Quick test_is_sentinel
+          Alcotest.test_case "is_sentinel" `Quick test_is_sentinel;
+          Alcotest.test_case "is_sentinel matches its definition" `Quick
+            test_is_sentinel_definition
         ] );
       ( "filter",
         [ Alcotest.test_case "keeps reals (defaults)" `Quick test_filter_small;

@@ -146,6 +146,46 @@ let test_attested_layers_shape () =
   | { Ppj_scpu.Attestation.name = "miniboot"; _ } :: _ -> ()
   | _ -> Alcotest.fail "miniboot must be the root"
 
+(* Every ciphertext the host holds after a join and every entry of its
+   trace, digested for an Algorithm 4 slice (0 of 2), Algorithm 5 and
+   Algorithm 8 at the shard benchmark's shape (16 x 24 tuples, S = 8,
+   m = 4, seed 7).  The digest was computed with every OCB message sealed
+   and opened block by block in OCaml: a changed sealed byte, nonce,
+   tamper header or trace entry fails it. *)
+let test_host_image_pinned () =
+  let module Co = Ppj_scpu.Coprocessor in
+  let module Host = Ppj_scpu.Host in
+  let module Trace = Ppj_scpu.Trace in
+  let a, b = W.equijoin_pair (Rng.create 2008) ~na:16 ~nb:24 ~matches:8 ~max_multiplicity:2 in
+  let all = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun algorithm ->
+      let inst, _ =
+        Service.execute_join { Service.m = 4; seed = 7; algorithm } ~predicate:pred [ a; b ]
+      in
+      let host = Co.host (Instance.co inst) and trace = Co.trace (Instance.co inst) in
+      List.iter
+        (fun e -> Buffer.add_string all (Format.asprintf "%a;" Trace.pp_entry e))
+        (Trace.to_list trace);
+      List.iter
+        (fun region ->
+          Buffer.add_string all (Trace.region_name region);
+          for i = 0 to Host.region_size host region - 1 do
+            match Host.peek host region i with
+            | Some c -> Buffer.add_string all c
+            | None -> Buffer.add_char all '-'
+          done)
+        (Instance.relation_region inst 0 :: Instance.relation_region inst 1
+        :: List.map fst (Trace.by_region trace));
+      List.iter (Buffer.add_string all) (Host.disk host))
+    [ Service.Sharded { k = 0; p = 2; inner = Service.Alg4 };
+      Service.Alg5;
+      Service.Alg8 { attr_a = "key"; attr_b = "key" }
+    ];
+  Alcotest.(check string) "digest of the host images and traces"
+    "36a5b9fdf29f012410b5822f8ff20db9"
+    (Digest.to_hex (Digest.string (Buffer.contents all)))
+
 let () =
   Alcotest.run "service"
     [ ( "delivery",
@@ -165,6 +205,7 @@ let () =
           Alcotest.test_case "third-party recipient" `Quick test_recipient_distinct_from_providers;
           Alcotest.test_case "report costs" `Quick test_report_surfaces_cost;
           Alcotest.test_case "attestation layers" `Quick test_attested_layers_shape;
-          Alcotest.test_case "three providers" `Quick test_three_provider_join
+          Alcotest.test_case "three providers" `Quick test_three_provider_join;
+          Alcotest.test_case "host images and traces pinned" `Quick test_host_image_pinned
         ] )
     ]
