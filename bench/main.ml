@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation, validates the closed forms against the executable
-   algorithms, and runs Bechamel microbenches.
+   algorithms, and times the crypto hot path.
 
      dune exec bench/main.exe                              # everything
      dune exec bench/main.exe fig5.2                       # one experiment
@@ -8,7 +8,7 @@
 
    Experiments: tab5.1 tab5.2 tab5.3 fig4.1 sec4.6.5 fig5.1 fig5.2
    fig5.3 fig5.4 measured scaling parallel shard aggregate ablation
-   oram equijoin netjoin chaos recovery loadtest crypto bechamel.
+   oram equijoin netjoin recovery loadtest crypto.
    Set PPJ_CSV_DIR to also emit plottable CSV for the figures.
    [--json PATH] dumps the metrics registry (per-region transfer
    counters, model-vs-measured gauges, per-experiment wall-clock spans)
@@ -32,11 +32,6 @@ let registry = Obs.Registry.default
 (* Flight recorder shared by the networked experiments; its span tree is
    exported as the "trace" section of the JSON document. *)
 let recorder = Obs.Recorder.create ~name:"bench" ()
-
-(* The chaos soak's server records apart from its clients: a corrupted
-   attest frame hands the server a mangled trace id, which must not
-   rename the clients' items.  A chaos export merges it into "trace". *)
-let chaos_server_recorder = Obs.Recorder.create ~name:"bench-chaos-server" ()
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -691,21 +686,6 @@ let netjoin () =
   row " the oTuple stream stays inside the service, so remote deployment\n";
   row " adds a vanishing fraction of the protocol's data movement)\n"
 
-(* --- chaos soak: seeded fault plans against the networked service --- *)
-
-let chaos () =
-  header "Chaos soak: seeded fault plans against the client/server stack";
-  let module Chaos = Ppj_net.Chaos in
-  (* The chaos.* counters land in the shared registry, so a --json export
-     of this experiment is the machine-readable soak verdict. *)
-  let results =
-    Obs.Registry.span ~labels:[ ("phase", "chaos") ] registry "bench.chaos.seconds" (fun () ->
-        Chaos.soak ~registry ~seed0:1 ~runs:60
-          (Chaos.printing (Chaos.wire ~recorder ~server_recorder:chaos_server_recorder)))
-  in
-  Chaos.pp_report ~name:"chaos" Format.std_formatter results;
-  if (Chaos.tally results).Chaos.wrong > 0 then failwith "chaos soak produced a wrong answer"
-
 (* --- loadtest: open-loop SLO harness over a real Unix socket --------- *)
 
 let env_int name default =
@@ -951,58 +931,6 @@ let crypto_bench () =
       row " AES instructions; the string API column pays the wrapper's\n";
       row " allocations; the core columns time the OCaml core, the path\n";
       row " without the instructions.  crypto.* gauges land in the --json export.)\n")
-
-(* --- Bechamel microbenches --- *)
-
-let bechamel () =
-  header "Bechamel microbenchmarks (ns per run)";
-  let open Bechamel in
-  let open Toolkit in
-  let aes_key = Ppj_crypto.Aes.expand (String.make 16 'k') in
-  let block = Ppj_crypto.Block.of_string (String.make 16 'b') in
-  let ocb_key = Ppj_crypto.Ocb.key_of_string (String.make 16 'k') in
-  let nonce = String.make 16 'n' in
-  let msg = String.make 96 'm' in
-  let sort_input = Array.init 256 (fun i -> i * 7919 mod 1009) in
-  let small ?(m = 4) () =
-    let rng = Rng.create 5 in
-    let a, b = W.equijoin_pair rng ~na:8 ~nb:12 ~matches:8 ~max_multiplicity:2 in
-    Ppj_core.Instance.create ~m ~seed:3 ~predicate:(P.equijoin2 "key" "key") [ a; b ]
-  in
-  let tests =
-    Test.make_grouped ~name:"ppj"
-      [ Test.make ~name:"aes-block" (Staged.stage (fun () -> Ppj_crypto.Aes.encrypt aes_key block));
-        Test.make ~name:"ocb-encrypt-96B"
-          (Staged.stage (fun () -> Ppj_crypto.Ocb.encrypt ocb_key ~nonce msg));
-        Test.make ~name:"mmo-hash-96B" (Staged.stage (fun () -> Ppj_crypto.Hash.digest msg));
-        Test.make ~name:"bitonic-sort-256"
-          (Staged.stage (fun () ->
-               let a = Array.copy sort_input in
-               Ppj_oblivious.Bitonic.sort_in_place compare a));
-        Test.make ~name:"alg1-8x12" (Staged.stage (fun () -> Algorithm1.run (small ()) ~n:2));
-        Test.make ~name:"alg2-8x12" (Staged.stage (fun () -> Algorithm2.run (small ()) ~n:2 ()));
-        Test.make ~name:"alg3-8x12"
-          (Staged.stage (fun () -> Algorithm3.run (small ()) ~n:2 ~attr_a:"key" ~attr_b:"key" ()));
-        Test.make ~name:"alg4-8x12" (Staged.stage (fun () -> Algorithm4.run (small ()) ()));
-        Test.make ~name:"alg5-8x12" (Staged.stage (fun () -> Algorithm5.run (small ())));
-        Test.make ~name:"alg6-8x12"
-          (Staged.stage (fun () -> Algorithm6.run (small ()) ~eps:1e-9 ()));
-        Test.make ~name:"smc-eq-join-2x2"
-          (Staged.stage (fun () ->
-               Ppj_smc.Protocol.equality_join ~seed:1 ~width:8 ~a:[| 1; 2 |] ~b:[| 2; 3 |]))
-      ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.fold (fun name v acc -> (name, v) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun (name, v) ->
-         match Analyze.OLS.estimates v with
-         | Some [ est ] -> row "%-24s %14.0f ns/run\n" name est
-         | _ -> row "%-24s %14s\n" name "n/a")
 
 (* --- durable store: journal throughput, replay scaling, recovery --- *)
 
@@ -1331,11 +1259,9 @@ let experiments =
     ("oram", oram);
     ("equijoin", equijoin_ext);
     ("netjoin", netjoin);
-    ("chaos", chaos);
     ("recovery", recovery);
     ("loadtest", loadtest);
-    ("crypto", crypto_bench);
-    ("bechamel", bechamel)
+    ("crypto", crypto_bench)
   ]
 
 (* [--json PATH] may appear anywhere in the argument list; the remaining
@@ -1383,13 +1309,6 @@ let write_json path ~deterministic ran =
   (* build.info only: the full stamp's uptime gauge would break
      [--deterministic] artifact diffing *)
   Obs.Buildinfo.stamp_build registry;
-  let trace =
-    if List.mem "chaos" ran then
-      Result.get_ok
-        (Obs.Recorder.merge
-           (List.map Obs.Recorder.to_perfetto [ recorder; chaos_server_recorder ]))
-    else Obs.Recorder.to_perfetto recorder
-  in
   let doc =
     Obs.Json.Obj
       [ ("schema", Obs.Json.Str "ppj.bench/1");
@@ -1398,7 +1317,7 @@ let write_json path ~deterministic ran =
         ("metrics", Obs.Snapshot.to_json (Obs.Registry.snapshot registry));
         (* Perfetto-loadable span tree of the networked experiments (empty
            when none of them ran). *)
-        ("trace", trace)
+        ("trace", Obs.Recorder.to_perfetto recorder)
       ]
   in
   let oc = open_out path in

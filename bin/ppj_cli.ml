@@ -268,17 +268,17 @@ let nstar_cmd =
   Cmd.v (Cmd.info "nstar" ~doc:"Solve Eqn. 5.6 for the optimal segment size.")
     Term.(const run $ l $ s $ m $ eps)
 
+let read_csv path ~name =
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> (
+      match Ppj_relation.Csv_io.infer_schema text with
+      | Error e -> Error e
+      | Ok schema -> Ppj_relation.Csv_io.parse schema ~name text)
+  | exception Sys_error e -> Error e
+
 let csv_join_cmd =
   let run path_a path_b attr_a attr_b algorithm m seed eps out =
-    let read path name =
-      match In_channel.with_open_text path In_channel.input_all with
-      | text -> (
-          match Ppj_relation.Csv_io.infer_schema text with
-          | Error e -> Error e
-          | Ok schema -> Ppj_relation.Csv_io.parse schema ~name text)
-      | exception Sys_error e -> Error e
-    in
-    match (read path_a "A", read path_b "B") with
+    match (read_csv path_a ~name:"A", read_csv path_b ~name:"B") with
     | Error e, _ | _, Error e ->
         Format.eprintf "error: %s@." e;
         exit 1
@@ -314,14 +314,6 @@ let csv_join_cmd =
 
 module Net = Ppj_net
 module Channel = Ppj_scpu.Channel
-
-let read_csv path ~name =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> (
-      match Ppj_relation.Csv_io.infer_schema text with
-      | Error e -> Error e
-      | Ok schema -> Ppj_relation.Csv_io.parse schema ~name text)
-  | exception Sys_error e -> Error e
 
 let connect_with_retry ~wait path =
   let delay = 0.25 in
@@ -719,11 +711,10 @@ let gen_cmd =
 
 let chaos_cmd =
   let run runs seed0 verbose trace_out =
-    let reg = Ppj_obs.Registry.create () in
     let recorder = make_recorder ~name:"chaos" trace_out in
     let server_recorder = make_recorder ~name:"chaos-server" trace_out in
     let results =
-      Net.Chaos.soak ~registry:reg ~seed0 ~runs
+      Net.Chaos.soak ~seed0 ~runs
         (Net.Chaos.printing ~verbose (Net.Chaos.wire ?recorder ?server_recorder))
     in
     Format.printf "%a" (Net.Chaos.pp_report ~name:"chaos") results;
@@ -784,14 +775,6 @@ let loadtest_cmd =
 
 (* --- durable state: store-check / restart-chaos ----------------------- *)
 
-module Journal = Ppj_store.Journal
-module Record = Ppj_store.Record
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
 let store_check_cmd =
   let run dir mac_key =
     let r = Store.check ~mac_key dir in
@@ -844,13 +827,6 @@ let restart_chaos_cmd =
     | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     | exception Unix.Unix_error _ -> ()
   in
-  let flip_byte path off =
-    let s = In_channel.with_open_bin path In_channel.input_all in
-    let b = Bytes.of_string s in
-    Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x40));
-    Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
-  in
-  let plain_meta epoch = "\x00" ^ Record.encode (Record.Meta { format = 1; epoch }) in
   let fork_server ?fault_plan ~socket ~state_dir ~mac_key ~checkpoint_every () =
     Format.print_flush ();
     match Unix.fork () with
@@ -966,74 +942,11 @@ let restart_chaos_cmd =
       injected = killed;
     }
   in
-  (* Doctored-state legs: every tampered directory must be detected —
-     quarantined (recover-to-prefix) or refused outright — never read as
-     if it were intact. *)
-  let detection_legs ~mac_key =
-    let tmp = Filename.get_temp_dir_name () in
-    let fresh tag =
-      let dir = Filename.concat tmp (Printf.sprintf "ppj-leg-%s-%d" tag (Unix.getpid ())) in
-      rm_rf dir;
-      dir
-    in
-    let populate dir =
-      match Store.open_dir ~mac_key dir with
-      | Error e -> die "restart-chaos leg: %s" (Store.error_message e)
-      | Ok (s, _) ->
-          List.iter
-            (fun (d, body) ->
-              match Store.put_contract s ~digest:d body with
-              | Ok () -> ()
-              | Error e -> die "restart-chaos leg: %s" (Store.append_error_message e))
-            [ ("digest-a", String.make 64 'a'); ("digest-b", String.make 64 'b') ];
-          Store.close s
-    in
-    let journal dir = Filename.concat dir "journal.bin" in
-    let size p = (Unix.stat p).Unix.st_size in
-    (* Forged rollback: a journal generation ahead of the snapshot proves
-       the snapshot was rolled back — refuse. *)
-    let rolled = fresh "rollback" in
-    Unix.mkdir rolled 0o700;
-    (match
-       ( Journal.write_atomic (Filename.concat rolled "snapshot.bin") [ plain_meta 2 ],
-         Journal.write_atomic (journal rolled) [ plain_meta 3 ] )
-     with
-    | Ok (), Ok () -> ()
-    | Error e, _ | _, Error e -> die "restart-chaos leg: %s" e);
-    let r = Store.check ~mac_key rolled in
-    if r.Store.r_ok then die "restart-chaos: forged rollback was not refused";
-    (match r.Store.r_error with
-    | Some e when contains ~sub:"rollback" e -> ()
-    | e -> die "restart-chaos: rollback refusal missing: %s" (Option.value ~default:"ok" e));
-    rm_rf rolled;
-    (* Truncation: a torn tail is quarantined or refused, never applied. *)
-    let trunc = fresh "truncate" in
-    populate trunc;
-    Journal.truncate_file (journal trunc) (size (journal trunc) - 3);
-    let r = Store.check ~mac_key trunc in
-    if r.Store.r_ok && r.Store.r_health.Store.quarantined_bytes = 0 then
-      die "restart-chaos: truncated journal read back as intact";
-    rm_rf trunc;
-    (* Bit-flip: flipping one sealed byte must fail authentication. *)
-    let flip = fresh "bitflip" in
-    populate flip;
-    flip_byte (journal flip) (size (journal flip) - 5);
-    let r = Store.check ~mac_key flip in
-    if
-      r.Store.r_ok
-      && r.Store.r_health.Store.quarantined_records = 0
-      && r.Store.r_health.Store.quarantined_bytes = 0
-    then die "restart-chaos: bit-flipped journal read back as intact";
-    rm_rf flip;
-    Format.printf "detection: forged-rollback refused, truncation quarantined, bit-flip \
-                   quarantined@."
-  in
   let run runs seed0 checkpoint_every mac_key verbose =
     let results =
       Net.Chaos.soak ~seed0 ~runs
         (Net.Chaos.printing ~verbose (run_one ~checkpoint_every ~mac_key))
     in
-    detection_legs ~mac_key;
     Format.printf "%a" (Net.Chaos.pp_report ~name:"restart-chaos") results;
     let t = Net.Chaos.tally results in
     if t.Net.Chaos.wrong > 0 || t.Net.Chaos.correct = 0 then exit 1
@@ -1056,99 +969,9 @@ let restart_chaos_cmd =
        ~doc:
          "Process-level durability soak: fork the real server with a seeded kill -9 fault \
           mid-join, restart it on the same --state-dir and require the recovered process to \
-          deliver the oracle's answer (or a typed refusal) to a retrying client.  Also \
-          proves doctored state directories — forged rollback, truncation, bit-flips — are \
-          detected and refused.  Exits nonzero on any wrong answer or undetected tampering.")
+          deliver the oracle's answer (or a typed refusal) to a retrying client.  Exits \
+          nonzero on any wrong answer.")
     Term.(const run $ runs_arg $ seed0_arg $ checkpoint_every_arg $ mac_key_arg $ verbose_arg)
-
-(* --- sharded deployment: shardtest ------------------------------------ *)
-
-let shardtest_cmd =
-  (* The CI smoke: fork p real shard-server processes on Unix sockets,
-     drive a sharded join through them and diff against the sequential
-     single-coprocessor oracle. *)
-  let run p na nb matches mult m seed =
-    if p < 1 then die "p must be positive";
-    let mac_key = "shardtest-mac" in
-    let inner = Service.Alg5 in
-    let rng = Rng.create seed in
-    let a, b = W.equijoin_pair rng ~na ~nb ~matches ~max_multiplicity:mult in
-    let schema = a.Ppj_relation.Relation.schema in
-    let contract =
-      { Channel.contract_id = "shardtest-contract";
-        providers = [ "alice"; "bob" ];
-        recipient = "carol";
-        predicate = "eq(key,key)";
-      }
-    in
-    let sockets =
-      List.init p (fun k ->
-          Filename.concat (Filename.get_temp_dir_name ())
-            (Printf.sprintf "ppj-shardtest-%d-%d.sock" (Unix.getpid ()) k))
-    in
-    List.iter (fun s -> try Sys.remove s with Sys_error _ -> ()) sockets;
-    let children =
-      List.map
-        (fun socket ->
-          match Unix.fork () with
-          | 0 ->
-              let server = Net.Server.create ~seed:5 ~mac_key () in
-              let reactor = Net.Reactor.create server in
-              Net.Reactor.serve_unix reactor ~path:socket ();
-              Stdlib.exit 0
-          | pid -> pid)
-        sockets
-    in
-    let cleanup () =
-      List.iter (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ()) children;
-      List.iter (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()) children;
-      List.iter (fun s -> try Sys.remove s with Sys_error _ -> ()) sockets
-    in
-    let oracle =
-      match
-        Net.Chaos.oracle { Service.m; seed; algorithm = inner } ~contract
-          [ (schema, a); (schema, b) ]
-      with
-      | Ok o -> o
-      | Error e ->
-          cleanup ();
-          die "%s" e
-    in
-    let shards =
-      let arr = Array.of_list sockets in
-      Shard.Shards.create ~p ~connect:(fun k -> connect_with_retry ~wait:10. arr.(k))
-    in
-    let config =
-      { Shard.Coordinator.p; m; seed; inner; strategy = Shard.Partitioner.Replicate }
-    in
-    let result =
-      Shard.Coordinator.run_wire ~shard_attempts:2 ~shards ~seed:(seed + 17) ~mac_key ~contract
-        ~providers:[ ("alice", schema, a); ("bob", schema, b) ]
-        config
-    in
-    cleanup ();
-    match result with
-    | Error e -> die "sharded join failed: %s" e
-    | Ok o ->
-        (match Net.Chaos.judge ~expected:oracle (Ok o.Shard.Coordinator.tuples) with
-        | Net.Chaos.Correct -> ()
-        | v -> die "shardtest: %s" (Net.Chaos.outcome_to_string v));
-        Format.printf
-          "shardtest: %d-shard join over %d process(es) matches the oracle (%d tuples); \
-           per-shard transfers [%s], merge %d slots / %d comparators@."
-          p p (List.length oracle)
-          (String.concat "; "
-             (Array.to_list (Array.map string_of_int o.Shard.Coordinator.wire_per_shard_transfers)))
-          o.Shard.Coordinator.wire_merge.Shard.Merge.slots
-          o.Shard.Coordinator.wire_merge.Shard.Merge.comparators
-  in
-  let p_arg = Arg.(value & opt int 2 & info [ "p" ] ~doc:"Shard servers to fork.") in
-  Cmd.v
-    (Cmd.info "shardtest"
-       ~doc:"Smoke-test the sharded deployment: fork p shard servers on Unix-domain sockets, \
-             run one sharded join through the coordinator and diff the result against the \
-             single-coprocessor oracle.  Exits nonzero on any mismatch.")
-    Term.(const run $ p_arg $ na_arg $ nb_arg $ matches_arg $ mult_arg $ m_arg $ seed_arg)
 
 let trace_check_cmd =
   let run files require_shared merged_out =
@@ -1450,6 +1273,5 @@ let () =
        (Cmd.group (Cmd.info "ppj" ~version:Ppj_obs.Buildinfo.semver ~doc)
           [ run_cmd; trace_cmd; privacy_cmd; cost_cmd; nstar_cmd; csv_join_cmd;
             serve_cmd; submit_cmd; fetch_cmd; gen_cmd; chaos_cmd; loadtest_cmd;
-            store_check_cmd; restart_chaos_cmd;
-            shardtest_cmd; trace_check_cmd;
+            store_check_cmd; restart_chaos_cmd; trace_check_cmd;
             stats_cmd; top_cmd; health_cmd ]))

@@ -46,25 +46,6 @@ let naive_match_pairs trace =
     entries;
   List.rev !pairs
 
-let flush_gaps trace =
-  let gaps = ref [] in
-  let since_write = ref 0 in
-  let in_burst = ref false in
-  List.iter
-    (fun (e : Trace.entry) ->
-      match e.op with
-      | Trace.Read ->
-          incr since_write;
-          in_burst := false
-      | Trace.Write ->
-          if not !in_burst then begin
-            gaps := !since_write :: !gaps;
-            since_write := 0;
-            in_burst := true
-          end)
-    (Trace.to_list trace);
-  List.rev !gaps
-
 let duplicate_histogram host region n =
   let tbl = Hashtbl.create 64 in
   for i = 0 to n - 1 do

@@ -18,10 +18,6 @@ val naive_match_counts : Trace.t -> a_len:int -> int array
 val naive_match_pairs : Trace.t -> (int * int) list
 (** The full leak: the exact (a-index, b-index) pairs that joined. *)
 
-val flush_gaps : Trace.t -> int list
-(** Tuples read between consecutive write bursts — the §3.4.2 leak: the
-    gap distribution estimates the match distribution. *)
-
 val burst_sizes : Trace.t -> int list
 (** Lengths of consecutive write runs — the grace-hash leak: a bucket
     flush pads every sibling bucket at once, so burst lengths reveal how

@@ -38,10 +38,6 @@ val general_winner : b:int -> n:int -> m:int -> ch4_algorithm
 val equijoin_winner : b:int -> n:int -> m:int -> ch4_algorithm
 (** Cheapest of Algorithms 1, 2 and 3 when the predicate is equality. *)
 
-val alg2_at_gamma : a:int -> b:int -> n:int -> gamma:float -> float
-(** Algorithm 2's cost with γ treated as a free parameter — the axes of
-    Figure 4.1 (γ and α vary independently there). *)
-
 val general_winner_at : b:int -> alpha:float -> gamma:float -> ch4_algorithm
 (** Figure 4.1, general-join panel: winner at a free (α, γ) point. *)
 
@@ -49,9 +45,6 @@ val equijoin_winner_at : b:int -> alpha:float -> gamma:float -> ch4_algorithm
 (** Figure 4.1, equijoin panel. *)
 
 (* Chapter 5 (cartesian size L, output S, memory M). *)
-
-val filter_cost : omega:int -> mu:int -> float
-(** Oblivious-filter transfers at the optimal swap size Δ of Eqn. 5.1. *)
 
 val alg4 : l:int -> s:int -> float
 (** Eqn. 5.2. *)
@@ -72,7 +65,7 @@ val filter_exact : omega:int -> mu:int -> int
 (** Exact ledgered transfers of {!Ppj_oblivious.Filter.run} at the
     default Δ*: buffer fill, sentinel padding, the initial padded sort
     and every refill round — term for term what the implementation's
-    trace records, unlike the paper's approximation {!filter_cost}.
+    trace records, unlike the paper's approximation (Eqn. 5.1).
     Returns 0 when [mu = 0] or [omega = 0] (the filter is skipped). *)
 
 val merge_exact : p:int -> l:int -> s:int -> int

@@ -12,9 +12,6 @@
     the maximum, and [eps = 0] then yields n* = M exactly as §5.3.3
     states.) *)
 
-val log_choose : int -> int -> float
-(** ln C(n, k); neg_infinity outside the support. *)
-
 val pmf : l:int -> s:int -> n:int -> k:int -> float
 (** Eqn. 5.4: P[x(n) = k]. *)
 

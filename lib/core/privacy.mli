@@ -35,18 +35,14 @@ val compare_sharded : Trace.t list list -> verdict
     execution iff this verdict is [Indistinguishable] over same-shape
     (for Definition 3: same-[S]) inputs. *)
 
-val default_value_sensitive : string -> bool
-(** The default sensitivity predicate for {!compare_exports}: true
-    unless the metric name contains ["seconds"] or ["uptime"] —
-    wall-clock values legitimately differ between two runs of the same
-    shape. *)
-
 val compare_exports : ?value_sensitive:(string -> bool) -> Ppj_obs.Snapshot.t list -> verdict
 (** The privacy lint on telemetry: scrapes taken after processing
     same-shape inputs must be {e structurally} identical — same metric
     names, same label sets, same kinds — and equal in every
     shape-derived value.  Counter and gauge values are compared exactly
-    when [value_sensitive name] holds (default: {!default_value_sensitive});
+    when [value_sensitive name] holds (default: unless the name contains
+    ["seconds"] or ["uptime"], wall-clock values that legitimately differ
+    between two runs of the same shape);
     a histogram's observation count is compared {e always} (how many
     joins ran is shape-public; it must not depend on data), its observed
     values only when sensitive.  All-pairs; [position] in a

@@ -132,11 +132,6 @@ val seal_otuples :
 (** Seal an oTuple stream to the recipient's session key as one message
     (under an "output" span when the instance carries a recorder). *)
 
-val seal_to :
-  Instance.t -> recipient:Channel.party -> contract:Channel.contract -> string
-(** [seal_otuples] of [result_otuples]: re-read the persisted oTuple
-    stream through [T], decrypt, and seal it to the recipient. *)
-
 val open_delivery :
   schema:Schema.t ->
   recipient:Channel.party ->

@@ -17,6 +17,8 @@ let range_of ~l ~p k =
 
 let shared_seed seed = seed lxor 0x5bd1e995
 
+exception Blemished
+
 (* The per-shard filter budget.  A shard's local match count s_k is
    data-dependent — two same-shape databases place their S matches in
    different slices — so filtering with mu = s_k would leak the
@@ -116,6 +118,7 @@ let alg6 ?(leaky = false) inst ~k ~p ~s ~shared_seed ~eps =
       let segs = Params.segments ~l:my_len ~n_star in
       let (_ : Host.t) = Host.define_region host Trace.Output ~size:(segs * m) in
       let local_s = ref 0 in
+      let blemished = ref false in
       let stored = ref [] in
       let kk = ref 0 in
       let out_pos = ref 0 in
@@ -147,11 +150,16 @@ let alg6 ?(leaky = false) inst ~k ~p ~s ~shared_seed ~eps =
                 stored := Instance.join_ituple inst it :: !stored;
                 incr kk;
                 incr local_s
-              end;
+              end
+              else blemished := true;
             if !seen mod n_star = 0 || !seen = my_len then flush ()
           end)
         (Mlfsr.random_order ~n:l ~seed:shared_seed);
       Coprocessor.free co m;
+      (* A segment dropped results: refuse rather than deliver short.
+         Algorithm 6's salvage re-outputs the whole result through
+         Algorithm 5, which a slice of a position range cannot do. *)
+      if !blemished then raise Blemished;
       let mu = if leaky then !local_s else public_mu ~slice:(segs * m) ~s in
       if mu > 0 then begin
         let buffer =

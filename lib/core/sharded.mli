@@ -13,7 +13,7 @@
 
     {b Padding.}  A shard's local match count [s_k] is data-dependent,
     so the oblivious filters run with the public budget
-    [min(slice, S)] ({!public_mu}) instead of [s_k]: the per-shard
+    [min(slice, S)] instead of [s_k]: the per-shard
     trace is then a function of shape (and the Definition-3-public
     total [S]) alone, and the union of per-shard traces can be checked
     with {!Privacy.compare_sharded}.  [?leaky:true] restores the
@@ -23,17 +23,16 @@
 val check : k:int -> p:int -> unit
 (** @raise Invalid_argument unless [0 <= k < p]. *)
 
-val range_of : l:int -> p:int -> int -> int * int
-(** [range_of ~l ~p k] is shard [k]'s half-open iTuple index range
-    [(lo, hi)]; ranges tile [0, l) and differ in size by at most one. *)
-
 val shared_seed : int -> int
 (** The MLFSR seed all shards of one Algorithm 6 job must share, derived
     from the job seed (shards walk the same random order and keep
     disjoint position ranges of it). *)
 
-val public_mu : slice:int -> s:int -> int
-(** The shape-only filter budget [min(slice, S)] discussed above. *)
+exception Blemished
+(** Raised by {!alg6} after its scan when some segment of the slice held
+    more than [m] results.  The slice refuses instead of delivering
+    short; the refusal is observable, as the sequential algorithm's
+    salvage is, and a retry of the same config and data refuses again. *)
 
 val alg4 : ?leaky:bool -> Instance.t -> k:int -> p:int -> s:int -> unit
 (** Scan iTuple range [kL/p, (k+1)L/p), write the fixed-size oTuple
@@ -56,7 +55,8 @@ val alg6 :
   unit
 (** Process shard [k]'s position range of the shared-seed MLFSR order in
     [n*]-segments, flush [m]-blocks with decoy padding, filter with the
-    public budget. *)
+    public budget.
+    @raise Blemished if a segment overflowed [m]. *)
 
 val alg8 : Instance.t -> k:int -> p:int -> attr_a:string -> attr_b:string -> unit
 (** {!Algorithm8.run_slice}: the full sort/annotate/expand pipeline with

@@ -11,7 +11,6 @@ let of_string s =
 
 let to_string t = t
 let of_bytes b = of_string (Bytes.to_string b)
-let to_bytes t = Bytes.of_string t
 
 let xor a b =
   let r = Bytes.create size in

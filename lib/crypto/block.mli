@@ -17,8 +17,6 @@ val to_string : t -> string
 
 val of_bytes : bytes -> t
 
-val to_bytes : t -> bytes
-
 val xor : t -> t -> t
 
 val double : t -> t
@@ -32,9 +30,6 @@ val double_into : bytes -> src:int -> dst:int -> unit
 
 val halve : t -> t
 (** Multiplication by x{^-1} in GF(2{^128}) (OCB's L(-1)). *)
-
-val of_int64_pair : int64 -> int64 -> t
-(** [of_int64_pair hi lo] is the big-endian block [hi ++ lo]. *)
 
 val of_int : int -> t
 (** [of_int n] encodes [n] in the low-order bytes, big-endian. *)

@@ -34,8 +34,6 @@ let taps = function
   | 32 -> [ 32; 22; 2; 1 ]
   | d -> invalid_arg (Printf.sprintf "Mlfsr: unsupported degree %d" d)
 
-let max_degree = 32
-
 type t = { degree : int; mask : int; mutable state : int }
 
 let tap_mask degree = List.fold_left (fun m t -> m lor (1 lsl (t - 1))) 0 (taps degree)

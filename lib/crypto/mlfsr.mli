@@ -8,11 +8,9 @@
 
 type t
 
-val max_degree : int
-
 val create : degree:int -> seed:int -> t
 (** [create ~degree ~seed] builds an MLFSR over [degree] bits
-    (2 ≤ degree ≤ {!max_degree}) seeded with a nonzero state derived from
+    (2 ≤ degree ≤ 32) seeded with a nonzero state derived from
     [seed].  @raise Invalid_argument on an unsupported degree. *)
 
 val degree_for : int -> int

@@ -7,7 +7,6 @@ let split t label =
   Random.State.make [| Random.State.bits t; h; 0x85ebca6b |]
 
 let int t bound = Random.State.full_int t bound
-let int_in t lo hi = lo + Random.State.int t (hi - lo + 1)
 let float t bound = Random.State.float t bound
 let bool t = Random.State.bool t
 

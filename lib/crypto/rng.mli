@@ -16,9 +16,6 @@ val split : t -> string -> t
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [lo, hi] inclusive. *)
-
 val float : t -> float -> float
 
 val bool : t -> bool

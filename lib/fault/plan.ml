@@ -30,7 +30,6 @@ let scpu action transfer =
 let crash_at t = scpu Crash t
 let corrupt_at t = scpu Corrupt t
 let replay_at t = scpu Replay t
-let kill9_at t = scpu Kill9 t
 
 let net action ?dir ?tag ?(skip = 0) ?(count = 1) () =
   if skip < 0 || count < 1 then invalid_arg "Plan: bad skip/count";
@@ -226,7 +225,5 @@ let random ~seed =
      than restart; sometimes absent, to exercise the restart path too. *)
   let checkpoint_every = if Rng.int rng 4 = 0 then None else Some (4 + Rng.int rng 60) in
   { events; checkpoint_every }
-
-let has_scpu_events t = List.exists (function Scpu _ -> true | _ -> false) t.events
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -60,15 +60,9 @@ val make : ?checkpoint_every:int -> event list -> t
 
 (** {2 Constructors} *)
 
-val crash_at : int -> event
-val corrupt_at : int -> event
-val replay_at : int -> event
-val kill9_at : int -> event
-
 val drop : ?dir:dir -> ?tag:string -> ?skip:int -> ?count:int -> unit -> event
 val duplicate : ?dir:dir -> ?tag:string -> ?skip:int -> ?count:int -> unit -> event
 val delay : ?dir:dir -> ?tag:string -> ?skip:int -> ?count:int -> unit -> event
-val corrupt_frame : ?dir:dir -> ?tag:string -> ?skip:int -> ?count:int -> unit -> event
 
 val recv_timeout : int -> event
 
@@ -95,7 +89,5 @@ val random : seed:int -> t
 (** A small random plan — one to three events drawn across every fault
     family, usually with checkpointing enabled — deterministic in
     [seed].  The chaos soak feeds these. *)
-
-val has_scpu_events : t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -75,8 +75,6 @@ val wants_read : conn -> bool
 (** False once closing, and false while the outbound queue sits above
     the high-water mark (backpressure). *)
 
-val wants_write : conn -> bool
-
 val pending : conn -> (string * int) option
 (** The queue head and the offset already written, or [None] when
     drained.  Write any prefix of the remainder, then call {!wrote}. *)

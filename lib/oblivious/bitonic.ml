@@ -70,12 +70,6 @@ let schedule n =
       in
       publish ()
 
-let stage_count n =
-  if n = 1 then 0
-  else
-    let l = log2 n in
-    l * (l + 1) / 2
-
 let comparator_count n =
   if n = 1 then 0
   else

@@ -4,9 +4,8 @@
     length, never on the data — exactly the property that makes the sort
     oblivious when each compare-exchange is executed through the
     coprocessor.  The paper's cost accounting uses the approximations
-    ½(log₂ n)² stages and ¼ n (log₂ n)² comparisons; {!stage_count} and
-    {!comparator_count} are the exact values, and the cost module exposes
-    both. *)
+    ½(log₂ n)² stages and ¼ n (log₂ n)² comparisons; {!comparator_count}
+    is the exact count, and the cost module exposes both. *)
 
 val next_pow2 : int -> int
 
@@ -22,9 +21,6 @@ val schedule_builds : unit -> int
 (** How many schedules have been built (memoization cache misses) since
     process start — a repeat sort of an already-seen size must not bump
     this. *)
-
-val stage_count : int -> int
-(** Exact number of stages: ½ log₂ n (log₂ n + 1). *)
 
 val comparator_count : int -> int
 (** Exact comparator count: n/4 · log₂ n (log₂ n + 1). *)

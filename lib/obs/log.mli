@@ -7,8 +7,6 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_to_string : level -> string
-
 val level_of_string : string -> (level, string) result
 (** Accepts [debug|info|warn|warning|error], case-insensitive. *)
 
@@ -23,8 +21,6 @@ val null : t
 val set_level : t -> level -> unit
 
 val level : t -> level
-
-val enabled : t -> level -> bool
 
 val log : t -> level -> ?kv:(string * string) list -> string -> unit
 

@@ -27,8 +27,6 @@ val width : t -> int
 val index_of : t -> string -> int
 (** Position of a named field.  @raise Not_found if absent. *)
 
-val field_width : field_ty -> int
-
 val concat : t -> t -> t
 (** Schema of the joined tuple [a ++ b]; clashing names get suffixed. *)
 

@@ -32,8 +32,6 @@ let make_party role ~id ~secret =
 let party ~id ~secret = make_party Initiator ~id ~secret
 let responder_party ~id ~secret = make_party Responder ~id ~secret
 
-let party_id p = p.id
-
 module Group = Ppj_crypto.Group
 module Hash = Ppj_crypto.Hash
 module Block = Ppj_crypto.Block
@@ -124,8 +122,6 @@ let submit p contract relation =
   Array.iter (Buffer.add_string body) (Relation.encode_all relation);
   let nonce = fresh_nonce p in
   { sender = p.id; nonce; ciphertext = Ocb.encrypt p.key ~nonce (Buffer.contents body) }
-
-let submission_bytes s = String.length s.ciphertext + String.length s.nonce
 
 let accept p contract schema s =
   if not (String.equal s.sender p.id) then Error "unknown sender"

@@ -24,14 +24,6 @@ val party : id:string -> secret:string -> party
 (** An [Initiator]-side handle; [secret] is the 16-byte session key
     shared with [T]. *)
 
-val responder_party : id:string -> secret:string -> party
-(** The [T]-side handle for the same session: identical key, nonces
-    drawn from the responder's disjoint counter range.
-    {!Handshake.respond} builds its party with this, so client→server
-    and server→client messages never reuse a (key, nonce) pair. *)
-
-val party_id : party -> string
-
 (** Authenticated Diffie–Hellman session establishment (§3.3.3 cites [12]
     for the channels; the long-term MAC key models the identities the
     attestation chain certifies).  The toy 30-bit group is the documented
@@ -90,9 +82,6 @@ type submission = { sender : string; nonce : string; ciphertext : string }
     observes. *)
 
 val submit : party -> contract -> Relation.t -> submission
-
-val submission_bytes : submission -> int
-(** Wire size, for accounting. *)
 
 val accept :
   party ->

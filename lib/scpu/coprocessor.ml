@@ -546,7 +546,6 @@ let free t n =
   t.mem_in_use <- t.mem_in_use - n
 
 let mem_in_use t = t.mem_in_use
-let mem_peak t = t.mem_peak
 
 let rng t = t.rng
 let fresh_seed t = Rng.int t.rng 0x3FFFFFFF

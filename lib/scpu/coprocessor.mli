@@ -144,10 +144,6 @@ val free : t -> int -> unit
 
 val mem_in_use : t -> int
 
-val mem_peak : t -> int
-(** Memory-ledger high-water mark: the most tuples simultaneously
-    retained in [T] so far. *)
-
 val rng : t -> Ppj_crypto.Rng.t
 (** [T]-internal randomness (nonces, shuffle tags, MLFSR seeds). *)
 

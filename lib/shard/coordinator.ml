@@ -85,7 +85,12 @@ let run_local ?metrics ?backend config ~predicate rels =
     (inst, transfers, Service.result_otuples inst)
   in
   let map = if use_domains then Domains_compat.parallel_map else Array.map in
-  let slices = map job (Array.init config.p Fun.id) in
+  let* slices =
+    match map job (Array.init config.p Fun.id) with
+    | slices -> Ok slices
+    | exception Ppj_core.Sharded.Blemished ->
+        Error "coordinator: an Algorithm 6 segment overflowed memory; refused, not delivered short"
+  in
   let per_shard_transfers = Array.map (fun (_, t, _) -> t) slices in
   (* Pad and decoding depend on the relations' shape alone, so any
      slice's instance serves as the probe. *)

@@ -72,7 +72,10 @@ val run_local :
   (outcome, string) result
 (** Default backend: [Domains] when the runtime has them, else
     [Sequential].  Requesting [Domains] on OCaml 4.x silently degrades
-    to sequential (the [backend] field reports the truth). *)
+    to sequential (the [backend] field reports the truth).  An Algorithm
+    6 slice that blemishes ({!Ppj_core.Sharded.Blemished}) makes the
+    job an [Error]; a shard server answers it with an [Internal] error,
+    which no client retries. *)
 
 val submit_wire :
   ?client_config:Client.config ->

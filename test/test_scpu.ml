@@ -388,7 +388,10 @@ let test_co_transfer_allocation () =
   in
   ignore (minor_words_per 100 pair);
   let words = minor_words_per 1000 pair in
-  if words > 150. then Alcotest.failf "%.0f minor words per get+put pair (budget 150)" words
+  (* 34.2 words with one C call per OCB message, 62.2 on the OCaml core *)
+  let budget = if Ppj_crypto.Aes.hardware then 40. else 70. in
+  if words > budget then
+    Alcotest.failf "%.1f minor words per get+put pair (budget %.0f)" words budget
 
 let test_aes_into_allocation () =
   (* Both the dispatched path (the AES instructions where the CPU has

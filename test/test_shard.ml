@@ -236,6 +236,36 @@ let test_local_replicate_alg5 = check_local_correct "alg5" Service.Alg5 [ 1; 2; 
 let test_local_replicate_alg6 =
   check_local_correct "alg6" (Service.Alg6 { eps = 1e-9 }) [ 1; 2; 3; 4 ]
 
+(* At a loose eps a segment of a slice can hold more than m results:
+   the slice then refuses.  Every run is the oracle's answer or that
+   typed refusal, never a short answer. *)
+let test_local_alg6_blemish_refused () =
+  let refused = ref 0 in
+  for seed = 1 to 40 do
+    let rels =
+      let a, b = W.equijoin_pair (Rng.create seed) ~na:8 ~nb:12 ~matches:10 ~max_multiplicity:3 in
+      [ a; b ]
+    in
+    let want = tuple_set (oracle_of rels) in
+    List.iter
+      (fun p ->
+        let config =
+          { (local_config ~p (Service.Alg6 { eps = 0.1 })) with Coordinator.m = 2; seed }
+        in
+        match
+          Coordinator.run_local ~backend:Coordinator.Sequential config ~predicate:pred rels
+        with
+        | Ok o ->
+            Alcotest.(check (list string))
+              (Printf.sprintf "seed %d p=%d = oracle" seed p)
+              want (tuple_set o.Coordinator.results)
+        | Error e ->
+            Alcotest.(check bool) "typed refusal" true (contains ~sub:"Algorithm 6" e);
+            incr refused)
+      [ 1; 2; 4 ]
+  done;
+  Alcotest.(check bool) "some slice blemished" true (!refused > 0)
+
 let test_local_replicate_alg8 =
   check_local_correct "alg8"
     (Service.Alg8 { attr_a = "key"; attr_b = "key" })
@@ -917,6 +947,8 @@ let () =
         [ Alcotest.test_case "replicate alg4 = oracle" `Quick test_local_replicate_alg4;
           Alcotest.test_case "replicate alg5 = oracle" `Quick test_local_replicate_alg5;
           Alcotest.test_case "replicate alg6 = oracle" `Quick test_local_replicate_alg6;
+          Alcotest.test_case "alg6 blemish refused, never short" `Quick
+            test_local_alg6_blemish_refused;
           Alcotest.test_case "replicate alg8 = oracle" `Quick test_local_replicate_alg8;
           Alcotest.test_case "invalid p rejected" `Quick test_invalid_p_rejected;
           Alcotest.test_case "bad inner rejected" `Quick test_bad_inner_rejected;

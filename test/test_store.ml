@@ -177,28 +177,42 @@ let test_fuzz_dup_tail =
                && r.Store.r_nvram = [ ("n", 1 + (seed mod 7)) ]
              else r.Store.r_error <> None)))
 
+(* The last record's tail is torn off, or one of its sealed bytes is
+   flipped: either way it is quarantined, never read back. *)
 let test_recover_twice_equals_once () =
-  with_dir (fun dir ->
-      let s, _ = opened (Store.open_dir ~mac_key dir) in
-      ok (Store.put_contract s ~digest:"d1" "body-1");
-      ok (Store.put_contract s ~digest:"d2" "body-2");
-      Store.close s;
-      let path = journal_file dir in
-      Journal.truncate_file path ((Unix.stat path).Unix.st_size - 5);
-      (* First open repairs the torn tail... *)
-      let s, h1 = opened (Store.open_dir ~mac_key dir) in
-      Alcotest.(check bool) "tail quarantined" true (h1.Store.quarantined_bytes > 0);
-      let view1 = Store.contracts s in
-      Store.close s;
-      (* ...and a second open finds nothing left to repair: recovery is
-         idempotent. *)
-      let s, h2 = opened (Store.open_dir ~mac_key dir) in
-      Alcotest.(check int) "nothing further quarantined" 0 h2.Store.quarantined_bytes;
-      Alcotest.(check int) "no records lost to the second pass" (List.length view1)
-        (List.length (Store.contracts s));
-      Alcotest.(check (list string)) "surviving contract intact" [ "body-1" ]
-        (List.map snd view1);
-      Store.close s)
+  let truncate path = Journal.truncate_file path ((Unix.stat path).Unix.st_size - 5) in
+  let flip path =
+    let b = Bytes.of_string (read_bin path) in
+    let off = Bytes.length b - 5 in
+    Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x40));
+    write_bin path (Bytes.to_string b)
+  in
+  List.iter
+    (fun (damage, doctor) ->
+      with_dir (fun dir ->
+          let s, _ = opened (Store.open_dir ~mac_key dir) in
+          ok (Store.put_contract s ~digest:"d1" "body-1");
+          ok (Store.put_contract s ~digest:"d2" "body-2");
+          Store.close s;
+          doctor (journal_file dir);
+          (* First open repairs the damaged tail... *)
+          let s, h1 = opened (Store.open_dir ~mac_key dir) in
+          Alcotest.(check bool) (damage ^ ": tail quarantined") true
+            (h1.Store.quarantined_bytes > 0);
+          let view1 = Store.contracts s in
+          Store.close s;
+          (* ...and a second open finds nothing left to repair: recovery
+             is idempotent. *)
+          let s, h2 = opened (Store.open_dir ~mac_key dir) in
+          Alcotest.(check int) (damage ^ ": nothing further quarantined") 0
+            h2.Store.quarantined_bytes;
+          Alcotest.(check int) (damage ^ ": no records lost to the second pass")
+            (List.length view1)
+            (List.length (Store.contracts s));
+          Alcotest.(check (list string)) (damage ^ ": surviving contract intact") [ "body-1" ]
+            (List.map snd view1);
+          Store.close s))
+    [ ("truncated", truncate); ("bit-flipped", flip) ]
 
 (* --- full-device sealing ----------------------------------------------- *)
 
