@@ -418,13 +418,10 @@ let shard () =
   let a, b = measured_workload () in
   let pred = P.equijoin2 "key" "key" in
   let l = 2400 and s = 24 in
-  (* Per-shard closed form for Algorithm 4's slice k of p: the slice
-     scans its l_k = |slice of L| pairs twice and runs the filter
-     against the pad-to-max public budget mu = min(l_k, S). *)
+  (* Algorithm 4's slice k of p over its l_k = |slice of L| pairs. *)
   let formula ~p k =
-    let lo = k * l / p and hi = (k + 1) * l / p in
-    let lk = hi - lo in
-    (2 * lk) + Cost.filter_exact ~omega:lk ~mu:(min lk s)
+    let lo, hi = Params.slice ~n:l ~k ~p in
+    Cost.alg4_exact ~l:(hi - lo) ~s
   in
   let cores = Shard.Domains_compat.cores () in
   Obs.Registry.set_gauge registry "bench.shard.cores" (float_of_int cores);
@@ -481,7 +478,7 @@ let shard () =
             (String.concat " " cells))
     [ 1; 2; 4 ];
   row "(speedup = total transfers / slowest shard; per-shard formula, exact:\n";
-  row " 2*l_k + filter_exact(l_k, min(l_k, S)); merge comparators, exact:\n";
+  row " Cost.alg4_exact(l_k, S); merge comparators, exact:\n";
   row " Cost.merge_exact = comparators(next_pow2(p * min(ceil(l/p), S))).\n";
   row " CI gates on bench.shard.speedup{p=4} >= 1.5 in BENCH_shard.json.)\n";
   if !misses <> [] then
@@ -1131,12 +1128,12 @@ let scaling () =
     let a, b = W.equijoin_pair rng ~na:n ~nb:n ~matches:(s_of n) ~max_multiplicity:2 in
     Instance.create ~m:4 ~seed:31 ~predicate:(P.equijoin2 "key" "key") [ a; b ]
   in
-  (* Exact closed forms (Cost.alg4's filter term is the paper's
-     approximation, so assemble Algorithm 4's from filter_exact). *)
+  (* Exact closed forms (Cost.alg4 is the paper's Eqn. 5.2, an
+     approximation). *)
   let formula_of tag n =
     let s = s_of n in
     match tag with
-    | "alg4" -> float_of_int ((2 * n * n) + Cost.filter_exact ~omega:(n * n) ~mu:s)
+    | "alg4" -> float_of_int (Cost.alg4_exact ~l:(n * n) ~s)
     | "alg7" -> Cost.alg7 ~a:n ~b:n ~s
     | "alg8" -> Cost.alg8 ~a:n ~b:n ~s
     | _ -> assert false

@@ -325,6 +325,11 @@ let connect_with_retry ~wait path =
   in
   go attempts
 
+(* Seeds a client's handshake, hence its Diffie-Hellman exponent, from
+   the OS: a seed of public inputs (the party id) is guessable and
+   repeats the hello, which the server refuses as replayed. *)
+let handshake_seed () = Random.State.bits (Random.State.make_self_init ())
+
 let wait_arg =
   Arg.(
     value & opt float 10.
@@ -586,7 +591,7 @@ let submit_cmd =
             | Ok transport ->
                 let recorder = make_recorder ~name:"client" trace_out in
                 let client = Net.Client.create ?recorder transport in
-                let rng = Rng.create (Hashtbl.hash (id, path)) in
+                let rng = Rng.create (handshake_seed ()) in
                 let outcome =
                   Net.Client.submit_relation client ~rng ~id ~mac_key ~contract ~schema rel
                 in
@@ -598,7 +603,7 @@ let submit_cmd =
             let sh = make_shards ~wait paths in
             match
               Shard.Coordinator.submit_wire ~shards:sh
-                ~seed:(Hashtbl.hash (id, path))
+                ~seed:(handshake_seed ())
                 ~mac_key ~contract ~id ~schema rel
             with
             | Error e -> die "%s" e
@@ -647,7 +652,7 @@ let fetch_cmd =
         | Ok transport -> (
             let recorder = make_recorder ~name:"client" trace_out in
             let client = Net.Client.create ?recorder transport in
-            let rng = Rng.create (Hashtbl.hash (id, "fetch")) in
+            let rng = Rng.create (handshake_seed ()) in
             let outcome = Net.Client.fetch_result client ~rng ~id ~mac_key ~contract config in
             if metrics then print_client_metrics client;
             Net.Client.close client;
@@ -673,7 +678,7 @@ let fetch_cmd =
         let shard_metrics = Shard.Metrics.create () in
         match
           Shard.Coordinator.fetch_wire ~metrics:shard_metrics ~shards:sh
-            ~seed:(Hashtbl.hash (id, "fetch"))
+            ~seed:(handshake_seed ())
             ~mac_key ~contract shard_config
         with
         | Error e -> die "%s" e

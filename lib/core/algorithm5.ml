@@ -2,57 +2,58 @@ module Coprocessor = Ppj_scpu.Coprocessor
 module Host = Ppj_scpu.Host
 module Trace = Ppj_scpu.Trace
 
-(* The scan loop, shared with Algorithm 6's salvage fallback.
-   Returns (S, scan count); persists the S results to disk. *)
-let execute inst =
+(* Result ranks [lo, hi) in scans of the cartesian product, each
+   retaining at most m results in T and writing them only at its end.
+   [hi = None]: the first scan learns S, while it serves ranks
+   [lo, lo + m).  Persists the results; returns (hi, scan count). *)
+let scan inst ~lo ~hi =
   let co = Instance.co inst in
   let host = Coprocessor.host co in
   Instance.ensure_cartesian inst;
   let l = Instance.l inst in
   let m = Coprocessor.m co in
   if m < 1 then invalid_arg "Algorithm5: memory must hold at least one result";
-  let pindex = ref (-1) in
-  let lindex = ref (-1) in
-  let s = ref 0 in
-  let out_pos = ref 0 in
+  let define hi = ignore (Host.define_region host Trace.Output ~size:(max 1 (hi - lo)) : Host.t) in
+  Option.iter define hi;
+  (* max_int until the first scan has counted S *)
+  let hi = ref (Option.value hi ~default:max_int) in
+  let flushed = ref 0 in
   let scans = ref 0 in
-  let finished = ref false in
-  while not !finished do
-    incr scans;
-    let first_scan = !scans = 1 in
-    Coprocessor.alloc co m;
+  Coprocessor.alloc co m;
+  while lo + !flushed < !hi do
+    let window_lo = lo + !flushed in
+    let window_hi = min !hi (window_lo + m) in
+    let rank = ref 0 in
     let stored = ref [] in
-    let stored_count = ref 0 in
-    let last_stored = ref !pindex in
-    for current = 0 to l - 1 do
-      let it = Instance.get_ituple inst current in
+    for idx = 0 to l - 1 do
+      let it = Instance.get_ituple inst idx in
       if Instance.satisfy inst it then begin
-        if first_scan then begin
-          incr s;
-          lindex := current
-        end;
-        if current > !pindex && !stored_count < m then begin
+        if !rank >= window_lo && !rank < window_hi then
           stored := Instance.join_ituple inst it :: !stored;
-          incr stored_count;
-          last_stored := current
-        end
+        incr rank
       end
     done;
-    if first_scan then begin
-      let (_ : Host.t) = Host.define_region host Trace.Output ~size:(max 1 !s) in
-      ()
+    incr scans;
+    if !hi = max_int then begin
+      hi := !rank;
+      define !hi
     end;
     List.iter
       (fun o ->
-        Coprocessor.put co Trace.Output !out_pos o;
-        incr out_pos)
-      (List.rev !stored);
-    Coprocessor.free co m;
-    pindex := !last_stored;
-    if !pindex >= !lindex then finished := true
+        Coprocessor.put co Trace.Output !flushed o;
+        incr flushed)
+      (List.rev !stored)
   done;
-  Host.persist host Trace.Output ~count:!s;
-  (!s, !scans)
+  Coprocessor.free co m;
+  Host.persist host Trace.Output ~count:!flushed;
+  (!hi, !scans)
+
+let execute inst = scan inst ~lo:0 ~hi:None
+
+let run_slice inst ~k ~p ~s =
+  let lo, hi = Params.slice ~n:s ~k ~p in
+  let (_ : int * int) = scan inst ~lo ~hi:(Some hi) in
+  ()
 
 let run inst =
   let s, scans = execute inst in

@@ -1,8 +1,6 @@
 module Coprocessor = Ppj_scpu.Coprocessor
 module Host = Ppj_scpu.Host
 module Trace = Ppj_scpu.Trace
-module Decoy = Ppj_relation.Decoy
-module Filter = Ppj_oblivious.Filter
 module Mlfsr = Ppj_crypto.Mlfsr
 
 type stats = {
@@ -13,16 +11,73 @@ type stats = {
   salvaged : bool;
 }
 
-let run inst ~eps ?delta ?(salvage = true) () =
+exception Blemished
+
+let shared_seed seed = seed lxor 0x5bd1e995
+
+(* What both entry points check and set up: returns (L, m). *)
+let prepare inst ~eps =
   if eps < 0. || eps > 1. then invalid_arg "Algorithm6: eps must be in [0, 1]";
+  Instance.ensure_cartesian inst;
+  let m = Coprocessor.m (Instance.co inst) in
+  if m < 1 then invalid_arg "Algorithm6: memory must hold at least one result";
+  (Instance.l inst, m)
+
+(* Positions [lo, hi) of the MLFSR order of [seed] in n*-segments: each
+   segment keeps at most m results in T and flushes exactly m oTuples,
+   its results padded with decoys.  Returns the segment count and
+   whether some segment held more than m results (a blemish, whose
+   surplus is dropped). *)
+let segment_pass inst ~seed ~n_star ~lo ~hi =
+  let co = Instance.co inst in
+  let m = Coprocessor.m co in
+  let decoy = Instance.decoy inst in
+  let len = hi - lo in
+  let segments = Params.segments ~l:len ~n_star in
+  let (_ : Host.t) =
+    Host.define_region (Coprocessor.host co) Trace.Output ~size:(segments * m)
+  in
+  let blemished = ref false in
+  let stored = ref [] in
+  let kept = ref 0 in
+  let out_pos = ref 0 in
+  let pos = ref 0 in
+  Coprocessor.alloc co m;
+  let flush () =
+    List.iter
+      (fun o ->
+        Coprocessor.put co Trace.Output !out_pos o;
+        incr out_pos)
+      (List.rev !stored);
+    for _ = !kept to m - 1 do
+      Coprocessor.put co Trace.Output !out_pos decoy;
+      incr out_pos
+    done;
+    stored := [];
+    kept := 0
+  in
+  Seq.iter
+    (fun idx ->
+      if !pos >= lo && !pos < hi then begin
+        let it = Instance.get_ituple inst idx in
+        if Instance.satisfy inst it then
+          if !kept < m then begin
+            stored := Instance.join_ituple inst it :: !stored;
+            incr kept
+          end
+          else blemished := true;
+        let seen = !pos - lo + 1 in
+        if seen mod n_star = 0 || seen = len then flush ()
+      end;
+      incr pos)
+    (Mlfsr.random_order ~n:(Instance.l inst) ~seed);
+  Coprocessor.free co m;
+  (segments, !blemished)
+
+let run inst ~eps ?delta ?(salvage = true) () =
+  let l, m = prepare inst ~eps in
   let co = Instance.co inst in
   let host = Coprocessor.host co in
-  Instance.ensure_cartesian inst;
-  let l = Instance.l inst in
-  let m = Coprocessor.m co in
-  if m < 1 then invalid_arg "Algorithm6: memory must hold at least one result";
-  let width = Instance.out_width inst in
-  let decoy = Instance.decoy inst in
   (* Screening pass: learn S; retain results opportunistically so that the
      M >= S case (footnote 1) finishes in this single pass. *)
   Coprocessor.alloc co m;
@@ -50,46 +105,11 @@ let run inst ~eps ?delta ?(salvage = true) () =
     finish { s; n_star = l; segments = 1; blemished = false; salvaged = false }
   end
   else begin
-    retained := [];
     Coprocessor.free co m;
     let n_star = Hypergeom.n_star ~l ~s ~m ~eps in
-    let segments = Params.segments ~l ~n_star in
-    let (_ : Host.t) = Host.define_region host Trace.Output ~size:(segments * m) in
-    let blemished = ref false in
-    let stored = ref [] in
-    let k = ref 0 in
-    let out_pos = ref 0 in
-    let p1 = ref 0 and p2 = ref 0 in
-    Coprocessor.alloc co m;
-    let flush () =
-      List.iter
-        (fun o ->
-          Coprocessor.put co Trace.Output !out_pos o;
-          incr out_pos)
-        (List.rev !stored);
-      for _ = !k to m - 1 do
-        Coprocessor.put co Trace.Output !out_pos decoy;
-        incr out_pos
-      done;
-      stored := [];
-      k := 0;
-      p1 := !p2
+    let segments, blemished =
+      segment_pass inst ~seed:(Coprocessor.fresh_seed co) ~n_star ~lo:0 ~hi:l
     in
-    Seq.iter
-      (fun idx ->
-        incr p2;
-        let it = Instance.get_ituple inst idx in
-        if Instance.satisfy inst it then begin
-          if !k < m then begin
-            stored := Instance.join_ituple inst it :: !stored;
-            incr k
-          end
-          else blemished := true
-        end;
-        if !p2 - !p1 = n_star || !p2 = l then flush ())
-      (Mlfsr.random_order ~n:l ~seed:(Coprocessor.fresh_seed co));
-    Coprocessor.free co m;
-    let blemished = !blemished in
     if blemished && salvage then begin
       (* "Salvage action": fall back to Algorithm 5 to re-output every
          result.  Correct, but the deviation itself is observable — the
@@ -98,12 +118,20 @@ let run inst ~eps ?delta ?(salvage = true) () =
       finish { s; n_star; segments; blemished; salvaged = true }
     end
     else begin
-      let buffer =
-        Filter.run co ~src:Trace.Output ~src_len:(segments * m) ~mu:s ?delta
-          ~is_real:(fun o -> not (Decoy.is_decoy o))
-          ~width ()
-      in
-      Host.persist host buffer ~count:s;
+      Algorithm4.filter inst ?delta ~len:(segments * m) ~mu:s ();
       finish { s; n_star; segments; blemished; salvaged = false }
     end
+  end
+
+let run_slice inst ~eps ~k ~p ~s ~seed =
+  let lo, hi = Params.slice ~n:(Instance.l inst) ~k ~p in
+  let l, m = prepare inst ~eps in
+  if s > 0 && hi > lo then begin
+    let n_star = if m >= s then l else Hypergeom.n_star ~l ~s ~m ~eps in
+    let segments, blemished = segment_pass inst ~seed ~n_star ~lo ~hi in
+    (* A segment dropped results: refuse rather than deliver short.  The
+       sequential salvage re-outputs the whole result through Algorithm
+       5, which a slice of a position range cannot do. *)
+    if blemished then raise Blemished;
+    Algorithm4.filter inst ~len:(segments * m) ~mu:(min (segments * m) s) ()
   end

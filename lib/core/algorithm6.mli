@@ -26,3 +26,22 @@ type stats = {
 val run : Instance.t -> eps:float -> ?delta:int -> ?salvage:bool -> unit -> Report.t * stats
 (** [salvage] (default true) controls whether a blemish triggers the
     correctness-restoring fallback; disable it to study the leak. *)
+
+exception Blemished
+(** Raised by {!run_slice} when a segment of the slice held more than
+    [m] results: the slice refuses rather than deliver short.  Like the
+    sequential salvage, the refusal is observable; the same config and
+    data refuse again. *)
+
+val shared_seed : int -> int
+(** The MLFSR seed all slices of one job share, derived from the job
+    seed: they walk one order and keep disjoint position ranges of it. *)
+
+val run_slice : Instance.t -> eps:float -> k:int -> p:int -> s:int -> seed:int -> unit
+(** Slice [k] of [p] (§4.4.4): positions [kL/p, (k+1)L/p) of the MLFSR
+    order of [seed] in [n*]-segments of [m] oTuples each, filtered with
+    the public budget [min(slice, s)] for the public total [s].  Unlike
+    {!run} it screens nothing, takes [n* = L] when [m >= s], and
+    refuses a blemish.
+    @raise Blemished if a segment overflowed [m].
+    @raise Invalid_argument unless [0 <= k < p]. *)

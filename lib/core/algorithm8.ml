@@ -71,9 +71,7 @@ let k_slot = '\001'
 let k_fill = '\002'
 
 let run_slice inst ~attr_a ~attr_b ~k ~p =
-  if p < 1 then invalid_arg "Algorithm8: p must be positive";
-  if k < 0 || k >= p then
-    invalid_arg (Printf.sprintf "Algorithm8: shard index %d out of range for p=%d" k p);
+  Params.check_slice ~k ~p;
   let co = Instance.co inst in
   let host = Coprocessor.host co in
   let na = Instance.a_len inst and nb = Instance.b_len inst in
@@ -173,7 +171,7 @@ let run_slice inst ~attr_a ~attr_b ~k ~p =
   Coprocessor.free co 1;
   (* Emit range of this coprocessor: output ranks [lo, hi) (§5.3.5-style
      result-rank partitioning; k = 0, p = 1 is the whole join). *)
-  let lo = k * s / p and hi = (k + 1) * s / p in
+  let lo, hi = Params.slice ~n:s ~k ~p in
   if s > 0 then begin
     (* --- 3. per-side oblivious expansion/alignment --- *)
     let nl = total + s in

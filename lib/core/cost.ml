@@ -122,6 +122,8 @@ let filter_exact ~omega ~mu =
     + ((rounds * delta) - refill)
   end
 
+let alg4_exact ~l ~s = (2 * l) + filter_exact ~omega:l ~mu:(min l s)
+
 let merge_exact ~p ~l ~s =
   if p < 1 then invalid_arg "Cost.merge_exact: p must be >= 1";
   let longest = min ((l + p - 1) / p) s in

@@ -68,6 +68,13 @@ val filter_exact : omega:int -> mu:int -> int
     trace records, unlike the paper's approximation (Eqn. 5.1).
     Returns 0 when [mu = 0] or [omega = 0] (the filter is skipped). *)
 
+val alg4_exact : l:int -> s:int -> int
+(** Exact ledgered transfers of an Algorithm 4 run over [l] iTuples:
+    two per iTuple, then the filter at the budget [min(l, s)].  The
+    sequential algorithm is [alg4_exact ~l:L ~s:S]; its slice [k] of
+    [p] is [alg4_exact ~l:l_k ~s:S] for the slice's [l_k] iTuples
+    ({!Algorithm4.run_slice} with the public budget). *)
+
 val merge_exact : p:int -> l:int -> s:int -> int
 (** Exact compare-exchanges of the shard merge ([Ppj_shard.Merge.run])
     over p Algorithm 4 slices of an l-pair product with S results.

@@ -25,3 +25,12 @@ let algorithm2_partition ~n ~m ?(delta = 0) () =
 
 let segments ~l ~n_star = ceil_div l n_star
 let scans ~s ~m = ceil_div s m
+
+let check_slice ~k ~p =
+  if p < 1 then invalid_arg "slice: p must be positive";
+  if k < 0 || k >= p then
+    invalid_arg (Printf.sprintf "slice: shard index %d out of range for p=%d" k p)
+
+let slice ~n ~k ~p =
+  check_slice ~k ~p;
+  (k * n / p, (k + 1) * n / p)

@@ -26,3 +26,10 @@ val segments : l:int -> n_star:int -> int
 
 val scans : s:int -> m:int -> int
 (** ⌈S/M⌉: Algorithm 5 write cycles. *)
+
+val check_slice : k:int -> p:int -> unit
+(** @raise Invalid_argument unless [0 <= k < p]. *)
+
+val slice : n:int -> k:int -> p:int -> int * int
+(** [[kn/p, (k+1)n/p)]: slice [k] of [p] of [n] iTuples, positions or
+    result ranks; [~k:0 ~p:1] is the whole.  Checks as {!check_slice}. *)

@@ -10,6 +10,7 @@ type t = {
   writes : int;
   disk_tuples : int;
   cycles : int;
+  otuples : string list;
   results : Tuple.t list;
   stats : (string * float) list;
   metrics : Ppj_obs.Snapshot.t;
@@ -21,9 +22,9 @@ let collect inst ?(stats = []) () =
   (* For crash-resume runs the cost figures cover the adversary's whole
      view, pre-crash attempts included. *)
   let trace = Instance.extended_trace inst in
+  let otuples = List.map (Coprocessor.decrypt_for_recipient co) (Host.disk host) in
   let results =
-    Host.disk host
-    |> List.map (Coprocessor.decrypt_for_recipient co)
+    otuples
     |> List.filter (fun o -> not (Decoy.is_decoy o))
     |> List.map (Instance.decode_result inst)
   in
@@ -37,6 +38,7 @@ let collect inst ?(stats = []) () =
     writes = Trace.length trace - reads;
     disk_tuples = Host.disk_writes host;
     cycles = Coprocessor.cycles co;
+    otuples;
     results;
     stats;
     metrics = Ppj_obs.Registry.snapshot reg;

@@ -10,6 +10,10 @@ type t = {
   writes : int;
   disk_tuples : int;  (** tuples the server wrote to disk *)
   cycles : int;  (** fixed-time cycle counter *)
+  otuples : string list;
+      (** the persisted oTuple stream as [T] reads it back from disk and
+          decrypts it, decoys included: what the service seals to the
+          recipient *)
   results : Tuple.t list;  (** recipient-decoded join results, decoys dropped *)
   stats : (string * float) list;  (** algorithm-specific figures (γ, n*, …) *)
   metrics : Ppj_obs.Snapshot.t;

@@ -60,7 +60,7 @@ let coprocessor_seed config =
 let rec run_algorithm config inst =
   match config.algorithm with
   | Sharded { k; p; inner } ->
-      Sharded.check ~k ~p;
+      Params.check_slice ~k ~p;
       (* The shard holds the full relations (replicate partitioning);
          the public total S comes from the untraced §4.3 screening pass,
          exactly like [Auto]'s planner input. *)
@@ -74,11 +74,16 @@ let rec run_algorithm config inst =
         [ ("shard", string_of_int k) ]
         (fun () ->
           match inner with
-          | Alg4 -> Sharded.alg4 inst ~k ~p ~s
-          | Alg5 -> Sharded.alg5 inst ~k ~p ~s
+          | Alg4 ->
+              let (_ : int) = Algorithm4.run_slice inst ~budget:(Public { s }) ~k ~p () in
+              ()
+          | Alg5 -> Algorithm5.run_slice inst ~k ~p ~s
           | Alg6 { eps } ->
-              Sharded.alg6 inst ~k ~p ~s ~shared_seed:(Sharded.shared_seed config.seed) ~eps
-          | Alg8 { attr_a; attr_b } -> Sharded.alg8 inst ~k ~p ~attr_a ~attr_b
+              Algorithm6.run_slice inst ~eps ~k ~p ~s
+                ~seed:(Algorithm6.shared_seed config.seed)
+          | Alg8 { attr_a; attr_b } ->
+              let (_ : Algorithm8.stats) = Algorithm8.run_slice inst ~attr_a ~attr_b ~k ~p in
+              ()
           | Alg1 _ | Alg2 _ | Alg3 _ | Alg7 _ | Auto _ | Sharded _ ->
               invalid_arg "Sharded: inner algorithm must be Alg4, Alg5, Alg6, Alg8 or Auto");
       Report.collect inst
@@ -169,8 +174,6 @@ let resume_join config inst =
       | exception Coprocessor.Crashed { transfer } -> raise (Join_crashed { inst; transfer }))
 
 let result_otuples inst =
-  (* T re-reads the disk batches and decrypts them: the plaintext oTuple
-     stream (reals still interleaved with decoys). *)
   let co = Instance.co inst in
   let host = Coprocessor.host co in
   List.map (Coprocessor.decrypt_for_recipient co) (Host.disk host)
@@ -180,9 +183,6 @@ let seal_otuples inst ~recipient ~contract otuples =
   match Instance.recorder inst with
   | None -> body ()
   | Some r -> Recorder.with_span r "output" body
-
-let seal_to inst ~recipient ~contract =
-  seal_otuples inst ~recipient ~contract (result_otuples inst)
 
 let open_delivery ~schema ~recipient ~contract sealed =
   let* reals = Channel.open_result recipient contract sealed in
@@ -219,7 +219,7 @@ let run ?recorder config ~contract ~submissions ~recipient ~predicate =
     let inst, report = phase "join" (fun () -> execute_join ?recorder config ~predicate rels) in
     let* delivered =
       phase "sealing" (fun () ->
-          let sealed = seal_to inst ~recipient ~contract in
+          let sealed = seal_otuples inst ~recipient ~contract report.Report.otuples in
           open_delivery ~schema:(Instance.joined_schema inst) ~recipient ~contract sealed)
     in
     let report =

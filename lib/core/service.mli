@@ -31,16 +31,19 @@ type algorithm =
           privacy level is at least [1 - max_eps], using a screening pass
           to learn [S] (the §4.3 preprocessing). *)
   | Sharded of { k : int; p : int; inner : algorithm }
-      (** Run shard [k] of [p] of a multi-coprocessor job: the {!Sharded}
-          slice of [inner], which must be [Alg4], [Alg5], [Alg6], [Alg8]
-          or [Auto] (resolved by the planner into one of the first three).  The
-          server holds the full relations — replicate partitioning — and
-          executes only its slice; a coordinator ([lib/shard]) merges the
-          [p] sealed results.  The slice learns S untraced, runs on the
-          coprocessor seeded by {!coprocessor_seed}, and labels the
-          oblivious layer's ambient metrics with [shard=k]; a shard
-          server and the coordinator's in-process backend both run
-          slices through {!execute_join}. *)
+      (** Run shard [k] of [p] of a multi-coprocessor job: the
+          [run_slice] of [inner]'s algorithm, which must be [Alg4],
+          [Alg5], [Alg6], [Alg8] or [Auto] (resolved by the planner into
+          one of the first three).  Alg4 filters with the public budget
+          {!Algorithm4.Public}; Alg6 walks the MLFSR order of
+          {!Algorithm6.shared_seed} [seed].  The server holds the full
+          relations — replicate partitioning — and executes only its
+          slice; a coordinator ([lib/shard]) merges the [p] sealed
+          results.  The slice learns S untraced, runs on the coprocessor
+          seeded by {!coprocessor_seed}, and labels the oblivious layer's
+          ambient metrics with [shard=k]; a shard server and the
+          coordinator's in-process backend both run slices through
+          {!execute_join}. *)
 
 type config = { m : int; seed : int; algorithm : algorithm }
 
@@ -118,10 +121,11 @@ val resume_join : config -> Instance.t -> Instance.t * Report.t
     @raise Join_crashed if a further crash event fires. *)
 
 val result_otuples : Instance.t -> string list
-(** Re-read the persisted oTuple stream through [T] and decrypt it:
-    the plaintext stream (reals still interleaved with decoys) that
-    {!seal_otuples} seals — and that a durable server caches so a
-    restarted process can re-seal to a fresh session key. *)
+(** Re-read the persisted oTuple stream through [T] and decrypt it: the
+    plaintext stream, reals still interleaved with decoys.  A join's
+    {!Report.t} already holds this stream as [otuples], and every
+    service path reads it from there; this function remains for the
+    benchmark's probes, which time the decryption on its own. *)
 
 val seal_otuples :
   Instance.t ->
@@ -129,8 +133,9 @@ val seal_otuples :
   contract:Channel.contract ->
   string list ->
   string
-(** Seal an oTuple stream to the recipient's session key as one message
-    (under an "output" span when the instance carries a recorder). *)
+(** Seal an oTuple stream (a report's [otuples]) to the recipient's
+    session key as one message (under an "output" span when the
+    instance carries a recorder). *)
 
 val open_delivery :
   schema:Schema.t ->

@@ -581,7 +581,7 @@ let on_execute t session sealed_config =
                                                   fresh ())
                                           | None -> fresh ())
                                     in
-                                    let otuples = Service.result_otuples inst in
+                                    let otuples = report.Report.otuples in
                                     let sealed_body =
                                       Service.seal_otuples inst ~recipient:party
                                         ~contract:cs.contract otuples

@@ -75,20 +75,20 @@ let run_local ?metrics ?backend config ~predicate rels =
     | None -> Domains_compat.available)
     && Domains_compat.available && config.p > 1
   in
-  (* Each job also decrypts its slice's stream, in parallel with the
-     other slices. *)
+  (* Each job's report holds its slice's decrypted stream, decrypted in
+     parallel with the other slices. *)
   let job k =
-    let inst, _ = Service.execute_join (slice_config config k) ~predicate rels in
+    let inst, report = Service.execute_join (slice_config config k) ~predicate rels in
     let transfers = Coprocessor.transfers (Instance.co inst) in
     (* reported from inside the domain, through the guarded sink *)
     Option.iter (fun m -> Metrics.shard_done m ~shard:k ~transfers) metrics;
-    (inst, transfers, Service.result_otuples inst)
+    (inst, transfers, report.Ppj_core.Report.otuples)
   in
   let map = if use_domains then Domains_compat.parallel_map else Array.map in
   let* slices =
     match map job (Array.init config.p Fun.id) with
     | slices -> Ok slices
-    | exception Ppj_core.Sharded.Blemished ->
+    | exception Ppj_core.Algorithm6.Blemished ->
         Error "coordinator: an Algorithm 6 segment overflowed memory; refused, not delivered short"
   in
   let per_shard_transfers = Array.map (fun (_, t, _) -> t) slices in

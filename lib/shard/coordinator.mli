@@ -73,7 +73,7 @@ val run_local :
 (** Default backend: [Domains] when the runtime has them, else
     [Sequential].  Requesting [Domains] on OCaml 4.x silently degrades
     to sequential (the [backend] field reports the truth).  An Algorithm
-    6 slice that blemishes ({!Ppj_core.Sharded.Blemished}) makes the
+    6 slice that blemishes ({!Ppj_core.Algorithm6.Blemished}) makes the
     job an [Error]; a shard server answers it with an [Internal] error,
     which no client retries. *)
 

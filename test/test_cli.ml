@@ -75,6 +75,55 @@ let test_fetch_missing_socket_arg_fails () =
   Alcotest.(check bool) "fetch without --socket is non-zero" true
     (run [ "fetch"; "--id"; "carol" ] <> 0)
 
+let sorted_lines path =
+  let ic = open_in path in
+  let rec go acc = match input_line ic with l -> go (l :: acc) | exception End_of_file -> acc in
+  let lines = go [] in
+  close_in ic;
+  List.sort compare lines
+
+let test_fetch_twice () =
+  (* One recipient fetches twice from one running server.  Each fetch is
+     a fresh handshake; were its seed a function of the party id, the
+     second would repeat the first's hello and be refused as a replay. *)
+  let dir = Filename.temp_file "ppj-cli" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path f = Filename.concat dir f in
+  let sock = path "ppj.sock" in
+  check_exit "gen" 0
+    [ "gen"; path "a.csv"; path "b.csv"; "--na"; "10"; "--nb"; "14"; "--matches"; "6";
+      "--seed"; "3" ];
+  check_exit "csv-join" 0
+    [ "csv-join"; path "a.csv"; path "b.csv"; "--attr-a"; "key"; "--attr-b"; "key"; "-o";
+      path "want.csv" ];
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let server =
+    Unix.create_process exe
+      [| exe; "serve"; "--socket"; sock; "--max-sessions"; "4" |]
+      Unix.stdin null null
+  in
+  let stop () =
+    (try Unix.kill server Sys.sigterm with Unix.Unix_error _ -> ());
+    ignore (Unix.waitpid [] server);
+    Unix.close null;
+    Array.iter (fun f -> Sys.remove (path f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  in
+  Fun.protect ~finally:stop (fun () ->
+      check_exit "submit alice" 0 [ "submit"; path "a.csv"; "--socket"; sock; "--id"; "alice" ];
+      check_exit "submit bob" 0 [ "submit"; path "b.csv"; "--socket"; sock; "--id"; "bob" ];
+      List.iter
+        (fun n ->
+          let got = path (Printf.sprintf "got%d.csv" n) in
+          check_exit (Printf.sprintf "fetch %d" n) 0
+            [ "fetch"; "--socket"; sock; "--id"; "carol"; "-a"; "alg5"; "-m"; "4"; "-o"; got ];
+          Alcotest.(check (list string))
+            (Printf.sprintf "fetch %d = csv-join" n)
+            (sorted_lines (path "want.csv"))
+            (sorted_lines got))
+        [ 1; 2 ])
+
 let () =
   if not (Sys.file_exists exe) then (
     print_endline "ppj_cli.exe not built; skipping CLI tests";
@@ -97,4 +146,5 @@ let () =
           Alcotest.test_case "submit with no server fails" `Quick test_submit_without_server_fails;
           Alcotest.test_case "fetch without socket fails" `Quick test_fetch_missing_socket_arg_fails;
         ] );
+      ("served", [ Alcotest.test_case "one recipient fetches twice" `Quick test_fetch_twice ]);
     ]

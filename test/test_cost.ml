@@ -202,6 +202,30 @@ let test_measured_alg4_order () =
   let ratio = float_of_int r.Report.transfers /. formula in
   Alcotest.(check bool) "within 4x" true (ratio < 4. && ratio > 1. /. 4.)
 
+let test_measured_alg4_exact () =
+  (* Cost.alg4_exact against the ledger: the sequential run, and every
+     public-budget slice at p = 1..5, some shorter than S. *)
+  List.iter
+    (fun (na, nb, matches) ->
+      let inst () = small_instance ~na ~nb ~matches () in
+      let l = na * nb in
+      let name = Printf.sprintf "%dx%d S=%d" na nb matches in
+      Alcotest.(check int) (name ^ " sequential")
+        (Cost.alg4_exact ~l ~s:matches)
+        (Algorithm4.run (inst ()) ()).Report.transfers;
+      for p = 1 to 5 do
+        for k = 0 to p - 1 do
+          let i = inst () in
+          ignore (Algorithm4.run_slice i ~budget:(Public { s = matches }) ~k ~p () : int);
+          let lo, hi = Params.slice ~n:l ~k ~p in
+          Alcotest.(check int)
+            (Printf.sprintf "%s slice %d of %d" name k p)
+            (Cost.alg4_exact ~l:(hi - lo) ~s:matches)
+            (Ppj_scpu.Coprocessor.transfers (Instance.co i))
+        done
+      done)
+    [ (12, 16, 12); (4, 6, 6); (4, 6, 0) ]
+
 let test_measured_alg1_order () =
   let inst = small_instance () in
   let r = Algorithm1.run inst ~n:3 in
@@ -360,6 +384,7 @@ let () =
         [ Alcotest.test_case "alg2 near-exact" `Quick test_measured_alg2;
           Alcotest.test_case "alg5 exact" `Quick test_measured_alg5;
           Alcotest.test_case "alg4 order" `Quick test_measured_alg4_order;
+          Alcotest.test_case "alg4 exact, slices too" `Quick test_measured_alg4_exact;
           Alcotest.test_case "alg1 order" `Quick test_measured_alg1_order;
           Alcotest.test_case "alg3 order" `Quick test_measured_alg3_order;
           Alcotest.test_case "alg7 exact" `Quick test_measured_alg7_exact;

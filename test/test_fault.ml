@@ -335,7 +335,7 @@ let test_sealed_bytes_pinned () =
       Instance.create ~checkpoint_every:5 ~on_checkpoint ~m:4 ~seed:(77 + k) ~predicate:pred
         [ a; b ]
     in
-    Sharded.alg4 inst ~k ~p ~s;
+    ignore (Algorithm4.run_slice inst ~budget:(Public { s }) ~k ~p () : int);
     let host = Co.host (Instance.co inst) in
     Host.save_checkpoint host;
     add (Ppj_net.Persist.checkpoint_to_string (Option.get (Host.export_checkpoint host)))

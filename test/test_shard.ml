@@ -5,7 +5,10 @@
    accounting), Definition 1/3 property tests for the slice runners,
    kill-one-shard chaos, and the load-imbalance metrics. *)
 
-module Sharded = Ppj_core.Sharded
+module Algorithm4 = Ppj_core.Algorithm4
+module Algorithm5 = Ppj_core.Algorithm5
+module Algorithm6 = Ppj_core.Algorithm6
+module Algorithm8 = Ppj_core.Algorithm8
 module Instance = Ppj_core.Instance
 module Privacy = Ppj_core.Privacy
 module Service = Ppj_core.Service
@@ -139,13 +142,13 @@ let property_case ~qcheck_seed name run =
 
 let sharded_properties =
   [ property_case ~qcheck_seed:41 "sharded algorithm 4" (fun inst ~k ~s ->
-        Sharded.alg4 inst ~k ~p:3 ~s);
+        ignore (Algorithm4.run_slice inst ~budget:(Public { s }) ~k ~p:3 () : int));
     property_case ~qcheck_seed:42 "sharded algorithm 5" (fun inst ~k ~s ->
-        Sharded.alg5 inst ~k ~p:3 ~s);
+        Algorithm5.run_slice inst ~k ~p:3 ~s);
     property_case ~qcheck_seed:43 "sharded algorithm 6" (fun inst ~k ~s ->
-        Sharded.alg6 inst ~k ~p:3 ~s ~shared_seed:(Sharded.shared_seed 1234) ~eps:1e-12);
+        Algorithm6.run_slice inst ~eps:1e-12 ~k ~p:3 ~s ~seed:(Algorithm6.shared_seed 1234));
     property_case ~qcheck_seed:44 "sharded algorithm 8" (fun inst ~k ~s:_ ->
-        Sharded.alg8 inst ~k ~p:3 ~attr_a:"key" ~attr_b:"key")
+        ignore (Algorithm8.run_slice inst ~k ~p:3 ~attr_a:"key" ~attr_b:"key" : Algorithm8.stats))
   ]
 
 (* Deterministic pair: same shape, same S = 3, but the matches all live
@@ -161,17 +164,21 @@ let concentrated () =
   let b_hi = mk "b" [ 3; 3; 3; 9 ] in
   (a, b_lo, b_hi)
 
-(* The two shards' coprocessors after running their Algorithm 4 slices. *)
-let concentrated_shards ?(leaky = true) b_choice =
+(* The two shards' coprocessors after running their Algorithm 4 slices,
+   filtering with the slice's own match count ([leaky], the negative
+   control) or with the public budget. *)
+let concentrated_shards ~leaky b_choice =
   let a, b_lo, b_hi = concentrated () in
   let b = if b_choice = 0 then b_lo else b_hi in
   let s = Instance.oracle_size (Instance.create ~m:3 ~seed:1234 ~predicate:pred [ a; b ]) in
+  let budget = if leaky then Algorithm4.Own_count else Algorithm4.Public { s } in
   List.init 2 (fun k ->
       let inst = Instance.create ~m:3 ~seed:1234 ~predicate:pred [ a; b ] in
-      Sharded.alg4 ~leaky inst ~k ~p:2 ~s;
+      ignore (Algorithm4.run_slice inst ~budget ~k ~p:2 () : int);
       Instance.co inst)
 
-let leaky_traces ?leaky b_choice = List.map Co.trace (concentrated_shards ?leaky b_choice)
+let leaky_traces ?(leaky = true) b_choice =
+  List.map Co.trace (concentrated_shards ~leaky b_choice)
 
 let test_leaky_negative_control () =
   (* With mu = local s_k the shard-0 trace sees 3 matches vs 0: the
@@ -583,21 +590,63 @@ let test_transfer_accounting () =
         [ 1; 2; 3; 5; 8 ])
     slice_algorithms
 
+(* What one run leaves in view: its trace entries, the ciphertexts of
+   every host region it defined, its disk and its cycle count. *)
+let run_view inst =
+  let module Host = Ppj_scpu.Host in
+  let module Trace = Ppj_scpu.Trace in
+  let co = Instance.co inst in
+  let host = Co.host co in
+  let region r =
+    match Host.region_size host r with
+    | n -> Some (List.init n (Host.peek host r))
+    | exception Invalid_argument _ -> None
+  in
+  ( List.map (Format.asprintf "%a" Trace.pp_entry) (Trace.to_list (Co.trace co)),
+    List.map region
+      (Instance.relation_region inst 0 :: Instance.relation_region inst 1
+      :: Trace.[ Cartesian; Scratch; Joined; Buffer; Output ]),
+    Host.disk host,
+    Co.cycles co )
+
 let test_p1_matches_sequential_trace () =
-  (* One shard is just the sequential algorithm.  The slice learns S
-     untraced, so shard 0's transfers equal the single-instance run's
-     exactly, with no screening term. *)
-  let a, b = workload () in
-  let sequential run =
-    (run (Instance.create ~m:4 ~seed:5 ~predicate:pred [ a; b ])).Ppj_core.Report.transfers
+  (* One shard is the sequential algorithm: the slice learns S untraced,
+     and shard 0 of 1 runs on the sequential run's coprocessor seed, so
+     the two leave the same view, with no screening term.  The one seam
+     is Algorithm 5 at S = 0: the sequential first scan learns S, while
+     a slice that knows S = 0 runs none. *)
+  let run ~m ~seed algorithm rels =
+    fst (Service.execute_join { Service.m; seed; algorithm } ~predicate:pred rels)
   in
   List.iter
-    (fun (name, inner, seq) ->
-      Alcotest.(check (array int)) (name ^ " p=1 = sequential trace") [| seq |]
-        (local ~p:1 inner [ a; b ]).Coordinator.per_shard_transfers)
-    [ ("alg4", Service.Alg4, sequential (fun i -> Ppj_core.Algorithm4.run i ()));
-      ("alg5", Service.Alg5, sequential Ppj_core.Algorithm5.run)
-    ]
+    (fun (na, nb, m) ->
+      for matches = 0 to min nb (2 * na) do
+        for data_seed = 1 to 3 do
+          let a, b =
+            W.equijoin_pair (Rng.create ((100 * data_seed) + matches)) ~na ~nb ~matches
+              ~max_multiplicity:2
+          in
+          let name alg = Printf.sprintf "%s %dx%d m=%d S=%d seed %d" alg na nb m matches data_seed in
+          let same alg inner =
+            let seq = run ~m ~seed:data_seed inner [ a; b ] in
+            let slice = run ~m ~seed:data_seed (Service.Sharded { k = 0; p = 1; inner }) [ a; b ] in
+            Alcotest.(check bool) (name alg ^ ": p=1 = sequential") true
+              (run_view seq = run_view slice)
+          in
+          same "alg4" Service.Alg4;
+          if matches > 0 then same "alg5" Service.Alg5
+          else begin
+            let seq = run ~m ~seed:data_seed Service.Alg5 [ a; b ] in
+            let slice =
+              run ~m ~seed:data_seed (Service.Sharded { k = 0; p = 1; inner = Service.Alg5 }) [ a; b ]
+            in
+            Alcotest.(check (pair int int)) (name "alg5" ^ ": one scan against none")
+              (na * nb, 0)
+              (Co.transfers (Instance.co seq), Co.transfers (Instance.co slice))
+          end
+        done
+      done)
+    [ (4, 6, 3); (5, 7, 3); (3, 8, 1) ]
 
 (* --- coordinator over the wire ---------------------------------------- *)
 

@@ -628,7 +628,7 @@ let test_shared_seed_checkpoint_quarantined () =
             { b with Ppj_relation.Relation.name = "bob" } ]
       in
       (match
-         Ppj_core.Sharded.alg5 inst ~k:1 ~p:2 ~s:(Ppj_core.Instance.oracle_size inst)
+         Ppj_core.Algorithm5.run_slice inst ~k:1 ~p:2 ~s:(Ppj_core.Instance.oracle_size inst)
        with
       | () -> Alcotest.fail "the old-seed run should crash too"
       | exception Ppj_scpu.Coprocessor.Crashed _ -> ());
