@@ -27,7 +27,7 @@ module Obs = Ppj_obs
 (* Experiments record into this registry; [--json PATH] dumps it (plus
    the run manifest) as a BENCH_*.json file — see DESIGN.md for the
    schema. *)
-let registry = Obs.Registry.default
+let registry = Obs.Registry.create ()
 
 (* Flight recorder shared by the networked experiments; its span tree is
    exported as the "trace" section of the JSON document. *)
@@ -49,6 +49,11 @@ let csv name header rows =
       Printf.printf "(wrote %s)\n" path
 
 let row fmt = Printf.printf fmt
+
+let median l =
+  let a = Array.of_list l in
+  Array.sort compare a;
+  a.(Array.length a / 2)
 
 (* The paper's Table 5.2 settings. *)
 let settings = [ (1, 640_000, 6_400, 64); (2, 640_000, 6_400, 256); (3, 2_560_000, 25_600, 256) ]
@@ -408,75 +413,92 @@ let parallel () =
    trace-shape change fails the run instead of drifting inside a band.
    The transfer-model speedup (total transfers / slowest shard) is
    deterministic and hardware-independent, as in the parallel
-   experiment; wall-clock seconds per p, one run each, are recorded
-   with the core count, informationally.  Warm repetitions would give
-   steadier seconds, but every run adds its padding to the sorts'
-   process-wide oblivious.sort.pad_slots_total, which would then count
-   the repetitions too (ROADMAP item 2). *)
+   experiment, and so is each slice's padding, read from its own
+   report.  One checked round with the metrics sink exports those; the
+   wall-clock seconds per p are then the median of [reps] warm rounds,
+   rotated over p, without the sink and recorded with the core count,
+   informationally.  Every round's per-shard transfers are checked. *)
 let shard () =
   header "Sharded coordinator (lib/shard): one submit across p shards";
   let a, b = measured_workload () in
   let pred = P.equijoin2 "key" "key" in
-  let l = 2400 and s = 24 in
+  let l = 2400 and s = 24 and ps = [ 1; 2; 4 ] and reps = 5 in
   (* Algorithm 4's slice k of p over its l_k = |slice of L| pairs. *)
   let formula ~p k =
     let lo, hi = Params.slice ~n:l ~k ~p in
     Cost.alg4_exact ~l:(hi - lo) ~s
   in
+  let run ?metrics p =
+    let config =
+      { Shard.Coordinator.p; m = 4; seed = 5; inner = Service.Alg4;
+        strategy = Shard.Partitioner.Replicate }
+    in
+    match Shard.Coordinator.run_local ?metrics config ~predicate:pred [ a; b ] with
+    | Ok o -> o
+    | Error e -> failwith ("shard bench: " ^ e)
+  in
+  let misses = ref [] in
+  let miss fmt = Printf.ksprintf (fun m -> misses := m :: !misses) fmt in
+  let exact ~p o =
+    Array.iteri
+      (fun k measured -> if measured <> formula ~p k then miss "p=%d shard %d" p k)
+      o.Shard.Coordinator.per_shard_transfers
+  in
   let cores = Shard.Domains_compat.cores () in
   Obs.Registry.set_gauge registry "bench.shard.cores" (float_of_int cores);
   row "(%d cores)\n" cores;
-  row "%-4s %-12s %9s %9s %8s %6s  %s\n" "p" "backend" "seconds" "speedup" "merge" "exact"
+  row "%-4s %-12s %9s %8s %6s  %s\n" "p" "backend" "speedup" "merge" "exact"
     "per-shard transfers (measured/formula)";
-  let misses = ref [] in
   List.iter
     (fun p ->
-      let metrics = Shard.Metrics.create ~registry () in
-      let config =
-        { Shard.Coordinator.p; m = 4; seed = 5; inner = Service.Alg4;
-          strategy = Shard.Partitioner.Replicate }
+      let o = run ~metrics:(Shard.Metrics.create ~registry ()) p in
+      let before = List.length !misses in
+      exact ~p o;
+      let comparators = o.Shard.Coordinator.merge.Shard.Merge.comparators in
+      if comparators <> Cost.merge_exact ~p ~l ~s then miss "p=%d merge" p;
+      let ok = List.length !misses = before in
+      let labels = [ ("p", string_of_int p) ] in
+      let gauge ?(labels = labels) name v = Obs.Registry.set_gauge ~labels registry name v in
+      gauge "bench.shard.speedup" o.Shard.Coordinator.speedup;
+      gauge ~labels:(("backend", o.Shard.Coordinator.backend) :: labels)
+        "bench.shard.backend" 1.;
+      gauge "bench.shard.within_tolerance" (if ok then 1. else 0.);
+      let cells =
+        Array.to_list o.Shard.Coordinator.per_shard_transfers
+        |> List.mapi (fun k measured ->
+               let labels = ("shard", string_of_int k) :: labels in
+               let f = formula ~p k in
+               gauge ~labels "bench.shard.transfers" (float_of_int measured);
+               gauge ~labels "bench.shard.formula" (float_of_int f);
+               gauge ~labels "bench.shard.ratio" (float_of_int measured /. float_of_int f);
+               gauge ~labels "bench.shard.pad_slots"
+                 (float_of_int o.Shard.Coordinator.per_shard_pad_slots.(k));
+               Printf.sprintf "%d/%d" measured f)
       in
-      let t0 = Unix.gettimeofday () in
-      match Shard.Coordinator.run_local ~metrics config ~predicate:pred [ a; b ] with
-      | Error e -> failwith ("shard bench: " ^ e)
-      | Ok o ->
-          let seconds = Unix.gettimeofday () -. t0 in
-          let labels = [ ("p", string_of_int p) ] in
-          Obs.Registry.set_gauge ~labels registry "bench.shard.seconds" seconds;
-          Obs.Registry.set_gauge ~labels registry "bench.shard.speedup"
-            o.Shard.Coordinator.speedup;
-          Obs.Registry.set_gauge
-            ~labels:(("backend", o.Shard.Coordinator.backend) :: labels)
-            registry "bench.shard.backend" 1.;
-          let all_ok = ref true in
-          let cells =
-            Array.to_list o.Shard.Coordinator.per_shard_transfers
-            |> List.mapi (fun k measured ->
-                   let f = formula ~p k in
-                   if measured <> f then begin
-                     all_ok := false;
-                     misses := Printf.sprintf "p=%d shard %d" p k :: !misses
-                   end;
-                   let labels = ("shard", string_of_int k) :: labels in
-                   Obs.Registry.set_gauge ~labels registry "bench.shard.transfers"
-                     (float_of_int measured);
-                   Obs.Registry.set_gauge ~labels registry "bench.shard.formula" (float_of_int f);
-                   Obs.Registry.set_gauge ~labels registry "bench.shard.ratio"
-                     (float_of_int measured /. float_of_int f);
-                   Printf.sprintf "%d/%d" measured f)
-          in
-          let comparators = o.Shard.Coordinator.merge.Shard.Merge.comparators in
-          if comparators <> Cost.merge_exact ~p ~l ~s then begin
-            all_ok := false;
-            misses := Printf.sprintf "p=%d merge" p :: !misses
-          end;
-          Obs.Registry.set_gauge ~labels registry "bench.shard.within_tolerance"
-            (if !all_ok then 1. else 0.);
-          row "%-4d %-12s %9.4f %8.2fx %8d %6s  %s\n" p o.Shard.Coordinator.backend seconds
-            o.Shard.Coordinator.speedup comparators
-            (if !all_ok then "ok" else "FAIL")
-            (String.concat " " cells))
-    [ 1; 2; 4 ];
+      row "%-4d %-12s %8.2fx %8d %6s  %s\n" p o.Shard.Coordinator.backend
+        o.Shard.Coordinator.speedup comparators
+        (if ok then "ok" else "FAIL")
+        (String.concat " " cells))
+    ps;
+  let seconds = Hashtbl.create 3 in
+  for _ = 1 to reps do
+    List.iter
+      (fun p ->
+        let t0 = Unix.gettimeofday () in
+        let o = run p in
+        Hashtbl.add seconds p (Unix.gettimeofday () -. t0);
+        exact ~p o)
+      ps
+  done;
+  row "seconds, median of %d warm runs rotated over p:" reps;
+  List.iter
+    (fun p ->
+      let sec = median (Hashtbl.find_all seconds p) in
+      Obs.Registry.set_gauge ~labels:[ ("p", string_of_int p) ] registry "bench.shard.seconds"
+        sec;
+      row "  p=%d %.4f" p sec)
+    ps;
+  row "\n";
   row "(speedup = total transfers / slowest shard; per-shard formula, exact:\n";
   row " Cost.alg4_exact(l_k, S); merge comparators, exact:\n";
   row " Cost.merge_exact = comparators(next_pow2(p * min(ceil(l/p), S))).\n";
@@ -802,11 +824,6 @@ let crypto_bench () =
       if dt < 0.1 then go (2 * n) else float_of_int n /. dt
     in
     go 1024
-  in
-  let median l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    a.(Array.length a / 2)
   in
   Obs.Registry.span ~labels:[ ("phase", "crypto") ] registry "bench.crypto.seconds" (fun () ->
       let raw_key = String.make 16 'k' in
@@ -1146,16 +1163,14 @@ let scaling () =
     | _ -> assert false
   in
   let algs = [ "alg4"; "alg7"; "alg8" ] in
-  let pad_counter = Obs.Registry.counter registry "oblivious.sort.pad_slots_total" in
   row "%-6s %-6s %12s %14s %8s %10s\n" "n" "alg" "measured" "formula" "ratio" "pad_slots";
   let points =
     List.concat_map
       (fun n ->
         List.map
           (fun tag ->
-            let pad_before = Obs.Counter.value pad_counter in
             let r = run_of tag (mk_inst n) in
-            let pad = Obs.Counter.value pad_counter - pad_before in
+            let pad = r.Report.pad_slots in
             let measured = float_of_int r.Report.transfers in
             let formula = formula_of tag n in
             let labels = [ ("alg", tag); ("n", string_of_int n) ] in

@@ -10,6 +10,7 @@ type t = {
   writes : int;
   disk_tuples : int;
   cycles : int;
+  pad_slots : int;
   otuples : string list;
   results : Tuple.t list;
   stats : (string * float) list;
@@ -38,6 +39,7 @@ let collect inst ?(stats = []) () =
     writes = Trace.length trace - reads;
     disk_tuples = Host.disk_writes host;
     cycles = Coprocessor.cycles co;
+    pad_slots = List.fold_left (fun n (_, k) -> n + k) 0 (Coprocessor.pad_slots co);
     otuples;
     results;
     stats;

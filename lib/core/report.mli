@@ -10,6 +10,12 @@ type t = {
   writes : int;
   disk_tuples : int;  (** tuples the server wrote to disk *)
   cycles : int;  (** fixed-time cycle counter *)
+  pad_slots : int;
+      (** sentinel slots this execution's padded sorts wrote, over every
+          region ({!Ppj_scpu.Coprocessor.pad_slots}).  A crash-resumed
+          execution counts its padding once, as a clean run of the same
+          config does: the replay reruns every sort on the new
+          coprocessor, which counts from zero. *)
   otuples : string list;
       (** the persisted oTuple stream as [T] reads it back from disk and
           decrypts it, decoys included: what the service seals to the
@@ -25,7 +31,8 @@ type t = {
 val collect : Instance.t -> ?stats:(string * float) list -> unit -> t
 (** Snapshot the instance's trace/host counters and decode the disk
     contents as the recipient would.  [metrics] is populated from
-    {!Ppj_scpu.Coprocessor.observe} and {!Ppj_scpu.Host.observe}. *)
+    {!Ppj_scpu.Coprocessor.observe} (per-region pad slots included) and
+    {!Ppj_scpu.Host.observe}. *)
 
 val stat : t -> string -> float
 (** @raise Not_found if the statistic is absent. *)

@@ -68,24 +68,18 @@ let rec run_algorithm config inst =
       let inner =
         match inner with Auto { max_eps } -> planned ~m:config.m ~max_eps inst ~s | i -> i
       in
-      (* The ambient shard label: the oblivious layer's pad gauges report
-         one series per slice, even when several slices share a process. *)
-      Ppj_obs.Ambient.with_labels
-        [ ("shard", string_of_int k) ]
-        (fun () ->
-          match inner with
-          | Alg4 ->
-              let (_ : int) = Algorithm4.run_slice inst ~budget:(Public { s }) ~k ~p () in
-              ()
-          | Alg5 -> Algorithm5.run_slice inst ~k ~p ~s
-          | Alg6 { eps } ->
-              Algorithm6.run_slice inst ~eps ~k ~p ~s
-                ~seed:(Algorithm6.shared_seed config.seed)
-          | Alg8 { attr_a; attr_b } ->
-              let (_ : Algorithm8.stats) = Algorithm8.run_slice inst ~attr_a ~attr_b ~k ~p in
-              ()
-          | Alg1 _ | Alg2 _ | Alg3 _ | Alg7 _ | Auto _ | Sharded _ ->
-              invalid_arg "Sharded: inner algorithm must be Alg4, Alg5, Alg6, Alg8 or Auto");
+      (match inner with
+      | Alg4 ->
+          let (_ : int) = Algorithm4.run_slice inst ~budget:(Public { s }) ~k ~p () in
+          ()
+      | Alg5 -> Algorithm5.run_slice inst ~k ~p ~s
+      | Alg6 { eps } ->
+          Algorithm6.run_slice inst ~eps ~k ~p ~s ~seed:(Algorithm6.shared_seed config.seed)
+      | Alg8 { attr_a; attr_b } ->
+          let (_ : Algorithm8.stats) = Algorithm8.run_slice inst ~attr_a ~attr_b ~k ~p in
+          ()
+      | Alg1 _ | Alg2 _ | Alg3 _ | Alg7 _ | Auto _ | Sharded _ ->
+          invalid_arg "Sharded: inner algorithm must be Alg4, Alg5, Alg6, Alg8 or Auto");
       Report.collect inst
         ~stats:[ ("S", float_of_int s); ("shard", float_of_int k); ("p", float_of_int p) ]
         ()

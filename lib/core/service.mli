@@ -39,10 +39,9 @@ type algorithm =
           {!Algorithm6.shared_seed} [seed].  The server holds the full
           relations — replicate partitioning — and executes only its
           slice; a coordinator ([lib/shard]) merges the [p] sealed
-          results.  The slice learns S untraced, runs on the coprocessor
-          seeded by {!coprocessor_seed}, and labels the oblivious layer's
-          ambient metrics with [shard=k]; a shard server and the
-          coordinator's in-process backend both run slices through
+          results.  The slice learns S untraced and runs on the
+          coprocessor seeded by {!coprocessor_seed}; a shard server and
+          the coordinator's in-process backend both run slices through
           {!execute_join}. *)
 
 type config = { m : int; seed : int; algorithm : algorithm }

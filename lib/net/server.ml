@@ -447,6 +447,17 @@ let durable_checkpoint t cs config_digest =
           | Error e, _ -> rejected e
           | Ok _, None -> rejected "missing nvram counter"))
 
+(* A computed join's padding goes into the server's own registry, one
+   gauge per region (and slice: [shard=k] under a [Sharded] config)
+   holding the last such join's count. *)
+let publish_pad_slots t config inst =
+  let labels =
+    match config.Service.algorithm with
+    | Service.Sharded { k; _ } -> [ ("shard", string_of_int k) ]
+    | _ -> []
+  in
+  Ppj_scpu.Coprocessor.observe_pad_slots ~labels (Instance.co inst) t.registry
+
 let on_execute t session sealed_config =
   bound session (fun party cs ->
       if not (String.equal session.peer_id cs.contract.Channel.recipient) then
@@ -581,6 +592,7 @@ let on_execute t session sealed_config =
                                                   fresh ())
                                           | None -> fresh ())
                                     in
+                                    publish_pad_slots t config inst;
                                     let otuples = report.Report.otuples in
                                     let sealed_body =
                                       Service.seal_otuples inst ~recipient:party
@@ -650,10 +662,6 @@ let int_gauge snap name =
   | Some { Ppj_obs.Snapshot.value = Ppj_obs.Snapshot.Gauge v; _ } -> int_of_float v
   | _ -> 0
 
-(* The server's registry plus the process-wide default one: the
-   oblivious layer's pad metrics report to the latter (they run below
-   any notion of a server), and a scrape should surface both.  On an
-   identity collision the server's own registry wins. *)
 let scrape t =
   List.iter (fun f -> f ()) t.prescrape;
   Ppj_obs.Buildinfo.stamp ~sessions_active:t.sessions_open t.registry;
@@ -662,9 +670,7 @@ let scrape t =
       Registry.set_gauge t.registry "store.sealed" (if Store.is_sealed s then 1. else 0.);
       Registry.set_gauge t.registry "store.epoch" (float_of_int (Store.epoch s))
   | None -> ());
-  let snap =
-    Ppj_obs.Snapshot.union (Registry.snapshot Registry.default) (Registry.snapshot t.registry)
-  in
+  let snap = Registry.snapshot t.registry in
   let store_status =
     match t.store with
     | None -> Wire.Store_none

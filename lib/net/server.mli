@@ -89,10 +89,12 @@ val add_prescrape : t -> (unit -> unit) -> unit
 val scrape : t -> Wire.stats_info * Ppj_obs.Snapshot.t
 (** One telemetry scrape: run the prescrape hooks, stamp the
     build/uptime/session gauges and (when durable) the [store.*] health
-    gauges, and return the health fields plus the metric snapshot — the
-    server's registry unioned with {!Ppj_obs.Registry.default}, where
-    the oblivious layer's ambient pad metrics report.  This is what a
-    wire [Stats_request] is answered from, in {e any} session phase. *)
+    gauges, and return the health fields plus a snapshot of the
+    server's own registry: nothing another server or session in the
+    same process recorded.  The registry holds each join's padding
+    after it is computed ([oblivious.sort.pad_slots{region}], with
+    [shard=k] for a slice).  This is what a wire [Stats_request] is
+    answered from, in {e any} session phase. *)
 
 val health_json : t -> string
 (** One-line JSON health document ([status]/[version]/[uptime_seconds]/

@@ -49,21 +49,17 @@ let sort ?(network = Bitonic) co region ~n ~compare =
 
 let padded_size n = Bitonic.next_pow2 n
 
+(* Only perfbench reads this process-wide counter, by difference
+   (perfbench/probes.ml); every other reader takes an execution's own
+   count from its coprocessor.  Looked up once, so no sort takes the
+   registry's lock. *)
+let pad_slots_total =
+  Ppj_obs.Registry.counter Ppj_obs.Registry.default "oblivious.sort.pad_slots_total"
+
 let sort_padded ?(network = Bitonic) co region ~n ~width ~compare =
   let p = Bitonic.next_pow2 n in
-  (* Padding to the next power of two is pure network overhead — up to
-     [n - 2] extra slots just past a power of two.  Surface it so the
-     bench harness attributes the cost to the padding, not the
-     algorithm: a per-region gauge (last call wins within one label set)
-     plus a cumulative counter across the whole run.  Ambient labels —
-     the shard number under a sharded execution — split the gauge into
-     per-shard series instead of a last-writer-wins global. *)
-  Ppj_obs.Registry.set_gauge
-    ~labels:(("region", Trace.region_name region) :: Ppj_obs.Ambient.labels ())
-    Ppj_obs.Registry.default "oblivious.sort.pad_slots"
-    (float_of_int (p - n));
-  Ppj_obs.Counter.incr ~by:(p - n)
-    (Ppj_obs.Registry.counter Ppj_obs.Registry.default "oblivious.sort.pad_slots_total");
+  Coprocessor.count_pad_slots co region (p - n);
+  Ppj_obs.Counter.incr ~by:(p - n) pad_slots_total;
   for i = n to p - 1 do
     Coprocessor.put co region i (sentinel ~width)
   done;

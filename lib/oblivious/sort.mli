@@ -44,14 +44,11 @@ val sort_padded :
 (** Sort a region of arbitrary length [n]: slots [n ..) up to the next
     power of two must exist in the region and are (re)written as
     sentinels first.  After the call the first [n] slots are sorted.
-    Records the power-of-two padding overhead in the default obs registry
-    as the [oblivious.sort.pad_slots] gauge (per region, last call wins
-    within a label set) and the [oblivious.sort.pad_slots_total] counter,
-    so benches can separate padding cost from algorithmic cost.  The
-    gauge's labels extend with whatever {!Ppj_obs.Ambient.labels} is in
-    scope: a sharded execution runs under [shard="k"], so concurrent
-    shard domains write disjoint per-shard series rather than racing one
-    last-writer-wins global. *)
+    The p − n sentinel slots, pure network overhead, are counted on the
+    coprocessor ({!Coprocessor.pad_slots}, per region), so a report
+    separates padding cost from algorithmic cost per execution.  They
+    are also added to the process-wide [oblivious.sort.pad_slots_total]
+    counter, which only the benchmark reads. *)
 
 val padded_size : int -> int
 (** Host-region size needed by {!sort_padded}. *)

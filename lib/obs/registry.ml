@@ -5,11 +5,11 @@ type instrument =
 
 type t = {
   table : (string * (string * string) list, instrument) Hashtbl.t;
-  (* Instruments are looked up from shard domains (the oblivious-sort pad
-     metrics fire inside Domains-backend jobs), so every access to the
-     Hashtbl goes through this lock; the instruments themselves are
-     either atomic (Counter), single-word writes (gauges), or documented
-     as needing external synchronization (Histogram). *)
+  (* One registry may be shared by jobs on several domains (the shard
+     Metrics sink's), so every access to the Hashtbl goes through this
+     lock; the instruments themselves are either atomic (Counter),
+     single-word writes (gauges), or documented as needing external
+     synchronization (Histogram). *)
   lock : Mutex.t;
 }
 
@@ -93,5 +93,3 @@ let snapshot t =
         t.table [])
   |> List.sort (fun a b ->
          compare (a.Snapshot.name, a.Snapshot.labels) (b.Snapshot.name, b.Snapshot.labels))
-
-let clear t = locked t (fun () -> Hashtbl.reset t.table)

@@ -5,21 +5,22 @@
     existing identity with a different kind raises.  {!snapshot} is
     deterministic — see {!Snapshot}.
 
-    Instrument lookup, {!set_gauge}, {!snapshot} and {!clear} are
-    thread-safe (a per-registry mutex guards the table, and {!Counter}
-    is atomic), so hot paths running inside shard domains — the
-    oblivious-sort pad metrics — may hit a shared registry directly.
-    {!Histogram} observations are NOT internally synchronized; callers
-    observing into one histogram from several domains must serialize
-    themselves (the shard {!Metrics} sink does). *)
+    Instrument lookup, {!set_gauge} and {!snapshot} are thread-safe (a
+    per-registry mutex guards the table, and {!Counter} is atomic), so
+    jobs on several domains may share one registry.  {!Histogram}
+    observations are NOT internally synchronized; callers observing
+    into one histogram from several domains must serialize themselves
+    (the shard {!Metrics} sink does). *)
 
 type t
 
 val create : unit -> t
 
 val default : t
-(** A process-wide registry for code without an obvious owner (the bench
-    harness).  Prefer passing an explicit registry. *)
+(** A process-wide registry.  Its one writer is the oblivious sort's
+    [oblivious.sort.pad_slots_total] counter, which the benchmark reads
+    by difference; every other metric goes to a registry its owner
+    created. *)
 
 val counter : ?labels:(string * string) list -> t -> string -> Counter.t
 
@@ -39,5 +40,3 @@ val span : ?labels:(string * string) list -> t -> string -> (unit -> 'a) -> 'a
     recorded too, then the exception is re-raised. *)
 
 val snapshot : t -> Snapshot.t
-
-val clear : t -> unit

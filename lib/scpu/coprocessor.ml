@@ -37,6 +37,10 @@ type t = {
   mutable mem_peak : int;
   rng : Rng.t;
   mutable cycles : int;
+  mutable pad_slots : (Trace.region * int) list;
+      (* sentinel slots padded sorts wrote, per region, in first-padded
+         order: this execution's alone, since a resumed [T] starts empty
+         and its replay reruns every sort *)
   (* --- flight recorder --- *)
   recorder : Recorder.t option;
   event_batch : int;
@@ -100,6 +104,7 @@ let make_t ?recorder ?(event_batch = 64) ?faults ?checkpoint_every ?on_checkpoin
     mem_peak = 0;
     rng = Rng.split rng "internal";
     cycles = 0;
+    pad_slots = [];
     recorder;
     event_batch;
     faults;
@@ -553,12 +558,30 @@ let fresh_seed t = Rng.int t.rng 0x3FFFFFFF
 let tick t n = t.cycles <- t.cycles + n
 let cycles t = t.cycles
 
+let count_pad_slots t region n =
+  let rec add = function
+    | [] -> [ (region, n) ]
+    | (r, k) :: tl when Trace.same_region r region -> (r, k + n) :: tl
+    | x :: tl -> x :: add tl
+  in
+  t.pad_slots <- add t.pad_slots
+
+let pad_slots t = t.pad_slots
+
 let decrypt_for_recipient t ciphertext =
   let context = Label "recipient" in
   slot_body (open_sealed t ciphertext ~context) ~context
 
 module Registry = Ppj_obs.Registry
 module Obs_counter = Ppj_obs.Counter
+
+let observe_pad_slots ?(labels = []) t reg =
+  List.iter
+    (fun (region, n) ->
+      Registry.set_gauge
+        ~labels:(("region", Trace.region_name region) :: labels)
+        reg "oblivious.sort.pad_slots" (float_of_int n))
+    t.pad_slots
 
 let observe ?(labels = []) t reg =
   let set name v = Obs_counter.set_to (Registry.counter ~labels reg name) v in
@@ -583,6 +606,7 @@ let observe ?(labels = []) t reg =
   set "recovery.ghost_ops" t.ghost_ops;
   Registry.set_gauge ~labels reg "recovery.checkpoint.bytes"
     (float_of_int t.last_checkpoint_bytes);
+  observe_pad_slots ~labels t reg;
   (* Crypto hot-path accounting: every T<->H transfer is sealed/opened,
      so these expose the cipher work behind the transfer counts. *)
   set "crypto.seal.ops" t.seal_ops;

@@ -156,6 +156,16 @@ val tick : t -> int -> unit
 
 val cycles : t -> int
 
+val count_pad_slots : t -> Trace.region -> int -> unit
+(** Count sentinel slots a padded sort wrote into a region
+    ({!Ppj_oblivious.Sort.sort_padded} reports here). *)
+
+val pad_slots : t -> (Trace.region * int) list
+(** This execution's sentinel slots per region, summed over every
+    padded sort of the region, in first-padded order.  A resumed [T]
+    starts from none and its replay reruns every sort, so a
+    crash-resumed execution counts its padding once. *)
+
 val decrypt_for_recipient : t -> string -> string
 (** Recipient-side decryption of one disk ciphertext (the simulator uses
     [T]'s storage key as the session key with the recipient); the slot
@@ -168,6 +178,12 @@ val observe : ?labels:(string * string) list -> t -> Ppj_obs.Registry.t -> unit
     label), cycle count, the memory-ledger gauges ([scpu.mem_limit],
     [scpu.mem_in_use], [scpu.mem_peak]), and the recovery figures
     ([recovery.checkpoints], [recovery.resumes], [recovery.ghost_ops],
-    [recovery.checkpoint.bytes]).  Pull-based and idempotent: the hot
-    [get]/[put] path is untouched, and re-observing the same coprocessor
-    into the same registry just refreshes the values. *)
+    [recovery.checkpoint.bytes]) and {!observe_pad_slots}.  Pull-based
+    and idempotent: the hot [get]/[put] path is untouched, and
+    re-observing the same coprocessor into the same registry just
+    refreshes the values. *)
+
+val observe_pad_slots : ?labels:(string * string) list -> t -> Ppj_obs.Registry.t -> unit
+(** Publish {!pad_slots} alone, as the [oblivious.sort.pad_slots] gauge
+    per [region] (a server records each computed join's padding this
+    way). *)

@@ -5,8 +5,9 @@
    cross back to the calling domain by value; the only shared mutable
    state jobs touch is designed for it — the Mutex-guarded {!Metrics}
    sink, the Atomic-published schedule caches in
-   {!Ppj_oblivious.Bitonic}/{!Ppj_oblivious.Oddeven}, and the
-   mutex-guarded {!Ppj_obs.Registry} the sort pad metrics hit.
+   {!Ppj_oblivious.Bitonic}/{!Ppj_oblivious.Oddeven}, and the sort's
+   atomic process-wide pad counter.  Each job counts its padding on
+   its own coprocessor.
    Selected by the dune copy rule on %{ocaml_version}.
 
    Workers are spawned on first use and then reused: the pool keeps

@@ -25,6 +25,7 @@ type backend = Sequential | Domains
 type outcome = {
   results : Tuple.t list;
   per_shard_transfers : int array;
+  per_shard_pad_slots : int array;
   speedup : float;
   merge : Merge.stats;
   backend : string;
@@ -35,7 +36,6 @@ type wire_outcome = {
   schema : Schema.t;
   wire_per_shard_transfers : int array;
   wire_merge : Merge.stats;
-  shard_retries : int;
 }
 
 let ( let* ) = Result.bind
@@ -82,7 +82,7 @@ let run_local ?metrics ?backend config ~predicate rels =
     let transfers = Coprocessor.transfers (Instance.co inst) in
     (* reported from inside the domain, through the guarded sink *)
     Option.iter (fun m -> Metrics.shard_done m ~shard:k ~transfers) metrics;
-    (inst, transfers, report.Ppj_core.Report.otuples)
+    (inst, transfers, report)
   in
   let map = if use_domains then Domains_compat.parallel_map else Array.map in
   let* slices =
@@ -92,13 +92,14 @@ let run_local ?metrics ?backend config ~predicate rels =
         Error "coordinator: an Algorithm 6 segment overflowed memory; refused, not delivered short"
   in
   let per_shard_transfers = Array.map (fun (_, t, _) -> t) slices in
+  let per_shard_pad_slots = Array.map (fun (_, _, r) -> r.Ppj_core.Report.pad_slots) slices in
   (* Pad and decoding depend on the relations' shape alone, so any
      slice's instance serves as the probe. *)
   let probe, _, _ = slices.(0) in
   let merged, merge =
     Merge.run ~pad:(Instance.decoy probe)
       ~is_real:(fun o -> not (Decoy.is_decoy o))
-      (Array.to_list (Array.map (fun (_, _, stream) -> stream) slices))
+      (Array.to_list (Array.map (fun (_, _, r) -> r.Ppj_core.Report.otuples) slices))
   in
   let results = List.map (Instance.decode_result probe) merged in
   let speedup = speedup per_shard_transfers in
@@ -108,7 +109,7 @@ let run_local ?metrics ?backend config ~predicate rels =
       Metrics.observe_outcome m ~p:config.p ~backend ~per_shard:per_shard_transfers
         ~speedup ~merge)
     metrics;
-  Ok { results; per_shard_transfers; speedup; merge; backend }
+  Ok { results; per_shard_transfers; per_shard_pad_slots; speedup; merge; backend }
 
 (* --- wire backend ---------------------------------------------------- *)
 
@@ -126,52 +127,39 @@ let session ~client_config ~client_registry ~shards k f =
   | exception Transport.Closed -> Error "connection closed by peer"
   | r -> r
 
-(* Surviving-coordinator retry: a fresh dial and session per attempt.  A
-   shard whose coprocessor crashed resumes from its sealed checkpoint
-   inside Client's own rpc retries; this path covers the shard process
-   itself going away.  [f] receives the attempt number so each retry
-   derives fresh handshake nonces (the server's anti-replay cache
-   rejects a re-dialled hello that reuses the last ones). *)
-let with_attempts ?metrics ~retries ~attempts k f =
-  let rec go left =
-    match f ~attempt:left with
-    | Ok v -> Ok v
-    | Error _ when left > 1 ->
-        incr retries;
-        go (left - 1)
-    | Error e ->
-        Option.iter (fun m -> Metrics.shard_failed m ~shard:k) metrics;
-        Error (shard_unavailable k e)
-  in
-  go attempts
+(* A shard that failed: one typed refusal, counted once. *)
+let on_shard ?metrics k = function
+  | Ok v -> Ok v
+  | Error e ->
+      Option.iter (fun m -> Metrics.shard_failed m ~shard:k) metrics;
+      Error (shard_unavailable k e)
 
 let submit_wire ?(client_config = Client.default_config)
-    ?(client_registry = Ppj_obs.Registry.create ()) ?(shard_attempts = 1)
-    ?(retries = ref 0) ~shards ~seed ~mac_key ~contract ~id ~schema rel =
+    ?(client_registry = Ppj_obs.Registry.create ()) ~shards ~seed ~mac_key ~contract ~id ~schema
+    rel =
   let session = session ~client_config ~client_registry ~shards in
   let p = Shards.p shards in
   let rec fan k =
     if k = p then Ok ()
     else
       let* () =
-        with_attempts ~retries ~attempts:shard_attempts k (fun ~attempt ->
-            session k (fun c ->
-                Client.submit_relation c
-                  ~rng:(Rng.create (seed + (7 * k) + Hashtbl.hash id + (1009 * attempt)))
-                  ~id ~mac_key ~contract ~schema rel))
+        on_shard k
+          (session k (fun c ->
+               Client.submit_relation c
+                 ~rng:(Rng.create (seed + (7 * k) + Hashtbl.hash id))
+                 ~id ~mac_key ~contract ~schema rel))
       in
       fan (k + 1)
   in
   fan 0
 
 let fetch_wire ?metrics ?(client_config = Client.default_config)
-    ?(client_registry = Ppj_obs.Registry.create ()) ?(shard_attempts = 1)
-    ?(retries = ref 0) ~shards ~seed ~mac_key ~contract config =
+    ?(client_registry = Ppj_obs.Registry.create ()) ~shards ~seed ~mac_key ~contract config =
   let* () = validate config in
   if config.p <> Shards.p shards then Error "coordinator: registry arity differs from p"
   else
     let session = session ~client_config ~client_registry ~shards in
-    let drive_shard k ~attempt =
+    let drive_shard k =
       (* every shard is sent [config.seed]; the server derives the
          slice's own coprocessor seed from it *)
       let cfg = slice_config config k in
@@ -179,7 +167,7 @@ let fetch_wire ?metrics ?(client_config = Client.default_config)
           let* () = Client.attest c in
           let* () =
             Client.handshake c
-              ~rng:(Rng.create (seed + (7 * k) + 99 + (1009 * attempt)))
+              ~rng:(Rng.create (seed + (7 * k) + 99))
               ~id:contract.Channel.recipient ~mac_key
           in
           let* () = Client.bind_contract c contract in
@@ -187,8 +175,8 @@ let fetch_wire ?metrics ?(client_config = Client.default_config)
           let* schema, tuples = Client.fetch c in
           Ok (transfers, schema, tuples))
     in
-    let attempt k =
-      let* v = with_attempts ?metrics ~retries ~attempts:shard_attempts k (drive_shard k) in
+    let fetch_shard k =
+      let* v = on_shard ?metrics k (drive_shard k) in
       Option.iter
         (fun m -> Metrics.shard_done m ~shard:k ~transfers:(let t, _, _ = v in t))
         metrics;
@@ -197,7 +185,7 @@ let fetch_wire ?metrics ?(client_config = Client.default_config)
     let rec fan k acc =
       if k = config.p then Ok (List.rev acc)
       else
-        let* v = attempt k in
+        let* v = fetch_shard k in
         fan (k + 1) (v :: acc)
     in
     let* per_shard = fan 0 [] in
@@ -212,24 +200,22 @@ let fetch_wire ?metrics ?(client_config = Client.default_config)
         Metrics.observe_outcome m ~p:config.p ~backend:"wire"
           ~per_shard:wire_per_shard_transfers ~speedup ~merge:wire_merge)
       metrics;
-    Ok { tuples; schema; wire_per_shard_transfers; wire_merge; shard_retries = !retries }
+    Ok { tuples; schema; wire_per_shard_transfers; wire_merge }
 
-let run_wire ?metrics ?client_config ?client_registry ?shard_attempts ~shards ~seed ~mac_key
-    ~contract ~providers config =
+let run_wire ?metrics ?client_config ?client_registry ~shards ~seed ~mac_key ~contract
+    ~providers config =
   let* () = validate config in
-  let retries = ref 0 in
   let rec submit_all i = function
     | [] -> Ok ()
     | (id, schema, rel) :: tl ->
         let* () =
-          submit_wire ?client_config ?client_registry ?shard_attempts ~retries ~shards
-            ~seed:(seed + (131 * i)) ~mac_key ~contract ~id ~schema rel
+          submit_wire ?client_config ?client_registry ~shards ~seed:(seed + (131 * i)) ~mac_key
+            ~contract ~id ~schema rel
         in
         submit_all (i + 1) tl
   in
   let* () = submit_all 0 providers in
-  fetch_wire ?metrics ?client_config ?client_registry ?shard_attempts ~retries ~shards ~seed
-    ~mac_key ~contract config
+  fetch_wire ?metrics ?client_config ?client_registry ~shards ~seed ~mac_key ~contract config
 
 (* --- federation ------------------------------------------------------- *)
 

@@ -17,8 +17,8 @@
       submits every provider's relation to every shard (replicate
       partitioning), executes [Sharded { k; p; inner }], fetches the p
       sealed results, and merges them with the pad-to-max oblivious
-      {!Merge}.  A shard failure after [shard_attempts] dials is a typed
-      [shard-unavailable] refusal; a shard whose coprocessor crashed
+      {!Merge}.  A shard that fails is a typed [shard-unavailable]
+      refusal, with no second dial; a shard whose coprocessor crashed
       resumes from its sealed checkpoint inside the per-shard client's
       own retries. *)
 
@@ -44,6 +44,8 @@ type backend = Sequential | Domains
 type outcome = {
   results : Tuple.t list;
   per_shard_transfers : int array;
+  per_shard_pad_slots : int array;
+      (** each slice's sentinel slots ({!Ppj_core.Report.pad_slots}) *)
   speedup : float;
       (** model speedup: total transfers / slowest shard, 1.0 when no
           shard did any work *)
@@ -56,7 +58,6 @@ type wire_outcome = {
   schema : Schema.t;
   wire_per_shard_transfers : int array;
   wire_merge : Merge.stats;
-  shard_retries : int;  (** coordinator-level re-dials that happened *)
 }
 
 val validate : config -> (unit, string) result
@@ -80,8 +81,6 @@ val run_local :
 val submit_wire :
   ?client_config:Client.config ->
   ?client_registry:Ppj_obs.Registry.t ->
-  ?shard_attempts:int ->
-  ?retries:int ref ->
   shards:Shards.t ->
   seed:int ->
   mac_key:string ->
@@ -92,15 +91,12 @@ val submit_wire :
   (unit, string) result
 (** Fan one provider's sealed upload out to every shard server
     (replicate partitioning: each shard holds the full relation and will
-    execute its slice of the work).  [retries] accumulates
-    coordinator-level re-dials across calls. *)
+    execute its slice of the work). *)
 
 val fetch_wire :
   ?metrics:Metrics.t ->
   ?client_config:Client.config ->
   ?client_registry:Ppj_obs.Registry.t ->
-  ?shard_attempts:int ->
-  ?retries:int ref ->
   shards:Shards.t ->
   seed:int ->
   mac_key:string ->
@@ -118,7 +114,6 @@ val run_wire :
   ?metrics:Metrics.t ->
   ?client_config:Client.config ->
   ?client_registry:Ppj_obs.Registry.t ->
-  ?shard_attempts:int ->
   shards:Shards.t ->
   seed:int ->
   mac_key:string ->
@@ -126,8 +121,7 @@ val run_wire :
   providers:(string * Schema.t * Relation.t) list ->
   config ->
   (wire_outcome, string) result
-(** {!submit_wire} for every provider, then {!fetch_wire}:
-    [shard_retries] in the outcome counts re-dials across both phases. *)
+(** {!submit_wire} for every provider, then {!fetch_wire}. *)
 
 type fleet_stats = {
   shard_infos : (int * Wire.stats_info) list;

@@ -9,19 +9,16 @@
       padded length is the max over public per-shard stream sizes, so
       it reveals nothing beyond shape;
    2. concatenate in fixed shard order;
-   3. compact reals to the front with a bitonic compare-exchange
-      network whose schedule depends only on the slot count.
+   3. compact reals to the front with {!Ppj_oblivious.Bitonic}'s
+      network, whose schedule depends only on the slot count.
 
    The number of slots touched and comparators executed is a function
    of (p, max stream size) alone — that is the obliviousness argument,
    and {!stats} exposes both figures so tests and benches can pin it. *)
 
-type stats = { slots : int; comparators : int }
+module Bitonic = Ppj_oblivious.Bitonic
 
-(* rank 0 = real, 1 = shard pad, 2 = power-of-two sentinel; ties broken
-   by original slot index, so the compaction is stable and the network's
-   result is deterministic. *)
-let rec pow2_above n = if n <= 1 then 1 else 2 * pow2_above ((n + 1) / 2)
+type stats = { slots : int; comparators : int }
 
 let run ~pad ~is_real streams =
   let max_len = List.fold_left (fun m l -> max m (List.length l)) 0 streams in
@@ -31,50 +28,17 @@ let run ~pad ~is_real streams =
       streams
   in
   let slots = List.length padded in
-  let n = pow2_above (max 1 slots) in
-  let rank = Array.make n 2 in
-  let payload = Array.make n pad in
-  List.iteri
-    (fun i x ->
-      rank.(i) <- (if is_real x then 0 else 1);
-      payload.(i) <- x)
-    padded;
-  let order = Array.init n (fun i -> i) in
-  let comparators = ref 0 in
-  let exchange i j =
-    (* data-independent schedule: every comparator executes and counts,
-       whether or not it swaps *)
-    incr comparators;
-    let less =
-      rank.(i) < rank.(j) || (rank.(i) = rank.(j) && order.(i) <= order.(j))
-    in
-    if not less then begin
-      let r = rank.(i) and o = order.(i) and p = payload.(i) in
-      rank.(i) <- rank.(j);
-      order.(i) <- order.(j);
-      payload.(i) <- payload.(j);
-      rank.(j) <- r;
-      order.(j) <- o;
-      payload.(j) <- p
-    end
+  let n = Bitonic.next_pow2 slots in
+  (* (rank, original slot, payload): rank 0 = real, 1 = shard pad, 2 =
+     power-of-two sentinel.  Slots are distinct, so the order is total,
+     the compaction stable and the network's result deterministic. *)
+  let cells = Array.init n (fun i -> (2, i, pad)) in
+  List.iteri (fun i x -> cells.(i) <- ((if is_real x then 0 else 1), i, x)) padded;
+  Bitonic.sort_in_place
+    (fun (r, i, _) (r', i', _) -> if r <> r' then Int.compare r r' else Int.compare i i')
+    cells;
+  let reals =
+    List.filter_map (fun (r, _, x) -> if r = 0 then Some x else None) (Array.to_list cells)
   in
-  (* Standard iterative bitonic sorting network over n = 2^q slots. *)
-  let q = ref 2 in
-  while !q <= n do
-    let k = !q in
-    let j = ref (k / 2) in
-    while !j >= 1 do
-      let jj = !j in
-      for i = 0 to n - 1 do
-        let l = i lxor jj in
-        if l > i then if i land k = 0 then exchange i l else exchange l i
-      done;
-      j := jj / 2
-    done;
-    q := k * 2
-  done;
-  let reals = ref [] in
-  for i = n - 1 downto 0 do
-    if rank.(i) = 0 then reals := payload.(i) :: !reals
-  done;
-  (!reals, { slots; comparators = !comparators })
+  (* every comparator of the schedule executes, whether or not it swaps *)
+  (reals, { slots; comparators = Bitonic.comparator_count n })

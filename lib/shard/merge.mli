@@ -1,10 +1,10 @@
 (** Oblivious merge of per-shard result streams.
 
     Pads every stream to the longest (pad-to-max), concatenates in fixed
-    shard order, and compacts the reals to the front with a bitonic
-    compare-exchange network whose schedule — and therefore the merge's
-    entire access pattern — depends only on the slot count, never on how
-    the S reals are distributed across shards.  See DESIGN.md "Sharded
+    shard order, and compacts the reals to the front with the
+    {!Ppj_oblivious.Bitonic} network, whose schedule — and therefore
+    the merge's entire access pattern — depends only on the slot count,
+    never on how the S reals are distributed across shards.  See DESIGN.md "Sharded
     deployment" for the full argument. *)
 
 type stats = {

@@ -379,6 +379,35 @@ let test_service_double_crash () =
   Alcotest.(check bool) "answer = fault-free oracle" true
     (tuple_set report.Report.results = tuple_set (oracle_of ~data_seed:3))
 
+(* Padding is counted per execution: two identical runs in one process
+   report the same pad slots, and so does a crash-resumed run, whose
+   replay reruns every sort on the new coprocessor. *)
+let test_pad_slots_once_per_execution () =
+  let a, b = variant ~data_seed:3 () in
+  List.iter
+    (fun algorithm ->
+      let config = { crash_config with Service.algorithm } in
+      let pads ?crash () =
+        let faults = Option.map (fun c -> Injector.create (plan c)) crash in
+        let inst, report =
+          Service.execute_join ?faults ~max_resumes:1 config ~predicate:pred [ a; b ]
+        in
+        (Instance.resumes inst, report.Report.pad_slots)
+      in
+      let name = Service.algorithm_name algorithm in
+      let resumes, clean = pads () in
+      Alcotest.(check int) (name ^ ": clean run") 0 resumes;
+      Alcotest.(check bool) (name ^ ": pads") true (clean > 0);
+      Alcotest.(check (pair int int)) (name ^ ": second run") (0, clean) (pads ());
+      List.iter
+        (fun crash ->
+          Alcotest.(check (pair int int)) (name ^ ": " ^ crash) (1, clean) (pads ~crash ()))
+        [ "crash@t=150;checkpoint@every=32"; "crash@t=9" ])
+    [ Service.Alg4;
+      Service.Alg8 { attr_a = "key"; attr_b = "key" };
+      Service.Sharded { k = 0; p = 2; inner = Service.Alg4 }
+    ]
+
 let test_crash_exhausts_resume_budget () =
   let faults = Injector.create (plan "crash@t=9") in
   let a, b = variant ~data_seed:3 () in
@@ -464,6 +493,8 @@ let () =
             test_service_crash_before_any_checkpoint;
           Alcotest.test_case "two crashes, two resumes" `Quick test_service_double_crash;
           Alcotest.test_case "resume budget exhaustion" `Quick test_crash_exhausts_resume_budget;
+          Alcotest.test_case "pad slots once per execution" `Quick
+            test_pad_slots_once_per_execution;
           Alcotest.test_case "resume_join completes a stash" `Quick
             test_resume_join_completes_stashed_instance;
         ] );

@@ -198,24 +198,32 @@ let test_sort_padded_region () =
     (read_back co n)
 
 let test_sort_padded_gauge () =
-  (* sort_padded surfaces its power-of-two overhead: 5 -> 8 slots means
-     3 pad writes on the gauge (and at least that on the counter). *)
+  (* sort_padded surfaces its power-of-two overhead on the coprocessor:
+     5 -> 8 slots means 3 pad writes, per sort, added up per region. *)
   let values = [| "eee"; "aaa"; "ddd"; "ccc"; "bbb" |] in
   let _, co, n = setup_region values ~pad:true in
+  let total () =
+    Ppj_obs.Counter.value
+      (Ppj_obs.Registry.counter Ppj_obs.Registry.default "oblivious.sort.pad_slots_total")
+  in
+  let before = total () in
   Sort.sort_padded co Trace.Scratch ~n ~width:3 ~compare:String.compare;
-  let snap = Ppj_obs.Registry.snapshot Ppj_obs.Registry.default in
+  Alcotest.(check (list (pair string int))) "one sort" [ ("scratch", 3) ]
+    (List.map (fun (r, k) -> (Trace.region_name r, k)) (Co.pad_slots co));
+  Sort.sort_padded co Trace.Scratch ~n ~width:3 ~compare:String.compare;
+  let reg = Ppj_obs.Registry.create () in
+  Co.observe co reg;
   (match
      Ppj_obs.Snapshot.find
        ~labels:[ ("region", Trace.region_name Trace.Scratch) ]
-       snap "oblivious.sort.pad_slots"
+       (Ppj_obs.Registry.snapshot reg) "oblivious.sort.pad_slots"
    with
   | Some { Ppj_obs.Snapshot.value = Ppj_obs.Snapshot.Gauge v; _ } ->
-      Alcotest.(check (float 0.)) "pad slots gauge" 3. v
+      Alcotest.(check (float 0.)) "two sorts, one region" 6. v
   | _ -> Alcotest.fail "oblivious.sort.pad_slots gauge missing");
-  match Ppj_obs.Snapshot.find snap "oblivious.sort.pad_slots_total" with
-  | Some { Ppj_obs.Snapshot.value = Ppj_obs.Snapshot.Counter c; _ } ->
-      Alcotest.(check bool) "cumulative counter" true (c >= 3)
-  | _ -> Alcotest.fail "oblivious.sort.pad_slots_total counter missing"
+  (* The process-wide counter stays only for perfbench/probes.ml, which
+     reads it by difference. *)
+  Alcotest.(check int) "process-wide counter" 6 (total () - before)
 
 let test_sort_trace_data_independent () =
   (* Definition 1 for the sort primitive: same length, any data, same

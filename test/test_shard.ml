@@ -80,6 +80,27 @@ let test_merge_all_pads_and_empty () =
   Alcotest.(check int) "empty streams ok" 0 (List.length reals);
   Alcotest.(check int) "zero slots" 0 stats.Merge.slots
 
+(* Any stream set: the reals come out in shard-then-stream order, and
+   the network runs exactly a bitonic sort's comparators over the
+   padded slots. *)
+let test_merge_property () =
+  let module Bitonic = Ppj_oblivious.Bitonic in
+  let streams =
+    QCheck.make
+      ~print:QCheck.Print.(list (list (option int)))
+      QCheck.Gen.(list_size (int_range 1 6) (list_size (int_range 0 8) (opt small_nat)))
+  in
+  let cell =
+    QCheck.Test.make_cell ~count:500 ~name:"merge order and comparators" streams (fun streams ->
+        let reals, stats = Merge.run ~pad:None ~is_real:Option.is_some streams in
+        let longest = List.fold_left (fun m l -> max m (List.length l)) 0 streams in
+        reals = List.filter Option.is_some (List.concat streams)
+        && stats.Merge.slots = List.length streams * longest
+        && stats.Merge.comparators
+           = Bitonic.comparator_count (Bitonic.next_pow2 stats.Merge.slots))
+  in
+  QCheck.Test.check_cell_exn ~rand:(Random.State.make [| 45 |]) cell
+
 (* Zipf-skewed keys: replicate slicing is shape-driven, so the load
    stays flat whatever the key histogram. *)
 let zipf_pair seed =
@@ -405,30 +426,25 @@ let test_parallel_map_nested_call_raises () =
   Alcotest.(check (array int)) "next call" [| 2; 3 |]
     (Domains_compat.parallel_map succ [| 1; 2 |])
 
-(* Shard 0 runs on the calling domain: its ambient [shard] label must
-   still tag exactly its own pad gauge, and be gone again afterwards. *)
+(* Each slice counts its own padding on its own coprocessor, whichever
+   domain runs it: Domains report what Sequential does, slice for
+   slice, and a second run in the same process what the first did. *)
 let test_domains_pad_gauge_per_shard () =
   let a, b = workload () in
   let p = 3 in
-  Registry.clear Registry.default;
-  (match
-     Coordinator.run_local ~backend:Coordinator.Domains (local_config ~p Service.Alg4)
-       ~predicate:pred [ a; b ]
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  let pads =
-    List.filter
-      (fun m -> m.Ppj_obs.Snapshot.name = "oblivious.sort.pad_slots")
-      (Registry.snapshot Registry.default)
+  let pads backend =
+    match
+      Coordinator.run_local ~backend (local_config ~p Service.Alg4) ~predicate:pred [ a; b ]
+    with
+    | Ok o -> o.Coordinator.per_shard_pad_slots
+    | Error e -> Alcotest.fail e
   in
-  let shard_of m = List.assoc_opt "shard" m.Ppj_obs.Snapshot.labels in
-  Alcotest.(check (list (option string)))
-    "one gauge per shard"
-    (List.init p (fun k -> Some (string_of_int k)))
-    (List.sort compare (List.map shard_of pads));
-  Alcotest.(check (list (pair string string))) "caller's labels restored" []
-    (Ppj_obs.Ambient.labels ())
+  let seq = pads Coordinator.Sequential in
+  let first = pads Coordinator.Domains in
+  Alcotest.(check int) "one count per slice" p (Array.length seq);
+  Alcotest.(check bool) "slices pad" true (Array.for_all (fun n -> n > 0) seq);
+  Alcotest.(check (array int)) "domains = sequential" seq first;
+  Alcotest.(check (array int)) "second run = first" first (pads Coordinator.Domains)
 
 (* Two slices of one job, each run as a shard server runs it.  Every
    Algorithm 4 slice writes a full-length Output stream, decoys
@@ -616,8 +632,9 @@ let test_p1_matches_sequential_trace () =
      is Algorithm 5 at S = 0: the sequential first scan learns S, while
      a slice that knows S = 0 runs none. *)
   let run ~m ~seed algorithm rels =
-    fst (Service.execute_join { Service.m; seed; algorithm } ~predicate:pred rels)
+    Service.execute_join { Service.m; seed; algorithm } ~predicate:pred rels
   in
+  let view (inst, report) = (run_view inst, report.Ppj_core.Report.pad_slots) in
   List.iter
     (fun (na, nb, m) ->
       for matches = 0 to min nb (2 * na) do
@@ -630,14 +647,13 @@ let test_p1_matches_sequential_trace () =
           let same alg inner =
             let seq = run ~m ~seed:data_seed inner [ a; b ] in
             let slice = run ~m ~seed:data_seed (Service.Sharded { k = 0; p = 1; inner }) [ a; b ] in
-            Alcotest.(check bool) (name alg ^ ": p=1 = sequential") true
-              (run_view seq = run_view slice)
+            Alcotest.(check bool) (name alg ^ ": p=1 = sequential") true (view seq = view slice)
           in
           same "alg4" Service.Alg4;
           if matches > 0 then same "alg5" Service.Alg5
           else begin
-            let seq = run ~m ~seed:data_seed Service.Alg5 [ a; b ] in
-            let slice =
+            let seq, _ = run ~m ~seed:data_seed Service.Alg5 [ a; b ] in
+            let slice, _ =
               run ~m ~seed:data_seed (Service.Sharded { k = 0; p = 1; inner = Service.Alg5 }) [ a; b ]
             in
             Alcotest.(check (pair int int)) (name "alg5" ^ ": one scan against none")
@@ -674,9 +690,9 @@ let wire_setup ?(p = 2) ?(connect_hook = fun _ t -> t) () =
   in
   shards
 
-let run_wire ?(shard_attempts = 1) ?metrics ?p shards inner =
+let run_wire ?metrics ?p shards inner =
   let a, b = workload () in
-  Coordinator.run_wire ?metrics ~client_config:no_sleep ~shard_attempts ~shards ~seed:23
+  Coordinator.run_wire ?metrics ~client_config:no_sleep ~shards ~seed:23
     ~mac_key ~contract
     ~providers:[ ("alice", schema, a); ("bob", schema, b) ]
     (wire_config ?p inner)
@@ -693,8 +709,8 @@ let test_wire_matches_oracle () =
             (tuple_set o.Coordinator.tuples);
           Alcotest.(check int) "two shards reported" 2
             (Array.length o.Coordinator.wire_per_shard_transfers);
-          Alcotest.(check bool) "schema delivered" true (Schema.fields o.Coordinator.schema <> []);
-          Alcotest.(check int) "no retries on a clean run" 0 o.Coordinator.shard_retries)
+          Alcotest.(check bool) "schema delivered" true
+            (Schema.fields o.Coordinator.schema <> []))
     [ Service.Alg4; Service.Alg5; Service.Alg6 { eps = 1e-9 } ]
 
 let test_wire_p_mismatch () =
@@ -724,28 +740,6 @@ let test_wire_kill_is_typed_refusal () =
         (Printf.sprintf "typed refusal (got %s)" e)
         true
         (contains ~sub:"shard-unavailable: shard 1:" e)
-
-let test_wire_retry_survives_kill () =
-  (* The fuse blows only on shard 1's first dial — the coordinator's
-     second attempt reaches the restarted shard and completes. *)
-  let dials = ref 0 in
-  let shards =
-    wire_setup
-      ~connect_hook:(fun k t ->
-        if k = 1 then begin
-          incr dials;
-          if !dials = 1 then fst (Transport.fused ~after_sends:3 t) else t
-        end
-        else t)
-      ()
-  in
-  match run_wire ~shard_attempts:2 shards Service.Alg5 with
-  | Error e -> Alcotest.fail ("retry should have recovered: " ^ e)
-  | Ok o ->
-      let a, b = workload () in
-      Alcotest.(check (list string)) "recovered join = oracle" (tuple_set (oracle_of [ a; b ]))
-        (tuple_set o.Coordinator.tuples);
-      Alcotest.(check bool) "a retry happened" true (o.Coordinator.shard_retries >= 1)
 
 let test_local_matches_wire_transfers () =
   (* The in-process model and real shard servers charge each shard the
@@ -816,12 +810,12 @@ let test_sharded_algorithm_name () =
 
 (* One seeded trial: a 2-shard coordinator over in-process shard servers,
    where the victim shard either drops dead mid-session (a fused
-   transport for its first dials, so the coordinator's retry reaches the
-   "restarted" server) or runs under a random fault plan (coprocessor
-   crashes resumed from sealed checkpoints inside the per-shard client's
-   retries, frame faults, recv timeouts).  Nothing sleeps, so a trial
-   can only finish, never hang.  The coordinator's shard re-dials are
-   summed into [retries]. *)
+   transport for its first one or two dials, so the kill lands in the
+   first upload, the second or, once the fuse outlasts them, not at
+   all) or runs under a random fault plan (coprocessor crashes resumed
+   from sealed checkpoints inside the per-shard client's retries, frame
+   faults, recv timeouts).  Nothing sleeps, so a trial can only finish,
+   never hang. *)
 let chaos_mac_key = "shard-chaos-mac-key"
 
 let chaos_contract =
@@ -834,7 +828,7 @@ let chaos_contract =
 let chaos_config =
   { Coordinator.p = 2; m = 4; seed = 7; inner = Service.Alg5; strategy = Partitioner.Replicate }
 
-let kill_one_shard ~retries seed =
+let kill_one_shard seed =
   let victim = seed mod 2 in
   let killed = seed mod 3 = 0 in
   let fused_dials = 1 + (seed / 3 mod 2) in
@@ -872,12 +866,11 @@ let kill_one_shard ~retries seed =
   let result =
     Coordinator.run_wire
       ~client_config:{ no_sleep with Client.max_retries = 6 }
-      ~shard_attempts:2 ~shards:(Shards.create ~p:2 ~connect) ~seed:(seed + 17)
+      ~shards:(Shards.create ~p:2 ~connect) ~seed:(seed + 17)
       ~mac_key:chaos_mac_key ~contract:chaos_contract
       ~providers:[ ("alice", schema, a); ("bob", schema, b) ]
       chaos_config
   in
-  Result.iter (fun o -> retries := !retries + o.Coordinator.shard_retries) result;
   { Chaos.seed;
     plan =
       (match plan with
@@ -893,8 +886,7 @@ let kill_one_shard ~retries seed =
 
 let test_chaos_soak () =
   let registry = Registry.create () in
-  let retries = ref 0 in
-  let runs = Chaos.soak ~registry ~runs:45 (Chaos.printing (kill_one_shard ~retries)) in
+  let runs = Chaos.soak ~registry ~runs:45 (Chaos.printing kill_one_shard) in
   Format.printf "%a" (Chaos.pp_report ~name:"shard-chaos") runs;
   let t = Chaos.tally runs in
   Alcotest.(check int) "never a wrong answer" 0 t.Chaos.wrong;
@@ -903,7 +895,6 @@ let test_chaos_soak () =
   (* the checkpoint/resume path: a coprocessor crashed on a shard server
      and the join still completed correctly *)
   Alcotest.(check bool) "crash-resume produced correct joins" true (t.Chaos.resumed > 0);
-  Alcotest.(check bool) "coordinator retries exercised" true (!retries > 0);
   Alcotest.(check int) "registry counted every run" 45
     (Counter.value (Registry.counter registry "chaos.runs"))
 
@@ -982,7 +973,8 @@ let () =
     [ ( "merge",
         [ Alcotest.test_case "compacts stable" `Quick test_merge_compacts_stable;
           Alcotest.test_case "schedule is shape-only" `Quick test_merge_schedule_is_shape_only;
-          Alcotest.test_case "all pads / empty" `Quick test_merge_all_pads_and_empty
+          Alcotest.test_case "all pads / empty" `Quick test_merge_all_pads_and_empty;
+          Alcotest.test_case "reals in order, exact comparators" `Quick test_merge_property
         ] );
       ( "definition 1/3",
         sharded_properties
@@ -1030,7 +1022,6 @@ let () =
         [ Alcotest.test_case "2-shard join = oracle" `Quick test_wire_matches_oracle;
           Alcotest.test_case "p mismatch refused" `Quick test_wire_p_mismatch;
           Alcotest.test_case "kill -> typed refusal" `Quick test_wire_kill_is_typed_refusal;
-          Alcotest.test_case "retry survives kill" `Quick test_wire_retry_survives_kill;
           Alcotest.test_case "local = wire per-shard transfers" `Quick
             test_local_matches_wire_transfers
         ] );

@@ -230,6 +230,30 @@ let test_federated_pad_slots_per_shard () =
       (pads_of k <> [])
   done
 
+(* Padding is published by the server that computed the join, into its
+   own registry: a bystander in the same process, which ran no session,
+   scrapes none, and each shard server only its own slice's. *)
+let test_bystander_scrapes_no_padding () =
+  let bystander = Server.create ~mac_key ~seed:4 () in
+  let servers = Array.init p (fun k -> Server.create ~mac_key ~seed:(5 + k) ()) in
+  let reactors = Array.map Reactor.create servers in
+  let shards = Shards.create ~p ~connect:(fun k -> Ok (Transport.loopback reactors.(k))) in
+  ignore (run_fleet_join shards (Service.Alg8 { attr_a = "key"; attr_b = "key" }));
+  let pads server =
+    List.filter
+      (fun m -> m.Snapshot.name = "oblivious.sort.pad_slots")
+      (snd (Server.scrape server))
+  in
+  Alcotest.(check int) "bystander pad series" 0 (List.length (pads bystander));
+  Array.iteri
+    (fun k server ->
+      Alcotest.(check (list (option string)))
+        (Printf.sprintf "shard %d's own series only" k)
+        [ Some (string_of_int k) ]
+        (List.sort_uniq compare
+           (List.map (fun m -> List.assoc_opt "shard" m.Snapshot.labels) (pads server))))
+    servers
+
 let test_federation_fails_closed () =
   (* A shard that cannot be scraped fails the whole federated call with
      the typed shard-unavailable prefix, like any other fan-out. *)
@@ -380,6 +404,8 @@ let () =
       ( "federation",
         [ Alcotest.test_case "merged fleet scrape" `Quick test_federated_scrape;
           Alcotest.test_case "pad slots per shard" `Quick test_federated_pad_slots_per_shard;
+          Alcotest.test_case "bystander scrapes no padding" `Quick
+            test_bystander_scrapes_no_padding;
           Alcotest.test_case "fails closed" `Quick test_federation_fails_closed
         ] );
       ( "export-privacy",
