@@ -24,9 +24,3 @@ let choose_ch4 ~a ~b ~n ~m ~equijoin =
   List.fold_left
     (fun (bp, bc) (p, c) -> if c < bc then (p, c) else (bp, bc))
     (List.hd candidates) (List.tl candidates)
-
-let pp_plan ppf = function
-  | Use_alg4 -> Format.fprintf ppf "Algorithm 4"
-  | Use_alg5 -> Format.fprintf ppf "Algorithm 5"
-  | Use_alg6 { eps } -> Format.fprintf ppf "Algorithm 6 (eps = %g)" eps
-  | Use_alg8 -> Format.fprintf ppf "Algorithm 8"

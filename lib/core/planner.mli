@@ -26,5 +26,3 @@ val choose_ch4 :
   a:int -> b:int -> n:int -> m:int -> equijoin:bool -> Cost.ch4_algorithm * float
 (** Chapter 4 counterpart (N public): cheapest of Algorithms 1, 2 and —
     when the predicate is an equality — 3. *)
-
-val pp_plan : Format.formatter -> plan -> unit

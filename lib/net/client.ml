@@ -13,7 +13,6 @@ type config = {
   backoff_cap : float;
   backoff_seed : int;
   sleep : float -> unit;
-  chunk_bytes : int;
 }
 
 let default_config =
@@ -23,7 +22,6 @@ let default_config =
     backoff_cap = 2.0;
     backoff_seed = 0;
     sleep = Unix.sleepf;
-    chunk_bytes = 1024;
   }
 
 type t = {
@@ -258,18 +256,12 @@ let upload t ~schema relation =
       | None -> Error "client: no contract bound"
       | Some contract ->
           let body = Wire.submission_to_string (Channel.submit party contract relation) in
-          let n = String.length body in
-          let chunk_bytes = max 1 t.config.chunk_bytes in
-          let chunks = max 1 ((n + chunk_bytes - 1) / chunk_bytes) in
+          let pieces = Wire.upload_chunks body in
+          let chunks = List.length pieces in
           let sealed_schema = Channel.seal party (Wire.schema_to_string schema) in
           with_span t ~attrs:[ ("chunks", Recorder.int chunks) ] "upload" (fun () ->
               send t (Wire.Upload_begin { sealed_schema; chunks });
-              for seq = 0 to chunks - 1 do
-                let off = seq * chunk_bytes in
-                send t
-                  (Wire.Upload_chunk
-                     { seq; bytes = String.sub body off (min chunk_bytes (n - off)) })
-              done;
+              List.iteri (fun seq bytes -> send t (Wire.Upload_chunk { seq; bytes })) pieces;
               match rpc t ~name:"upload" ~idempotent:false Wire.Upload_done with
               | Ok Wire.Upload_ok -> Ok ()
               | Ok m -> unexpected "upload" m

@@ -36,12 +36,11 @@ type config = {
           per-process entropy at {!create}; a nonzero seed pins the
           schedule for deterministic tests and load experiments. *)
   sleep : float -> unit;  (** injectable for deterministic tests *)
-  chunk_bytes : int;  (** upload chunk size *)
 }
 
 val default_config : config
 (** 2 s timeout, 3 retries, 50 ms base backoff under entropy-seeded
-    decorrelated jitter capped at 2 s, [Unix.sleepf], 1 KiB chunks. *)
+    decorrelated jitter capped at 2 s, [Unix.sleepf]. *)
 
 type t
 
@@ -76,7 +75,7 @@ val bind_contract : t -> Channel.contract -> (unit, string) result
 val upload : t -> schema:Schema.t -> Relation.t -> (unit, string) result
 (** Submit a relation under the bound contract: encrypt with
     {!Channel.submit}, then stream the envelope in
-    [config.chunk_bytes]-sized chunks. *)
+    {!Wire.upload_chunks}. *)
 
 val execute : t -> Service.config -> (int, string) result
 (** Ask the service to run the join; returns the transfer count.

@@ -26,8 +26,6 @@ type t = {
   contract : Channel.contract;
   goal : goal;
   rng : Rng.t;
-  chunk_bytes : int;
-  max_retries : int;
   decoder : Frame.Decoder.t;
   mutable out : string;  (* request bytes not yet on the wire... *)
   mutable out_off : int;  (* ...except this prefix, already sent *)
@@ -39,8 +37,6 @@ type t = {
 }
 
 let id t = t.id
-
-let retries t = t.retries
 
 let outcome t = match t.phase with Finished o -> Some o | _ -> None
 
@@ -75,15 +71,13 @@ let sent t n =
     t.out_off <- 0
   end
 
-let create ~rng ~id ~mac_key ~contract ?(chunk_bytes = 1024) ?(max_retries = 200) goal =
+let create ~rng ~id ~mac_key ~contract goal =
   let t =
     { id;
       mac_key;
       contract;
       goal;
       rng;
-      chunk_bytes = max 1 chunk_bytes;
-      max_retries;
       decoder = Frame.Decoder.create ();
       out = "";
       out_off = 0;
@@ -114,30 +108,28 @@ let start_goal t =
   | Submit { schema; relation } ->
       with_party t (fun party ->
           let body = Wire.submission_to_string (Channel.submit party t.contract relation) in
-          let n = String.length body in
-          let chunks = max 1 ((n + t.chunk_bytes - 1) / t.chunk_bytes) in
+          let pieces = Wire.upload_chunks body in
           let sealed_schema = Channel.seal party (Wire.schema_to_string schema) in
           let msgs =
-            Wire.Upload_begin { sealed_schema; chunks }
-            :: List.init chunks (fun seq ->
-                   let off = seq * t.chunk_bytes in
-                   Wire.Upload_chunk
-                     { seq; bytes = String.sub body off (min t.chunk_bytes (n - off)) })
+            Wire.Upload_begin { sealed_schema; chunks = List.length pieces }
+            :: List.mapi (fun seq bytes -> Wire.Upload_chunk { seq; bytes }) pieces
             @ [ Wire.Upload_done ]
           in
           send t msgs;
           t.phase <- Uploading)
 
+let max_retries = 200
+
 (* A typed error reply.  Execute-phase Missing_submission means some
    provider session has not finished uploading yet — under interleaving
    that is scheduling, not failure, so retry (a fresh Execute, fresh
-   seq) up to the budget.  Unavailable is the server shedding or a
+   seq) up to [max_retries] times.  Unavailable is the server shedding or a
    crashed coprocessor; same treatment, matching {!Client}'s retry of
    idempotent RPCs.  Everything else is terminal. *)
 let on_error t code message =
   match (t.phase, code, t.goal) with
   | Executing, (Wire.Missing_submission | Wire.Unavailable), Join { config }
-    when t.retries < t.max_retries ->
+    when t.retries < max_retries ->
       t.retries <- t.retries + 1;
       send_execute t config
   | _ ->

@@ -37,15 +37,13 @@ val create :
   id:string ->
   mac_key:string ->
   contract:Channel.contract ->
-  ?chunk_bytes:int ->
-  ?max_retries:int ->
   goal ->
   t
 (** [rng] drives the handshake exponent (determinism = seed the rng).
-    [max_retries] (default 200) bounds how many times a [Join] re-issues
+    A [Submit] uploads in {!Wire.upload_chunks}.  A [Join] re-issues
     [Execute] on a typed [Missing_submission] (providers still
-    uploading) or [Unavailable] (overload shed, crashed coprocessor)
-    before giving up with [Refused]. *)
+    uploading) or [Unavailable] (overload shed, crashed coprocessor) up
+    to 200 times before giving up with [Refused]. *)
 
 val id : t -> string
 
@@ -65,6 +63,3 @@ val on_eof : t -> unit
 
 val outcome : t -> outcome option
 (** [Some _] once the session has concluded; it sends nothing after. *)
-
-val retries : t -> int
-(** Execute retries performed so far (diagnostics). *)

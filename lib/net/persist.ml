@@ -3,118 +3,81 @@ module Relation = Ppj_relation.Relation
 module Tuple = Ppj_relation.Tuple
 module Trace = Ppj_scpu.Trace
 module Host = Ppj_scpu.Host
+module Codec = Ppj_crypto.Codec
+module W = Codec.W
+module R = Codec.R
 
-(* Self-contained length-prefixed codecs: the store keeps bodies opaque,
-   and [Wire]'s framing helpers are private to it, so the durable body
-   grammar lives here, next to the server that owns it. *)
+(* The store keeps record bodies opaque, so the grammar of the bodies a
+   durable server writes lives here, next to the server that owns it,
+   on the codec the wire is framed with.  Counts are [u32]: a relation's
+   tuples and a checkpoint's slots outgrow [W.list]'s [u16]. *)
 
-let w_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
+let w_items b f items =
+  W.u32 b (List.length items);
+  List.iter (f b) items
 
-let w_str b s =
-  w_u32 b (String.length s);
-  Buffer.add_string b s
+(* Into a list: an array would be allocated at the declared count before
+   its first item is read, so a doctored count could ask for gigabytes. *)
+let r_items r f = List.init (R.u32 r) (fun _ -> f r)
 
-exception Malformed of string
-
-type reader = { src : string; mutable pos : int }
-
-let need r n =
-  if r.pos + n > String.length r.src then raise (Malformed "truncated field")
-
-let r_u8 r =
-  need r 1;
-  let v = Char.code r.src.[r.pos] in
-  r.pos <- r.pos + 1;
-  v
-
-let r_u32 r =
-  need r 4;
-  let v = Int32.to_int (String.get_int32_be r.src r.pos) land 0xFFFFFFFF in
-  r.pos <- r.pos + 4;
-  v
-
-let r_str r =
-  let n = r_u32 r in
-  need r n;
-  let v = String.sub r.src r.pos n in
-  r.pos <- r.pos + n;
-  v
-
-let decoding name f s =
-  match f { src = s; pos = 0 } with
-  | v -> Ok v
-  | exception Malformed m -> Error (Printf.sprintf "%s: %s" name m)
-  | exception Invalid_argument m -> Error (Printf.sprintf "%s: %s" name m)
-
-let finished r = if r.pos <> String.length r.src then raise (Malformed "trailing bytes")
+let decoding name f s = Result.map_error (fun m -> name ^ ": " ^ m) (Codec.decode s f)
 
 (* --- accepted submissions -------------------------------------------- *)
 
 let submission_to_string schema (rel : Relation.t) =
-  let b = Buffer.create 256 in
-  w_str b (Wire.schema_to_string schema);
-  w_str b rel.Relation.name;
-  w_u32 b (Relation.cardinality rel);
-  Array.iter (fun t -> w_str b (Tuple.encode t)) rel.Relation.tuples;
-  Buffer.contents b
+  Codec.encode (fun b ->
+      W.str b (Wire.schema_to_string schema);
+      W.str b rel.Relation.name;
+      W.u32 b (Relation.cardinality rel);
+      Array.iter (fun t -> W.str b (Tuple.encode t)) rel.Relation.tuples)
 
 let submission_of_string s =
-  decoding "submission" (fun r ->
+  decoding "submission"
+    (fun r ->
       let schema =
-        match Wire.schema_of_string (r_str r) with
-        | Ok s -> s
-        | Error m -> raise (Malformed m)
+        match Wire.schema_of_string (R.str r) with Ok s -> s | Error m -> R.fail "%s" m
       in
-      let name = r_str r in
-      let n = r_u32 r in
-      let tuples = List.init n (fun _ -> Tuple.decode schema (r_str r)) in
-      finished r;
+      let name = R.str r in
+      let tuples = r_items r (fun r -> Tuple.decode schema (R.str r)) in
       (schema, Relation.make ~name schema tuples))
     s
 
 (* --- host checkpoint images ------------------------------------------ *)
 
 let checkpoint_to_string (e : Host.export) =
-  let b = Buffer.create 1024 in
-  w_u32 b (List.length e.Host.e_regions);
-  List.iter
-    (fun (region, slots) ->
-      w_str b (Trace.region_name region);
-      w_u32 b (Array.length slots);
-      Array.iter
-        (fun slot ->
-          match slot with
-          | None -> Buffer.add_uint8 b 0
-          | Some c ->
-              Buffer.add_uint8 b 1;
-              w_str b c)
-        slots)
-    e.Host.e_regions;
-  w_u32 b (List.length e.Host.e_disk);
-  List.iter (fun c -> w_str b c) e.Host.e_disk;
-  w_u32 b e.Host.e_disk_tuples;
-  Buffer.contents b
+  Codec.encode (fun b ->
+      w_items b
+        (fun b (region, slots) ->
+          W.str b (Trace.region_name region);
+          W.u32 b (Array.length slots);
+          Array.iter
+            (function
+              | None -> W.u8 b 0
+              | Some c ->
+                  W.u8 b 1;
+                  W.str b c)
+            slots)
+        e.Host.e_regions;
+      w_items b W.str e.Host.e_disk;
+      W.u32 b e.Host.e_disk_tuples)
 
 let checkpoint_of_string s =
-  decoding "checkpoint" (fun r ->
-      let n_regions = r_u32 r in
+  decoding "checkpoint"
+    (fun r ->
       let e_regions =
-        List.init n_regions (fun _ ->
-            let region = Trace.region_of_name (r_str r) in
-            let n = r_u32 r in
+        r_items r (fun r ->
+            let region = Trace.region_of_name (R.str r) in
             let slots =
-              Array.init n (fun _ ->
-                  match r_u8 r with
+              r_items r (fun r ->
+                  match R.u8 r with
                   | 0 -> None
-                  | 1 -> Some (r_str r)
-                  | tag -> raise (Malformed (Printf.sprintf "bad slot tag %d" tag)))
+                  | 1 -> Some (R.str r)
+                  | tag -> R.fail "bad slot tag %d" tag)
             in
-            (region, slots))
+            (region, Array.of_list slots))
       in
-      let n_disk = r_u32 r in
-      let e_disk = List.init n_disk (fun _ -> r_str r) in
-      let e_disk_tuples = r_u32 r in
-      finished r;
+      let e_disk = r_items r R.str in
+      let e_disk_tuples = R.u32 r in
       { Host.e_regions; e_disk; e_disk_tuples })
     s
 
@@ -126,19 +89,16 @@ let checkpoint_of_string s =
    result to the {e new} session — the store's own sealing layer is what
    protects it at rest. *)
 let result_to_string ~schema ~transfers otuples =
-  let b = Buffer.create 256 in
-  w_str b schema;
-  w_u32 b transfers;
-  w_u32 b (List.length otuples);
-  List.iter (fun o -> w_str b o) otuples;
-  Buffer.contents b
+  Codec.encode (fun b ->
+      W.str b schema;
+      W.u32 b transfers;
+      w_items b W.str otuples)
 
 let result_of_string s =
-  decoding "result" (fun r ->
-      let schema = r_str r in
-      let transfers = r_u32 r in
-      let n = r_u32 r in
-      let otuples = List.init n (fun _ -> r_str r) in
-      finished r;
+  decoding "result"
+    (fun r ->
+      let schema = R.str r in
+      let transfers = R.u32 r in
+      let otuples = r_items r R.str in
       (schema, transfers, otuples))
     s

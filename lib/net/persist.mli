@@ -2,11 +2,12 @@
 
     {!Ppj_store} keeps record bodies opaque so it sits below the wire
     and relation layers; the server owns the body grammar through this
-    module.  Three bodies exist: an accepted submission (schema +
-    plaintext relation), a host checkpoint image (all ciphertext), and a
-    cached join result (the plaintext oTuple stream, re-sealable to a
-    fresh session).  Every decoder is total — malformed bytes return
-    [Error], never raise — because bodies come back from disk. *)
+    module, written on {!Ppj_crypto.Codec} like the wire's.  Three
+    bodies exist: an accepted submission (schema + plaintext relation),
+    a host checkpoint image (all ciphertext), and a cached join result
+    (the plaintext oTuple stream, re-sealable to a fresh session).
+    Every decoder is total — malformed bytes return [Error], never
+    raise — because bodies come back from disk. *)
 
 module Schema = Ppj_relation.Schema
 module Relation = Ppj_relation.Relation

@@ -84,6 +84,8 @@ type t = {
       (* run before every stats snapshot; the reactor registers a hook
          here to refresh its queue-depth gauges without the server
          depending on it *)
+  mutable pad_series : (string * string) list list;
+      (* label sets of every pad gauge [publish_pad_slots] has set *)
 }
 
 let counter ?labels t name = Ppj_obs.Counter.incr (Registry.counter ?labels t.registry name)
@@ -139,6 +141,7 @@ let create ?registry ?recorder ?(logger = Log.null) ?(seed = 7) ?(max_contracts 
       sessions_closed = 0;
       sessions_open = 0;
       prescrape = [];
+      pad_series = [];
     }
   in
   (match store with Some s -> replay_store t s | None -> ());
@@ -448,15 +451,26 @@ let durable_checkpoint t cs config_digest =
           | Ok _, None -> rejected "missing nvram counter"))
 
 (* A computed join's padding goes into the server's own registry, one
-   gauge per region (and slice: [shard=k] under a [Sharded] config)
-   holding the last such join's count. *)
+   gauge per region (and slice: [shard=k] under a [Sharded] config).  A
+   series an earlier join published that this one did not pad is set to
+   0, so the scrape holds the latest computed join's padding alone. *)
 let publish_pad_slots t config inst =
-  let labels =
+  let shard =
     match config.Service.algorithm with
     | Service.Sharded { k; _ } -> [ ("shard", string_of_int k) ]
     | _ -> []
   in
-  Ppj_scpu.Coprocessor.observe_pad_slots ~labels (Instance.co inst) t.registry
+  let latest =
+    List.map
+      (fun (region, n) -> (("region", Ppj_scpu.Trace.region_name region) :: shard, n))
+      (Ppj_scpu.Coprocessor.pad_slots (Instance.co inst))
+  in
+  let stale = List.filter (fun labels -> not (List.mem_assoc labels latest)) t.pad_series in
+  List.iter
+    (fun (labels, n) ->
+      Registry.set_gauge ~labels t.registry "oblivious.sort.pad_slots" (float_of_int n))
+    (latest @ List.map (fun labels -> (labels, 0)) stale);
+  t.pad_series <- List.map fst latest @ stale
 
 let on_execute t session sealed_config =
   bound session (fun party cs ->

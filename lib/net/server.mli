@@ -91,9 +91,10 @@ val scrape : t -> Wire.stats_info * Ppj_obs.Snapshot.t
     build/uptime/session gauges and (when durable) the [store.*] health
     gauges, and return the health fields plus a snapshot of the
     server's own registry: nothing another server or session in the
-    same process recorded.  The registry holds each join's padding
-    after it is computed ([oblivious.sort.pad_slots{region}], with
-    [shard=k] for a slice).  This is what a wire [Stats_request] is
+    same process recorded.  The registry holds the latest computed
+    join's padding ([oblivious.sort.pad_slots{region}], with [shard=k]
+    for a slice); a series an earlier join set reads 0 once a later
+    join did not pad it.  This is what a wire [Stats_request] is
     answered from, in {e any} session phase. *)
 
 val health_json : t -> string

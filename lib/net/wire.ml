@@ -2,6 +2,9 @@ module Channel = Ppj_scpu.Channel
 module Attestation = Ppj_scpu.Attestation
 module Schema = Ppj_relation.Schema
 module Service = Ppj_core.Service
+module Codec = Ppj_crypto.Codec
+module W = Codec.W
+module R = Codec.R
 
 (* v3 added the optional trace context on [Attest_request]; the decoder
    still accepts the bare v2 payload (version only, no context).  v4
@@ -9,106 +12,17 @@ module Service = Ppj_core.Service
    every older payload decodes unchanged. *)
 let version = 4
 
-(* --- primitive writers/readers ------------------------------------- *)
-(* Integers are big-endian; [str] is a u32 length prefix plus the raw
-   bytes; [vint] is a full 8-byte signed int (seeds may be any int). *)
-
-exception Malformed_payload of string
-
-module W = struct
-  let u8 b v = Buffer.add_uint8 b v
-  let u16 b v = Buffer.add_uint16_be b v
-  let u32 b v = Buffer.add_int32_be b (Int32.of_int v)
-  let vint b v = Buffer.add_int64_be b (Int64.of_int v)
-  let f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
-
-  let str b s =
-    u32 b (String.length s);
-    Buffer.add_string b s
-
-  let list b f items =
-    u16 b (List.length items);
-    List.iter (f b) items
-end
-
-module R = struct
-  type t = { src : string; mutable pos : int }
-
-  let of_string src = { src; pos = 0 }
-
-  let fail fmt = Printf.ksprintf (fun m -> raise (Malformed_payload m)) fmt
-
-  let need r n = if r.pos + n > String.length r.src then fail "truncated payload"
-
-  let u8 r =
-    need r 1;
-    let v = Char.code r.src.[r.pos] in
-    r.pos <- r.pos + 1;
-    v
-
-  let u16 r =
-    need r 2;
-    let v = String.get_uint16_be r.src r.pos in
-    r.pos <- r.pos + 2;
-    v
-
-  let u32 r =
-    need r 4;
-    let v = Int32.to_int (String.get_int32_be r.src r.pos) in
-    r.pos <- r.pos + 4;
-    if v < 0 then fail "negative length" else v
-
-  let vint r =
-    need r 8;
-    let v = Int64.to_int (String.get_int64_be r.src r.pos) in
-    r.pos <- r.pos + 8;
-    v
-
-  let f64 r =
-    need r 8;
-    let v = Int64.float_of_bits (String.get_int64_be r.src r.pos) in
-    r.pos <- r.pos + 8;
-    v
-
-  let str r =
-    let n = u32 r in
-    need r n;
-    let s = String.sub r.src r.pos n in
-    r.pos <- r.pos + n;
-    s
-
-  let list r f = List.init (u16 r) (fun _ -> f r)
-
-  let eof r = if r.pos <> String.length r.src then fail "trailing bytes in payload"
-end
-
-let encode f =
-  let b = Buffer.create 64 in
-  f b;
-  Buffer.contents b
-
-let decode s f =
-  match
-    let r = R.of_string s in
-    let v = f r in
-    R.eof r;
-    v
-  with
-  | v -> Ok v
-  | exception Malformed_payload m -> Error m
-  | exception Invalid_argument m -> Error m
-
 (* --- control-plane records ------------------------------------------ *)
 
 let contract_to_string (c : Channel.contract) =
-  encode (fun b ->
+  Codec.encode (fun b ->
       W.str b c.contract_id;
       W.list b W.str c.providers;
       W.str b c.recipient;
       W.str b c.predicate)
 
 let contract_of_string s =
-  decode s (fun r ->
+  Codec.decode s (fun r ->
       let contract_id = R.str r in
       let providers = R.list r R.str in
       let recipient = R.str r in
@@ -116,7 +30,7 @@ let contract_of_string s =
       { Channel.contract_id; providers; recipient; predicate })
 
 let schema_to_string schema =
-  encode (fun b ->
+  Codec.encode (fun b ->
       W.list b
         (fun b (f : Schema.field) ->
           W.str b f.name;
@@ -131,7 +45,7 @@ let schema_to_string schema =
         (Schema.fields schema))
 
 let schema_of_string s =
-  decode s (fun r ->
+  Codec.decode s (fun r ->
       Schema.make
         (R.list r (fun r ->
              let name = R.str r in
@@ -212,30 +126,40 @@ let rec algorithm_of r : Service.algorithm =
   | k -> R.fail "unknown algorithm tag %d" k
 
 let config_to_string (c : Service.config) =
-  encode (fun b ->
+  Codec.encode (fun b ->
       W.vint b c.m;
       W.vint b c.seed;
       algorithm_to b c.algorithm)
 
 let config_of_string s =
-  decode s (fun r ->
+  Codec.decode s (fun r ->
       let m = R.vint r in
       let seed = R.vint r in
       let algorithm = algorithm_of r in
       { Service.m; seed; algorithm })
 
 let submission_to_string (s : Channel.submission) =
-  encode (fun b ->
+  Codec.encode (fun b ->
       W.str b s.sender;
       W.str b s.nonce;
       W.str b s.ciphertext)
 
 let submission_of_string s =
-  decode s (fun r ->
+  Codec.decode s (fun r ->
       let sender = R.str r in
       let nonce = R.str r in
       let ciphertext = R.str r in
       { Channel.sender; nonce; ciphertext })
+
+let upload_chunk_bytes = 1024
+
+let upload_chunks body =
+  let n = String.length body in
+  List.init
+    (max 1 ((n + upload_chunk_bytes - 1) / upload_chunk_bytes))
+    (fun seq ->
+      let off = seq * upload_chunk_bytes in
+      String.sub body off (min upload_chunk_bytes (n - off)))
 
 (* --- messages ------------------------------------------------------- *)
 
@@ -361,7 +285,7 @@ let to_frame ?(seq = 0) msg =
   let payload =
     match msg with
     | Attest_request { version; ctx } ->
-        encode (fun b ->
+        Codec.encode (fun b ->
             W.u16 b version;
             match ctx with
             | None -> W.u8 b 0
@@ -370,7 +294,7 @@ let to_frame ?(seq = 0) msg =
                 W.str b (Ppj_obs.Trace_ctx.trace_id c);
                 W.str b (Ppj_obs.Trace_ctx.span_id c))
     | Attest_chain certs ->
-        encode (fun b ->
+        Codec.encode (fun b ->
             W.list b
               (fun b (c : Attestation.certificate) ->
                 W.str b c.name;
@@ -378,40 +302,40 @@ let to_frame ?(seq = 0) msg =
                 W.str b c.mac)
               certs)
     | Hello h ->
-        encode (fun b ->
+        Codec.encode (fun b ->
             W.str b h.Channel.Handshake.id;
             W.u32 b h.Channel.Handshake.gx;
             W.str b h.Channel.Handshake.mac)
     | Hello_reply r ->
-        encode (fun b ->
+        Codec.encode (fun b ->
             W.u32 b r.Channel.Handshake.gy;
             W.str b r.Channel.Handshake.mac)
-    | Contract { sealed } -> encode (fun b -> W.str b sealed)
+    | Contract { sealed } -> Codec.encode (fun b -> W.str b sealed)
     | Contract_ok -> ""
     | Upload_begin { sealed_schema; chunks } ->
-        encode (fun b ->
+        Codec.encode (fun b ->
             W.str b sealed_schema;
             W.u32 b chunks)
     | Upload_chunk { seq; bytes } ->
-        encode (fun b ->
+        Codec.encode (fun b ->
             W.u32 b seq;
             W.str b bytes)
     | Upload_done -> ""
     | Upload_ok -> ""
-    | Execute { sealed_config } -> encode (fun b -> W.str b sealed_config)
-    | Execute_ok { transfers } -> encode (fun b -> W.vint b transfers)
+    | Execute { sealed_config } -> Codec.encode (fun b -> W.str b sealed_config)
+    | Execute_ok { transfers } -> Codec.encode (fun b -> W.vint b transfers)
     | Fetch -> ""
     | Result { sealed_schema; sealed_body } ->
-        encode (fun b ->
+        Codec.encode (fun b ->
             W.str b sealed_schema;
             W.str b sealed_body)
     | Error { code; message } ->
-        encode (fun b ->
+        Codec.encode (fun b ->
             W.u8 b (error_code_to_int code);
             W.str b message)
     | Stats_request -> ""
     | Stats_reply { info; snapshot } ->
-        encode (fun b ->
+        Codec.encode (fun b ->
             W.str b info.server_version;
             W.u16 b info.wire_version;
             W.f64 b info.uptime_seconds;
@@ -431,14 +355,14 @@ let to_frame ?(seq = 0) msg =
   { Frame.tag = tag_of msg; seq; payload }
 
 let of_frame { Frame.tag; payload; _ } =
-  let dec f = decode payload f in
+  let dec f = Codec.decode payload f in
   match tag with
   | 1 ->
       dec (fun r ->
           let version = R.u16 r in
           let ctx =
             (* A bare v2 payload ends after the version. *)
-            if r.R.pos = String.length r.R.src then None
+            if R.at_end r then None
             else
               match R.u8 r with
               | 0 -> None

@@ -124,3 +124,8 @@ val config_of_string : string -> (Service.config, string) result
 
 val submission_to_string : Channel.submission -> string
 val submission_of_string : string -> (Channel.submission, string) result
+
+val upload_chunks : string -> string list
+(** A submission envelope cut into the 1 KiB pieces that both clients
+    ({!Client}, {!Flow}) send as [Upload_chunk]s, in order; an empty
+    envelope is one empty piece. *)

@@ -1,6 +1,9 @@
 module Rng = Ppj_crypto.Rng
 module Ocb = Ppj_crypto.Ocb
 module Prf = Ppj_crypto.Prf
+module Codec = Ppj_crypto.Codec
+module W = Codec.W
+module R = Codec.R
 module Injector = Ppj_fault.Injector
 module Recorder = Ppj_obs.Recorder
 
@@ -307,61 +310,45 @@ let open_slot t region index ciphertext =
 
 let ckpt_nonce_base = 1 lsl 60
 
+(* A region name in the epoch list carries a one-byte length, not
+   [W.str]'s four, as in every checkpoint already sealed. *)
 let encode_saved s =
-  let b = Buffer.create 256 in
-  Buffer.add_int32_be b (Int32.of_int s.s_version);
-  Buffer.add_int64_be b (Int64.of_int s.s_ops);
-  Buffer.add_int64_be b (Int64.of_int s.s_nonce_ctr);
-  Buffer.add_int64_be b (Int64.of_int s.s_cycles);
-  Buffer.add_int32_be b (Int32.of_int s.s_mem_in_use);
-  Buffer.add_int32_be b (Int32.of_int s.s_mem_peak);
-  Buffer.add_int32_be b (Int32.of_int (List.length s.s_epochs));
-  List.iter
-    (fun (name, index, epoch) ->
-      Buffer.add_uint8 b (String.length name);
-      Buffer.add_string b name;
-      Buffer.add_int32_be b (Int32.of_int index);
-      Buffer.add_int32_be b (Int32.of_int epoch))
-    s.s_epochs;
-  Buffer.contents b
+  Codec.encode (fun b ->
+      W.u32 b s.s_version;
+      W.vint b s.s_ops;
+      W.vint b s.s_nonce_ctr;
+      W.vint b s.s_cycles;
+      W.u32 b s.s_mem_in_use;
+      W.u32 b s.s_mem_peak;
+      W.u32 b (List.length s.s_epochs);
+      List.iter
+        (fun (name, index, epoch) ->
+          W.u8 b (String.length name);
+          Buffer.add_string b name;
+          W.u32 b index;
+          W.u32 b epoch)
+        s.s_epochs)
 
 let decode_saved s ~context =
-  let bad () = raise (Tamper_detected (context ^ ": malformed checkpoint")) in
-  let pos = ref 0 in
-  let need n = if !pos + n > String.length s then bad () in
-  let u32 () =
-    need 4;
-    let v = Int32.to_int (String.get_int32_be s !pos) in
-    pos := !pos + 4;
-    v
-  in
-  let u64 () =
-    need 8;
-    let v = Int64.to_int (String.get_int64_be s !pos) in
-    pos := !pos + 8;
-    v
-  in
-  let s_version = u32 () in
-  let s_ops = u64 () in
-  let s_nonce_ctr = u64 () in
-  let s_cycles = u64 () in
-  let s_mem_in_use = u32 () in
-  let s_mem_peak = u32 () in
-  let n = u32 () in
-  let s_epochs =
-    List.init n (fun _ ->
-        need 1;
-        let len = Char.code s.[!pos] in
-        incr pos;
-        need len;
-        let name = String.sub s !pos len in
-        pos := !pos + len;
-        let index = u32 () in
-        let epoch = u32 () in
-        (name, index, epoch))
-  in
-  if !pos <> String.length s then bad ();
-  { s_version; s_ops; s_nonce_ctr; s_cycles; s_mem_in_use; s_mem_peak; s_epochs }
+  match
+    Codec.decode s (fun r ->
+        let s_version = R.u32 r in
+        let s_ops = R.vint r in
+        let s_nonce_ctr = R.vint r in
+        let s_cycles = R.vint r in
+        let s_mem_in_use = R.u32 r in
+        let s_mem_peak = R.u32 r in
+        let s_epochs =
+          List.init (R.u32 r) (fun _ ->
+              let name = R.take r (R.u8 r) in
+              let index = R.u32 r in
+              let epoch = R.u32 r in
+              (name, index, epoch))
+        in
+        { s_version; s_ops; s_nonce_ctr; s_cycles; s_mem_in_use; s_mem_peak; s_epochs })
+  with
+  | Ok saved -> saved
+  | Error _ -> raise (Tamper_detected (context ^ ": malformed checkpoint"))
 
 let sorted_epochs t =
   let acc = ref [] in
@@ -575,14 +562,6 @@ let decrypt_for_recipient t ciphertext =
 module Registry = Ppj_obs.Registry
 module Obs_counter = Ppj_obs.Counter
 
-let observe_pad_slots ?(labels = []) t reg =
-  List.iter
-    (fun (region, n) ->
-      Registry.set_gauge
-        ~labels:(("region", Trace.region_name region) :: labels)
-        reg "oblivious.sort.pad_slots" (float_of_int n))
-    t.pad_slots
-
 let observe ?(labels = []) t reg =
   let set name v = Obs_counter.set_to (Registry.counter ~labels reg name) v in
   let regions = Trace.by_region t.trace in
@@ -606,7 +585,12 @@ let observe ?(labels = []) t reg =
   set "recovery.ghost_ops" t.ghost_ops;
   Registry.set_gauge ~labels reg "recovery.checkpoint.bytes"
     (float_of_int t.last_checkpoint_bytes);
-  observe_pad_slots ~labels t reg;
+  List.iter
+    (fun (region, n) ->
+      Registry.set_gauge
+        ~labels:(("region", Trace.region_name region) :: labels)
+        reg "oblivious.sort.pad_slots" (float_of_int n))
+    t.pad_slots;
   (* Crypto hot-path accounting: every T<->H transfer is sealed/opened,
      so these expose the cipher work behind the transfer counts. *)
   set "crypto.seal.ops" t.seal_ops;

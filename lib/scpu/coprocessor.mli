@@ -178,12 +178,8 @@ val observe : ?labels:(string * string) list -> t -> Ppj_obs.Registry.t -> unit
     label), cycle count, the memory-ledger gauges ([scpu.mem_limit],
     [scpu.mem_in_use], [scpu.mem_peak]), and the recovery figures
     ([recovery.checkpoints], [recovery.resumes], [recovery.ghost_ops],
-    [recovery.checkpoint.bytes]) and {!observe_pad_slots}.  Pull-based
+    [recovery.checkpoint.bytes]) and {!pad_slots} as the
+    [oblivious.sort.pad_slots] gauge per [region].  Pull-based
     and idempotent: the hot [get]/[put] path is untouched, and
     re-observing the same coprocessor into the same registry just
     refreshes the values. *)
-
-val observe_pad_slots : ?labels:(string * string) list -> t -> Ppj_obs.Registry.t -> unit
-(** Publish {!pad_slots} alone, as the [oblivious.sort.pad_slots] gauge
-    per [region] (a server records each computed join's padding this
-    way). *)

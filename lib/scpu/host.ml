@@ -24,17 +24,17 @@ module Region_map = Map.Make (struct
     | _ -> Int.compare (rank a) (rank b)
 end)
 
-type image = {
-  i_regions : string option array Region_map.t;
-  i_disk : string list;
-  i_disk_tuples : int;
+type export = {
+  e_regions : (Trace.region * string option array) list;
+  e_disk : string list;  (* reversed, as held internally *)
+  e_disk_tuples : int;
 }
 
 type t = {
   mutable regions : string option array Region_map.t;
   mutable disk : string list;  (* reversed *)
   mutable disk_tuples : int;
-  mutable checkpoint_image : image option;
+  mutable checkpoint_image : export option;
       (* the host's own memory/disk as of the coprocessor's last sealed
          checkpoint — host-side recovery state, so it costs no transfers.
          Every byte of it is ciphertext the coprocessor authenticates on
@@ -45,50 +45,30 @@ type t = {
 let create () =
   { regions = Region_map.empty; disk = []; disk_tuples = 0; checkpoint_image = None }
 
-let copy_regions regions = Region_map.map Array.copy regions
-
 let save_checkpoint t =
   t.checkpoint_image <-
-    Some { i_regions = copy_regions t.regions; i_disk = t.disk; i_disk_tuples = t.disk_tuples }
-
-let has_checkpoint t = t.checkpoint_image <> None
-
-type export = {
-  e_regions : (Trace.region * string option array) list;
-  e_disk : string list;  (* reversed, as held internally *)
-  e_disk_tuples : int;
-}
-
-let export_checkpoint t =
-  match t.checkpoint_image with
-  | None -> None
-  | Some img ->
-      Some
-        { e_regions =
-            Region_map.fold (fun r a acc -> (r, Array.copy a) :: acc) img.i_regions []
-            |> List.rev;
-          e_disk = img.i_disk;
-          e_disk_tuples = img.i_disk_tuples;
-        }
-
-let install_checkpoint t e =
-  t.checkpoint_image <-
     Some
-      { i_regions =
-          List.fold_left
-            (fun m (r, a) -> Region_map.add r (Array.copy a) m)
-            Region_map.empty e.e_regions;
-        i_disk = e.e_disk;
-        i_disk_tuples = e.e_disk_tuples;
+      { e_regions = List.map (fun (r, a) -> (r, Array.copy a)) (Region_map.bindings t.regions);
+        e_disk = t.disk;
+        e_disk_tuples = t.disk_tuples;
       }
+
+let has_checkpoint t = Option.is_some t.checkpoint_image
+
+let export_checkpoint t = t.checkpoint_image
+
+let install_checkpoint t e = t.checkpoint_image <- Some e
 
 let restore_checkpoint t =
   match t.checkpoint_image with
   | None -> invalid_arg "Host.restore_checkpoint: no checkpoint image held"
-  | Some img ->
-      t.regions <- copy_regions img.i_regions;
-      t.disk <- img.i_disk;
-      t.disk_tuples <- img.i_disk_tuples
+  | Some e ->
+      t.regions <-
+        List.fold_left
+          (fun m (r, a) -> Region_map.add r (Array.copy a) m)
+          Region_map.empty e.e_regions;
+      t.disk <- e.e_disk;
+      t.disk_tuples <- e.e_disk_tuples
 
 let reset t =
   t.regions <- Region_map.empty;

@@ -60,20 +60,23 @@ type export = {
   e_disk : string list;  (** reversed write order, as held internally *)
   e_disk_tuples : int;
 }
-(** A serialisable copy of the held checkpoint image — all ciphertext,
-    so persisting it off-process grants the host nothing it could not
-    already read. *)
+(** The held checkpoint image, regions in polymorphic-compare order —
+    all ciphertext, so persisting it off-process grants the host nothing
+    it could not already read. *)
 
 val export_checkpoint : t -> export option
-(** Copy of the held image, if any. *)
+(** The held image itself, if any (not a copy: read it, do not write
+    it). *)
 
 val install_checkpoint : t -> export -> unit
-(** Adopt [export] as the held checkpoint image (copies the arrays);
-    used when a restarted process rebuilds the host from durable
-    state before resuming. *)
+(** Hold [export] as the checkpoint image (not copied); used when a
+    restarted process rebuilds the host from durable state before
+    resuming. *)
 
 val restore_checkpoint : t -> unit
-(** @raise Invalid_argument if no image is held. *)
+(** Copy the held image into the live regions and disk, so later writes
+    leave the image as it was.
+    @raise Invalid_argument if no image is held. *)
 
 val reset : t -> unit
 (** Empty regions and disk (the checkpoint image, if any, is kept).  The

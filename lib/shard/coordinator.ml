@@ -120,9 +120,9 @@ let shard_unavailable k e =
 
 (* One authenticated session against shard [k]; a peer that hangs up
    mid-session is an error like any other. *)
-let session ~client_config ~client_registry ~shards k f =
+let session ~client_config ~shards k f =
   let* transport = Shards.connect shards k in
-  let c = Client.create ~config:client_config ~registry:client_registry transport in
+  let c = Client.create ~config:client_config transport in
   match Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c) with
   | exception Transport.Closed -> Error "connection closed by peer"
   | r -> r
@@ -134,10 +134,9 @@ let on_shard ?metrics k = function
       Option.iter (fun m -> Metrics.shard_failed m ~shard:k) metrics;
       Error (shard_unavailable k e)
 
-let submit_wire ?(client_config = Client.default_config)
-    ?(client_registry = Ppj_obs.Registry.create ()) ~shards ~seed ~mac_key ~contract ~id ~schema
-    rel =
-  let session = session ~client_config ~client_registry ~shards in
+let submit_wire ?(client_config = Client.default_config) ~shards ~seed ~mac_key ~contract ~id
+    ~schema rel =
+  let session = session ~client_config ~shards in
   let p = Shards.p shards in
   let rec fan k =
     if k = p then Ok ()
@@ -153,12 +152,12 @@ let submit_wire ?(client_config = Client.default_config)
   in
   fan 0
 
-let fetch_wire ?metrics ?(client_config = Client.default_config)
-    ?(client_registry = Ppj_obs.Registry.create ()) ~shards ~seed ~mac_key ~contract config =
+let fetch_wire ?metrics ?(client_config = Client.default_config) ~shards ~seed ~mac_key ~contract
+    config =
   let* () = validate config in
   if config.p <> Shards.p shards then Error "coordinator: registry arity differs from p"
   else
-    let session = session ~client_config ~client_registry ~shards in
+    let session = session ~client_config ~shards in
     let drive_shard k =
       (* every shard is sent [config.seed]; the server derives the
          slice's own coprocessor seed from it *)
@@ -202,20 +201,19 @@ let fetch_wire ?metrics ?(client_config = Client.default_config)
       metrics;
     Ok { tuples; schema; wire_per_shard_transfers; wire_merge }
 
-let run_wire ?metrics ?client_config ?client_registry ~shards ~seed ~mac_key ~contract
-    ~providers config =
+let run_wire ?metrics ?client_config ~shards ~seed ~mac_key ~contract ~providers config =
   let* () = validate config in
   let rec submit_all i = function
     | [] -> Ok ()
     | (id, schema, rel) :: tl ->
         let* () =
-          submit_wire ?client_config ?client_registry ~shards ~seed:(seed + (131 * i)) ~mac_key
-            ~contract ~id ~schema rel
+          submit_wire ?client_config ~shards ~seed:(seed + (131 * i)) ~mac_key ~contract ~id
+            ~schema rel
         in
         submit_all (i + 1) tl
   in
   let* () = submit_all 0 providers in
-  fetch_wire ?metrics ?client_config ?client_registry ~shards ~seed ~mac_key ~contract config
+  fetch_wire ?metrics ?client_config ~shards ~seed ~mac_key ~contract config
 
 (* --- federation ------------------------------------------------------- *)
 
@@ -224,9 +222,8 @@ type fleet_stats = {
   fleet_snapshot : Ppj_obs.Snapshot.t;
 }
 
-let stats ?(client_config = Client.default_config)
-    ?(client_registry = Ppj_obs.Registry.create ()) ~shards () =
-  let session = session ~client_config ~client_registry ~shards in
+let stats ?(client_config = Client.default_config) ~shards () =
+  let session = session ~client_config ~shards in
   let p = Shards.p shards in
   (* A scrape needs no attestation and no handshake: [Stats_request] is
      answered in any session phase, so each fan-out session is just

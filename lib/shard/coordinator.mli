@@ -80,7 +80,6 @@ val run_local :
 
 val submit_wire :
   ?client_config:Client.config ->
-  ?client_registry:Ppj_obs.Registry.t ->
   shards:Shards.t ->
   seed:int ->
   mac_key:string ->
@@ -96,7 +95,6 @@ val submit_wire :
 val fetch_wire :
   ?metrics:Metrics.t ->
   ?client_config:Client.config ->
-  ?client_registry:Ppj_obs.Registry.t ->
   shards:Shards.t ->
   seed:int ->
   mac_key:string ->
@@ -113,7 +111,6 @@ val fetch_wire :
 val run_wire :
   ?metrics:Metrics.t ->
   ?client_config:Client.config ->
-  ?client_registry:Ppj_obs.Registry.t ->
   shards:Shards.t ->
   seed:int ->
   mac_key:string ->
@@ -135,7 +132,6 @@ type fleet_stats = {
 
 val stats :
   ?client_config:Client.config ->
-  ?client_registry:Ppj_obs.Registry.t ->
   shards:Shards.t ->
   unit ->
   (fleet_stats, string) result

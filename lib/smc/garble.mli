@@ -27,10 +27,6 @@ val input_label_pair_b : garbled -> int -> label * label
 (** The (false, true) label pair for P_B's i-th input wire — the OT
     sender's two messages. *)
 
-val const_label : garbled -> label
-(** The label of the constant-true wire (sent in the clear position-wise;
-    it encodes no data). *)
-
 val evaluate : garbled -> a_labels:label array -> b_labels:label array -> bool
 (** Evaluator-side: decrypt through the circuit and decode the output bit
     (the garbler published the output wire's permute bit). *)

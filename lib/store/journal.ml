@@ -109,7 +109,6 @@ type writer = {
   max_bytes : int option;
   mutable size : int;
   mutable sealed : bool;
-  mutable appended : int;
   mutable fsyncs : int;
 }
 
@@ -119,11 +118,10 @@ let open_append ?max_bytes path =
       Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
   | fd ->
       let size = (Unix.fstat fd).Unix.st_size in
-      Ok { fd; max_bytes; size; sealed = false; appended = 0; fsyncs = 0 }
+      Ok { fd; max_bytes; size; sealed = false; fsyncs = 0 }
 
 let is_sealed w = w.sealed
 let size w = w.size
-let appended w = w.appended
 let fsyncs w = w.fsyncs
 
 let seal w =
@@ -156,7 +154,6 @@ let append w payload =
             w.size <- w.size + n;
             (match Unix.fsync w.fd with
             | () ->
-                w.appended <- w.appended + 1;
                 w.fsyncs <- w.fsyncs + 1;
                 Ok ()
             | exception Unix.Unix_error (e, _, _) ->

@@ -22,9 +22,6 @@
 val crc32 : string -> int
 (** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of the whole string. *)
 
-val max_record_bytes : int
-(** Sanity bound on a single record; longer frames read as corruption. *)
-
 type tail =
   | Clean  (** the file ends exactly at a frame boundary *)
   | Truncated of { offset : int; bytes : int }
@@ -66,9 +63,6 @@ val is_sealed : writer -> bool
 
 val size : writer -> int
 (** Bytes in the file as tracked by this writer. *)
-
-val appended : writer -> int
-(** Records successfully appended through this writer. *)
 
 val fsyncs : writer -> int
 

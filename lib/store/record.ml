@@ -1,3 +1,7 @@
+module Codec = Ppj_crypto.Codec
+module W = Codec.W
+module R = Codec.R
+
 type t =
   | Meta of { format : int; epoch : int }
   | Contract of { digest : string; body : string }
@@ -16,119 +20,58 @@ let kind = function
   | Result _ -> "result"
   | Clear _ -> "clear"
 
-let w_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
-let w_i64 b v = Buffer.add_int64_be b (Int64.of_int v)
-
-let w_str b s =
-  w_u32 b (String.length s);
-  Buffer.add_string b s
-
 let encode r =
-  let b = Buffer.create 64 in
-  (match r with
-  | Meta { format; epoch } ->
-      Buffer.add_uint8 b 1;
-      w_u32 b format;
-      w_i64 b epoch
-  | Contract { digest; body } ->
-      Buffer.add_uint8 b 2;
-      w_str b digest;
-      w_str b body
-  | Submission { contract; provider; body } ->
-      Buffer.add_uint8 b 3;
-      w_str b contract;
-      w_str b provider;
-      w_str b body
-  | Nvram { name; value } ->
-      Buffer.add_uint8 b 4;
-      w_str b name;
-      w_i64 b value
-  | Checkpoint { contract; config; body } ->
-      Buffer.add_uint8 b 5;
-      w_str b contract;
-      w_str b config;
-      w_str b body
-  | Result { contract; config; body } ->
-      Buffer.add_uint8 b 6;
-      w_str b contract;
-      w_str b config;
-      w_str b body
-  | Clear { contract; config } ->
-      Buffer.add_uint8 b 7;
-      w_str b contract;
-      w_str b config);
-  Buffer.contents b
-
-exception Malformed of string
+  Codec.encode (fun b ->
+      let strs tag fields =
+        W.u8 b tag;
+        List.iter (W.str b) fields
+      in
+      match r with
+      | Meta { format; epoch } ->
+          W.u8 b 1;
+          W.u32 b format;
+          W.vint b epoch
+      | Contract { digest; body } -> strs 2 [ digest; body ]
+      | Submission { contract; provider; body } -> strs 3 [ contract; provider; body ]
+      | Nvram { name; value } ->
+          strs 4 [ name ];
+          W.vint b value
+      | Checkpoint { contract; config; body } -> strs 5 [ contract; config; body ]
+      | Result { contract; config; body } -> strs 6 [ contract; config; body ]
+      | Clear { contract; config } -> strs 7 [ contract; config ])
 
 let decode s =
-  let pos = ref 0 in
-  let need n =
-    if !pos + n > String.length s then raise (Malformed "record: truncated field")
-  in
-  let u8 () =
-    need 1;
-    let v = Char.code s.[!pos] in
-    incr pos;
-    v
-  in
-  let u32 () =
-    need 4;
-    let v = Int32.to_int (String.get_int32_be s !pos) land 0xFFFFFFFF in
-    pos := !pos + 4;
-    v
-  in
-  let i64 () =
-    need 8;
-    let v = Int64.to_int (String.get_int64_be s !pos) in
-    pos := !pos + 8;
-    v
-  in
-  let str () =
-    let n = u32 () in
-    need n;
-    let v = String.sub s !pos n in
-    pos := !pos + n;
-    v
-  in
-  match
-    let r =
-      match u8 () with
+  Codec.decode s (fun r ->
+      match R.u8 r with
       | 1 ->
-          let format = u32 () in
-          let epoch = i64 () in
+          let format = R.u32 r in
+          let epoch = R.vint r in
           Meta { format; epoch }
       | 2 ->
-          let digest = str () in
-          let body = str () in
+          let digest = R.str r in
+          let body = R.str r in
           Contract { digest; body }
       | 3 ->
-          let contract = str () in
-          let provider = str () in
-          let body = str () in
+          let contract = R.str r in
+          let provider = R.str r in
+          let body = R.str r in
           Submission { contract; provider; body }
       | 4 ->
-          let name = str () in
-          let value = i64 () in
+          let name = R.str r in
+          let value = R.vint r in
           Nvram { name; value }
       | 5 ->
-          let contract = str () in
-          let config = str () in
-          let body = str () in
+          let contract = R.str r in
+          let config = R.str r in
+          let body = R.str r in
           Checkpoint { contract; config; body }
       | 6 ->
-          let contract = str () in
-          let config = str () in
-          let body = str () in
+          let contract = R.str r in
+          let config = R.str r in
+          let body = R.str r in
           Result { contract; config; body }
       | 7 ->
-          let contract = str () in
-          let config = str () in
+          let contract = R.str r in
+          let config = R.str r in
           Clear { contract; config }
-      | tag -> raise (Malformed (Printf.sprintf "record: unknown tag %d" tag))
-    in
-    if !pos <> String.length s then raise (Malformed "record: trailing bytes");
-    r
-  with
-  | r -> Ok r
-  | exception Malformed m -> Error m
+      | tag -> R.fail "unknown record tag %d" tag)

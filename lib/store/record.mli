@@ -25,8 +25,12 @@ type t =
           (tamper/stale version) and must not be retried. *)
 
 val encode : t -> string
+(** A [u8] tag (1–7, in declaration order), then the fields on
+    {!Ppj_crypto.Codec}: [format] a [u32], [epoch] and [value] a [vint],
+    every string a [str]. *)
 
 val decode : string -> (t, string) result
+(** Total: malformed bytes give [Error], never an exception. *)
 
 val kind : t -> string
 (** Stable lowercase label for reports ("meta", "contract", ...). *)

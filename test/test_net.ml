@@ -142,31 +142,67 @@ let test_frame_large_payload_chunked () =
 
 (* --- message codecs -------------------------------------------------- *)
 
+let trace_ctx = Ppj_obs.Trace_ctx.make ~trace_id:"trace-7" ~span_id:"span.2"
+
+let stats_info =
+  { Wire.server_version = "0.3.0";
+    wire_version = 4;
+    uptime_seconds = 12.5;
+    sessions_active = 2;
+    sessions_closed = 40;
+    conns_live = 3;
+    queue_bytes = 4096;
+    store = Wire.Store_open { epoch = 9; sealed = true };
+    ready = false;
+  }
+
+(* One value per message tag (the v2 and v3 attest forms both), every
+   field set. *)
+let sample_msgs =
+  [ Wire.Attest_request { version = 1; ctx = None };
+    Wire.Attest_request { version = 4; ctx = Some trace_ctx };
+    Wire.Attest_chain
+      [ { Ppj_scpu.Attestation.name = "boot"; code_digest = "d0"; mac = "m0" };
+        { name = "service"; code_digest = "d1"; mac = "m1" };
+      ];
+    Wire.Hello { Ch.Handshake.id = "alice"; gx = 123456; mac = "m" };
+    Wire.Hello_reply { Ch.Handshake.gy = 654321; mac = "mm" };
+    Wire.Contract { sealed = "\x00\x01opaque" };
+    Wire.Contract_ok;
+    Wire.Upload_begin { sealed_schema = "s"; chunks = 3 };
+    Wire.Upload_chunk { seq = 2; bytes = "chunk" };
+    Wire.Upload_done;
+    Wire.Upload_ok;
+    Wire.Execute { sealed_config = "cfg" };
+    Wire.Execute_ok { transfers = 42 };
+    Wire.Fetch;
+    Wire.Result { sealed_schema = "a"; sealed_body = "b" };
+    Wire.Error { code = Wire.Auth_failed; message = "nope" };
+    Wire.Stats_request;
+    Wire.Stats_reply { info = stats_info; snapshot = "{\"schema\":\"ppj.obs/1\"}" };
+  ]
+
+(* One value per algorithm config form. *)
+let sample_algorithms =
+  [ Service.Alg1 { n = 3 };
+    Service.Alg2 { n = 5 };
+    Service.Alg3 { n = 2; attr_a = "key"; attr_b = "key" };
+    Service.Alg4;
+    Service.Alg5;
+    Service.Alg6 { eps = 1e-12 };
+    Service.Alg7 { attr_a = "key"; attr_b = "key" };
+    Service.Alg8 { attr_a = "key"; attr_b = "key" };
+    Service.Auto { max_eps = 1e-9 };
+    Service.Sharded { k = 1; p = 4; inner = Service.Alg6 { eps = 0.5 } };
+  ]
+
 let test_wire_roundtrip () =
-  let msgs =
-    [ Wire.Attest_request { version = 1; ctx = None };
-      Wire.Attest_chain (Service.attestation_chain ());
-      Wire.Hello { Ch.Handshake.id = "alice"; gx = 123456; mac = "m" };
-      Wire.Hello_reply { Ch.Handshake.gy = 654321; mac = "mm" };
-      Wire.Contract { sealed = "\x00\x01opaque" };
-      Wire.Contract_ok;
-      Wire.Upload_begin { sealed_schema = "s"; chunks = 3 };
-      Wire.Upload_chunk { seq = 2; bytes = "chunk" };
-      Wire.Upload_done;
-      Wire.Upload_ok;
-      Wire.Execute { sealed_config = "cfg" };
-      Wire.Execute_ok { transfers = 42 };
-      Wire.Fetch;
-      Wire.Result { sealed_schema = "a"; sealed_body = "b" };
-      Wire.Error { code = Wire.Auth_failed; message = "nope" };
-    ]
-  in
   List.iter
     (fun m ->
       match Wire.of_frame (Wire.to_frame m) with
       | Ok m' -> Alcotest.(check bool) "roundtrips" true (m = m')
       | Error e -> Alcotest.fail e)
-    msgs
+    (Wire.Attest_chain (Service.attestation_chain ()) :: sample_msgs)
 
 let test_codec_roundtrips () =
   (match Wire.contract_of_string (Wire.contract_to_string contract) with
@@ -181,14 +217,139 @@ let test_codec_roundtrips () =
       match Wire.config_of_string (Wire.config_to_string cfg) with
       | Ok c -> Alcotest.(check bool) "config" true (c = cfg)
       | Error e -> Alcotest.fail e)
-    [ Service.Alg1 { n = 3 };
-      Service.Alg3 { n = 2; attr_a = "key"; attr_b = "key" };
-      Service.Alg4;
-      Service.Alg6 { eps = 1e-12 };
-      Service.Alg7 { attr_a = "key"; attr_b = "key" };
-      Service.Alg8 { attr_a = "key"; attr_b = "key" };
-      Service.Auto { max_eps = 1e-9 };
+    sample_algorithms
+
+(* The bytes every message, sealed control payload and durable body
+   encodes to.  The pinned values are what earlier builds wrote: if one
+   moves, a peer or a state directory of an earlier build no longer
+   reads this build's bytes. *)
+let test_formats_pinned () =
+  let digest parts = Digest.to_hex (Digest.string (String.concat "\x00" parts)) in
+  let a, _ = workload () in
+  Alcotest.(check string) "frames and sealed payloads" "38460be72ba4ca0841d9e757db64c314"
+    (digest
+       (List.mapi (fun seq m -> Frame.encode (Wire.to_frame ~seq m)) sample_msgs
+       @ List.map
+           (fun algorithm -> Wire.config_to_string { Service.m = 4; seed = -9; algorithm })
+           sample_algorithms
+       @ [ Wire.contract_to_string contract;
+           Wire.schema_to_string schema;
+           Wire.submission_to_string { Ch.sender = "alice"; nonce = "n"; ciphertext = "c" };
+         ]));
+  Alcotest.(check string) "durable bodies" "ece2f390c7d82057cd7575908e018684"
+    (digest
+       [ Persist.submission_to_string schema a;
+         Persist.result_to_string ~schema:(Wire.schema_to_string schema) ~transfers:297
+           [ "o1"; ""; "o3" ];
+       ])
+
+module Gen = QCheck.Gen
+
+let gen_str = Gen.(string_size ~gen:char (int_range 0 6))
+let gen_id = Gen.(string_size ~gen:(char_range 'a' 'z') (int_range 1 8))
+let gen_u16 = Gen.int_range 0 0xFFFF
+let gen_u32 = Gen.int_range 0 0x7FFFFFFF
+
+let gen_msg =
+  let open Gen in
+  let ctx =
+    opt (map2 (fun trace_id span_id -> Ppj_obs.Trace_ctx.make ~trace_id ~span_id) gen_id gen_id)
+  in
+  let cert =
+    map3
+      (fun name code_digest mac -> { Ppj_scpu.Attestation.name; code_digest; mac })
+      gen_str gen_str gen_str
+  in
+  let code =
+    oneofl
+      Wire.
+        [ Unsupported_version; Bad_state; Auth_failed; Contract_rejected; Missing_submission;
+          Malformed; Internal; Unavailable; Shard_unavailable ]
+  in
+  let store = opt (pair int bool) in
+  let info =
+    map3
+      (fun (server_version, wire_version, uptime)
+           (sessions_active, sessions_closed, conns_live, queue_bytes) (store, ready) ->
+        { Wire.server_version;
+          wire_version;
+          uptime_seconds = float_of_int uptime /. 8.;
+          sessions_active;
+          sessions_closed;
+          conns_live;
+          queue_bytes;
+          store =
+            (match store with
+            | None -> Wire.Store_none
+            | Some (epoch, sealed) -> Wire.Store_open { epoch; sealed });
+          ready;
+        })
+      (triple gen_str gen_u16 int) (quad int int int int) (pair store bool)
+  in
+  oneof
+    [ map2 (fun version ctx -> Wire.Attest_request { version; ctx }) gen_u16 ctx;
+      map (fun certs -> Wire.Attest_chain certs) (list_size (int_range 0 3) cert);
+      map3 (fun id gx mac -> Wire.Hello { Ch.Handshake.id; gx; mac }) gen_str gen_u32 gen_str;
+      map2 (fun gy mac -> Wire.Hello_reply { Ch.Handshake.gy; mac }) gen_u32 gen_str;
+      map (fun sealed -> Wire.Contract { sealed }) gen_str;
+      return Wire.Contract_ok;
+      map2
+        (fun sealed_schema chunks -> Wire.Upload_begin { sealed_schema; chunks })
+        gen_str gen_u32;
+      map2 (fun seq bytes -> Wire.Upload_chunk { seq; bytes }) gen_u32 gen_str;
+      return Wire.Upload_done;
+      return Wire.Upload_ok;
+      map (fun sealed_config -> Wire.Execute { sealed_config }) gen_str;
+      map (fun transfers -> Wire.Execute_ok { transfers }) int;
+      return Wire.Fetch;
+      map2
+        (fun sealed_schema sealed_body -> Wire.Result { sealed_schema; sealed_body })
+        gen_str gen_str;
+      map2 (fun code message -> Wire.Error { code; message }) code gen_str;
+      return Wire.Stats_request;
+      map2 (fun info snapshot -> Wire.Stats_reply { info; snapshot }) info gen_str;
     ]
+
+let test_frame_decoder_total =
+  Totality.check "of_frame is total" ~print:(Format.asprintf "%a" Wire.pp) gen_msg
+    ~encode:(fun m -> (Wire.to_frame m).Frame.payload)
+    ~decode:(fun m payload -> Wire.of_frame { (Wire.to_frame m) with Frame.payload })
+
+let test_submission_decoder_total =
+  Totality.check "submission_of_string is total" ~count:100
+    ~print:(fun (_, r) -> Format.asprintf "%a" Relation.pp r)
+    Gen.(
+      map3
+        (fun seed n name ->
+          (schema, W.uniform (Rng.create seed) ~name ~n ~key_domain:4))
+        nat (int_range 0 3) gen_str)
+    ~encode:(fun (schema, rel) -> Persist.submission_to_string schema rel)
+    ~decode:(fun _ -> Persist.submission_of_string)
+
+let test_checkpoint_decoder_total =
+  let region =
+    Gen.oneofl
+      Ppj_scpu.Trace.[ Scratch; Buffer; Output; Disk; Checkpoint; Table "A"; Table "B" ]
+  in
+  Totality.check "checkpoint_of_string is total"
+    ~print:(fun e -> Printf.sprintf "%d regions" (List.length e.Ppj_scpu.Host.e_regions))
+    Gen.(
+      map3
+        (fun e_regions e_disk e_disk_tuples -> { Ppj_scpu.Host.e_regions; e_disk; e_disk_tuples })
+        (list_size (int_range 0 3)
+           (pair region (array_size (int_range 0 3) (opt gen_str))))
+        (list_size (int_range 0 3) gen_str)
+        gen_u32)
+    ~encode:Persist.checkpoint_to_string
+    ~decode:(fun _ -> Persist.checkpoint_of_string)
+
+let test_result_decoder_total =
+  Totality.check "result_of_string is total"
+    ~print:(fun (s, t, o) -> Printf.sprintf "%S %d [%s]" s t (String.concat "; " o))
+    Gen.(triple gen_str gen_u32 (list_size (int_range 0 4) gen_str))
+    ~encode:(fun (schema, transfers, otuples) ->
+      Persist.result_to_string ~schema ~transfers otuples)
+    ~decode:(fun _ -> Persist.result_of_string)
 
 let test_malformed_payload_rejected () =
   match Wire.of_frame { Frame.tag = 3; seq = 0; payload = "\x00\x00" } with
@@ -823,6 +984,11 @@ let () =
         [ Alcotest.test_case "message roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "payload codecs roundtrip" `Quick test_codec_roundtrips;
           Alcotest.test_case "malformed rejected" `Quick test_malformed_payload_rejected;
+          Alcotest.test_case "formats pinned" `Quick test_formats_pinned;
+          test_frame_decoder_total;
+          test_submission_decoder_total;
+          test_checkpoint_decoder_total;
+          test_result_decoder_total;
           Alcotest.test_case "replies echo request seq" `Quick test_replies_echo_request_seq;
         ] );
       ( "loopback",

@@ -254,6 +254,55 @@ let test_bystander_scrapes_no_padding () =
            (List.map (fun m -> List.assoc_opt "shard" m.Snapshot.labels) (pads server))))
     servers
 
+(* The scrape holds the latest computed join's padding: a region an
+   earlier join padded and the latest did not reads 0. *)
+let test_pad_series_follow_latest_join () =
+  let server = Reactor.create (Server.create ~mac_key ~seed:5 ()) in
+  let a, b = workload () in
+  List.iter
+    (fun (id, rel) ->
+      let c = client server in
+      ok (Client.submit_relation c ~rng:(Rng.create (Hashtbl.hash id)) ~id ~mac_key ~contract ~schema rel);
+      Client.close c)
+    [ ("alice", a); ("bob", b) ];
+  let config algorithm = { Service.m = 4; seed = 9; algorithm } in
+  let fetch ~rng algorithm =
+    let c = client server in
+    ignore
+      (ok
+         (Client.fetch_result c ~rng:(Rng.create rng) ~id:"carol" ~mac_key ~contract
+            (config algorithm)));
+    let _, snap = ok (Client.stats c) in
+    Client.close c;
+    List.sort compare
+      (List.filter_map
+         (fun m ->
+           match (m.Snapshot.name, m.Snapshot.value) with
+           | "oblivious.sort.pad_slots", Snapshot.Gauge v ->
+               Some (List.assoc "region" m.Snapshot.labels, v)
+           | _ -> None)
+         snap)
+  in
+  let padding algorithm =
+    let inst, _ =
+      Service.execute_join (config algorithm) ~predicate:(P.equijoin2 "key" "key") [ a; b ]
+    in
+    List.map
+      (fun (region, n) -> (Ppj_scpu.Trace.region_name region, float_of_int n))
+      (Ppj_scpu.Coprocessor.pad_slots (Instance.co inst))
+  in
+  let alg8 = padding (Service.Alg8 { attr_a = "key"; attr_b = "key" }) in
+  let alg4 = padding Service.Alg4 in
+  Alcotest.(check (list (pair string (float 0.)))) "after alg8" (List.sort compare alg8)
+    (fetch ~rng:98 (Service.Alg8 { attr_a = "key"; attr_b = "key" }));
+  Alcotest.(check (list (pair string (float 0.)))) "after alg4: its padding, 0 elsewhere"
+    (List.sort compare
+       (alg4
+       @ List.filter_map
+           (fun (r, _) -> if List.mem_assoc r alg4 then None else Some (r, 0.))
+           alg8))
+    (fetch ~rng:99 Service.Alg4)
+
 let test_federation_fails_closed () =
   (* A shard that cannot be scraped fails the whole federated call with
      the typed shard-unavailable prefix, like any other fan-out. *)
@@ -406,6 +455,8 @@ let () =
           Alcotest.test_case "pad slots per shard" `Quick test_federated_pad_slots_per_shard;
           Alcotest.test_case "bystander scrapes no padding" `Quick
             test_bystander_scrapes_no_padding;
+          Alcotest.test_case "pad series follow the latest join" `Quick
+            test_pad_series_follow_latest_join;
           Alcotest.test_case "fails closed" `Quick test_federation_fails_closed
         ] );
       ( "export-privacy",

@@ -61,6 +61,48 @@ let contains ~sub s =
 
 let plain_meta epoch = "\x00" ^ Record.encode (Record.Meta { format = 1; epoch })
 
+(* --- record codec ------------------------------------------------------ *)
+
+(* One value per record constructor. *)
+let sample_records =
+  [ Record.Meta { format = 1; epoch = 7 };
+    Record.Contract { digest = "d1"; body = "contract-body" };
+    Record.Submission { contract = "d1"; provider = "alice"; body = "\x00rel" };
+    Record.Nvram { name = "ckpt:d1:c1"; value = -3 };
+    Record.Checkpoint { contract = "d1"; config = "c1"; body = "image" };
+    Record.Result { contract = "d1"; config = "c1"; body = "" };
+    Record.Clear { contract = "d1"; config = "c1" };
+  ]
+
+(* The pinned value is what earlier builds wrote: if it moves, a state
+   directory of an earlier build no longer replays. *)
+let test_record_codec () =
+  List.iter
+    (fun r -> Alcotest.(check bool) (Record.kind r) true (Record.decode (Record.encode r) = Ok r))
+    sample_records;
+  Alcotest.(check string) "records pinned" "7c4d8f61c76d5e935ab3be41aa410fa9"
+    (Digest.to_hex (Digest.string (String.concat "\x00" (List.map Record.encode sample_records))))
+
+let test_record_decoder_total =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_range 0 6) in
+  Totality.check "decode is total" ~print:Record.kind
+    (oneof
+       [ map2 (fun format epoch -> Record.Meta { format; epoch }) (int_range 0 0x7FFFFFFF) int;
+         map2 (fun digest body -> Record.Contract { digest; body }) str str;
+         map3
+           (fun contract provider body -> Record.Submission { contract; provider; body })
+           str str str;
+         map2 (fun name value -> Record.Nvram { name; value }) str int;
+         map3
+           (fun contract config body -> Record.Checkpoint { contract; config; body })
+           str str str;
+         map3 (fun contract config body -> Record.Result { contract; config; body }) str str str;
+         map2 (fun contract config -> Record.Clear { contract; config }) str str;
+       ])
+    ~encode:Record.encode
+    ~decode:(fun _ -> Record.decode)
+
 (* --- CRC and framing -------------------------------------------------- *)
 
 let test_crc_kat () =
@@ -802,7 +844,11 @@ let test_decorrelated_jitter () =
 
 let () =
   Alcotest.run "store"
-    [ ( "journal",
+    [ ( "record",
+        [ Alcotest.test_case "roundtrip, pinned" `Quick test_record_codec;
+          test_record_decoder_total;
+        ] );
+      ( "journal",
         [ Alcotest.test_case "crc32 known answers" `Quick test_crc_kat;
           Alcotest.test_case "append/read roundtrip" `Quick test_journal_roundtrip;
           Alcotest.test_case "write_atomic roundtrip" `Quick test_write_atomic_roundtrip;
